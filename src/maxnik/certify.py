@@ -7,7 +7,8 @@ the registry). UNKNOWN is a first-class verdict: these rules certify
 everything in scope, and silence beats an unsound claim elsewhere.
 
 Inference rules used:
-  - at least 5n-14 edges forces a K7 minor, hence IK (size-bound);
+  - at order n >= 7, at least 5n-14 edges forces a K7 minor, hence IK
+    (size-bound, Mader's theorem; below order 7 it proves nothing);
   - a registered IK pattern as a minor gives IK (minor-of);
   - a 2-apex graph is nIK (apex-pair);
   - E9 and G9,29 are nIK by trusted published embeddings (axiom);
@@ -19,6 +20,9 @@ Inference rules used:
     the triangle avoids a K4 on one side (construction);
   - maxnik itself: nIK plus every non-edge orbit representative whose
     addition certifies IK (per-non-edge), vacuous for complete graphs.
+    When the host is 2-apex through a pair P, an added edge that touches P
+    or leaves the graph minus P planar keeps it 2-apex, so that addition
+    goes straight to augmentation-nik without an IK search.
 """
 
 from __future__ import annotations
@@ -98,7 +102,7 @@ def certify_ik(g: Graph, lib: ObstructionLibrary | None = None) -> Certificate:
             return _cert(VERDICT_IK, "minor-of", g,
                          pattern=pattern.name,
                          branch_sets=[list(b) for b in found.witness.branch_sets])
-    if g.m >= 5 * g.n - 14:
+    if g.n >= 7 and g.m >= 5 * g.n - 14:
         return _cert(VERDICT_IK, "size-bound", g, n=g.n, m=g.m,
                      threshold=5 * g.n - 14)
     return _cert(VERDICT_UNKNOWN, "no-ik-evidence", g)
@@ -225,10 +229,16 @@ def certify_maxnik(g: Graph, lib: ObstructionLibrary | None = None) -> Certifica
     if nik.verdict != VERDICT_NIK:
         return _cert(VERDICT_UNKNOWN, "nik-undecided", g, children=[nik])
     reps = [tuple(o[0]) for o in orbits(g, "non-edge").orbits]
+    apex = nik.evidence["witness"] if nik.rule == "apex-pair" else None
     children = [nik]
     undecided = []
     for u, v in reps:
         added = g.with_edge(u, v)
+        if apex is not None and (u in apex or v in apex
+                                 or is_planar(added.delete_vertices(apex))):
+            # still 2-apex through the host's pair, so never IK
+            return _cert(VERDICT_NOT_MAXNIK, "augmentation-nik", g,
+                         children=[nik, certify_nik(added, lib)], edge=[u, v])
         ik = certify_ik(added, lib)
         if ik.verdict == VERDICT_IK:
             children.append(ik)
@@ -394,7 +404,7 @@ def _validate(cert: Certificate, lib: ObstructionLibrary, problems: list[str], p
         if not witness.validate(g, pattern):
             bad("minor witness fails re-validation")
     elif rule == "size-bound":
-        if not g.m >= 5 * g.n - 14:
+        if not (g.n >= 7 and g.m >= 5 * g.n - 14):
             bad("size bound does not hold")
     elif rule == "apex-pair":
         witness = tuple(ev["witness"])

@@ -3,7 +3,8 @@
 Exit codes: 0 definite verdicts, 2 for UNKNOWN, 1 on errors, 64 on bad
 flags. Graphs come in as a graph6 positional argument or one per line on
 stdin (batch mode, results as JSON lines in input order). MAXNIK_WORKERS
-fans batch certification out across processes.
+fans batch certification out across processes; it must be a positive
+integer (else exit 64) and is capped at the CPU count.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
+
+
+class _UsageError(Exception):
+    """A bad flag or environment setting, reported with exit code 64."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,9 +94,20 @@ def _certify_one(g6: str) -> dict:
     }
 
 
+def _workers() -> int:
+    raw = os.environ.get("MAXNIK_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise _UsageError(f"MAXNIK_WORKERS must be a positive integer, got {raw!r}")
+    return min(workers, os.cpu_count() or 1)
+
+
 def _batch(fn, graphs: list[Graph]) -> list[dict]:
     lines = [graph6_encode(g) for g in graphs]
-    workers = int(os.environ.get("MAXNIK_WORKERS", "1"))
+    workers = _workers()
     if workers > 1 and len(lines) > 1:
         from multiprocessing import Pool
 
@@ -153,6 +169,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
+    except _UsageError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
     except MaxnikError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR

@@ -20,7 +20,7 @@ from .certify import (LEMMA_EDGE_SUM, LEMMA_EDGE_SUM_MAXNIK,
 from .catalog import disk_axiom_covers
 from .errors import (ConstructionInvariantError, PreconditionError,
                      SizeOutOfRangeError, UnrepresentableSizeError)
-from .graphs import (Graph, complete_graph, complete_multipartite,
+from .graphs import (MAX_ORDER, Graph, complete_graph, complete_multipartite,
                      graph6_encode, identified_union, is_k_connected, join,
                      clique_number, non_triangular_edges)
 from .planarity import is_maximal_2apex, is_maximal_planar
@@ -239,11 +239,17 @@ def _addends_for(k: int) -> tuple[int, ...]:
     raise UnrepresentableSizeError(f"{k} is not a sum of six addends from {{2,5,9,14}}")
 
 
+# The largest size whose chain-plus-addends graph fits in MAX_ORDER vertices.
+MAX_SIZE = 177
+
+
 def size_construct(n: int) -> tuple[ConstructionPlan, Graph, Certificate]:
-    """A maximal knotless graph with exactly n edges, n >= 20 and n != 22."""
+    """A maximal knotless graph with exactly n edges, 20 <= n <= 177, n != 22."""
     if n < 20:
         raise SizeOutOfRangeError("sizes below 20 admit no maximal knotless graph "
                                   "beyond the small complete graphs")
+    if n > MAX_SIZE:
+        raise SizeOutOfRangeError(f"sizes above {MAX_SIZE} need more than {MAX_ORDER} vertices")
     if n == 22:
         raise UnrepresentableSizeError("no maximal knotless graph has size 22")
     if n == 20:

@@ -34,4 +34,4 @@ class UnrepresentableSizeError(MaxnikError):
 
 
 class SizeOutOfRangeError(MaxnikError):
-    """Requested size below the range the constructions cover."""
+    """Requested size outside the range the constructions cover."""

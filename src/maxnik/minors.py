@@ -7,12 +7,26 @@ on remaining-size and remaining-contact feasibility. Dense patterns
 (complete and complete multipartite graphs and their delta-wye relatives)
 make the adjacency constraints bite early, which keeps the search exact
 and fast at the orders in scope.
+
+Twin pattern vertices (whose transposition is an automorphism) are
+interchangeable, so the search tries only one order of their branch sets:
+each branch set's root must exceed the root of the set placed for its
+nearest earlier twin, a lex-leader symmetry cut in the sense of Crawford,
+Ginsberg, Luks and Roy (KR 1996). Negative queries no longer pay for
+every permutation of a twin class (7! for K7). Witnesses are unchanged:
+swapping two twins' branch sets gives another witness, and when the later
+twin has the smaller root that witness is reached first in the search
+order, because roots are tried in increasing order and every pruning rule
+only cuts placements that extend to no witness. So the first witness of
+the unrestricted search already has increasing twin roots and is also the
+first witness of the restricted one.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .canon import canonical_key_graph
 from .graphs import Graph, _bits, triangles
@@ -62,18 +76,38 @@ class MinorSearch:
         return self.found
 
 
+@lru_cache(maxsize=256)
+def _plan(pattern: Graph):
+    """Placement order, earlier neighbours, pending contacts, twin links.
+
+    ``twin[i]`` is the placement index of the nearest earlier twin of
+    ``order[i]``, or -1 when it has none.
+    """
+    np_ = pattern.n
+    rows = pattern.rows
+    order = sorted(range(np_), key=lambda v: (-pattern.degree(v), v))
+    # earlier placements each branch set must touch, and how many pattern
+    # neighbors of each placement are still unplaced (for contact pruning)
+    earlier = [tuple(j for j in range(i) if pattern.has_edge(order[i], order[j]))
+               for i in range(np_)]
+    pending0 = [sum(1 for j in range(i + 1, np_) if pattern.has_edge(order[i], order[j]))
+                for i in range(np_)]
+    twin = [-1] * np_
+    for i, a in enumerate(order):
+        for t in range(i - 1, -1, -1):
+            b = order[t]
+            if rows[a] & ~(1 << b) == rows[b] & ~(1 << a):
+                twin[i] = t
+                break
+    return tuple(order), tuple(earlier), tuple(pending0), tuple(twin)
+
+
 def has_minor(host: Graph, pattern: Graph) -> MinorSearch:
     """Decide whether ``pattern`` is a minor of ``host``, with witness."""
     nh, np_ = host.n, pattern.n
     if np_ > nh or pattern.m > host.m:
         return MinorSearch(False, None)
-    order = sorted(range(np_), key=lambda v: (-pattern.degree(v), v))
-    # earlier placements each branch set must touch, and how many pattern
-    # neighbors of each placement are still unplaced (for contact pruning)
-    earlier = [[j for j in range(i) if pattern.has_edge(order[i], order[j])]
-               for i in range(np_)]
-    pending0 = [sum(1 for j in range(i + 1, np_) if pattern.has_edge(order[i], order[j]))
-                for i in range(np_)]
+    order, earlier, pending0, twin = _plan(pattern)
     hrows = host.rows
     full = (1 << nh) - 1
     sets = [0] * np_
@@ -124,6 +158,9 @@ def has_minor(host: Graph, pattern: Graph) -> MinorSearch:
         budget = nh - used.bit_count() - (np_ - i - 1)
         free = full & ~used
         rem = free
+        if twin[i] >= 0:  # root above the root of the nearest earlier twin
+            low = sets[twin[i]] & -sets[twin[i]]
+            rem &= ~((low << 1) - 1)
         while rem:
             rb = rem & -rem
             rem ^= rb

@@ -7,7 +7,9 @@ import pytest
 
 from maxnik.canon import canonical_form
 from maxnik.catalog import mmik_library
-from maxnik.graphs import Graph, contract_edge, from_edges
+from maxnik.graphs import Graph, _bits, contract_edge, from_edges
+from maxnik.minors import MinorSearch, MinorWitness
+from maxnik.planarity import KApexResult, is_planar
 
 
 @pytest.fixture(scope="session")
@@ -54,3 +56,94 @@ def all_labeled_graphs(n: int):
     pairs = list(combinations(range(n), 2))
     for bits in range(1 << len(pairs)):
         yield from_edges(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
+
+
+def reference_is_k_apex(g: Graph, k: int) -> KApexResult:
+    """Oracle: every k-subset in lex order, each with a planarity test."""
+    for subset in combinations(range(g.n), min(k, g.n - 1)):
+        if is_planar(g.delete_vertices(subset) if subset else g):
+            return KApexResult(True, subset)
+    return KApexResult(False, None)
+
+
+def reference_has_minor(host: Graph, pattern: Graph) -> MinorSearch:
+    """Oracle: the branch-set search with no symmetry cut.
+
+    A verbatim copy of ``has_minor`` before twin roots were ordered; it
+    tries every permutation of interchangeable pattern vertices.
+    """
+    nh, np_ = host.n, pattern.n
+    if np_ > nh or pattern.m > host.m:
+        return MinorSearch(False, None)
+    order = sorted(range(np_), key=lambda v: (-pattern.degree(v), v))
+    # earlier placements each branch set must touch, and how many pattern
+    # neighbors of each placement are still unplaced (for contact pruning)
+    earlier = [[j for j in range(i) if pattern.has_edge(order[i], order[j])]
+               for i in range(np_)]
+    pending0 = [sum(1 for j in range(i + 1, np_) if pattern.has_edge(order[i], order[j]))
+                for i in range(np_)]
+    hrows = host.rows
+    full = (1 << nh) - 1
+    sets = [0] * np_
+    nbrs = [0] * np_
+    pending = list(pending0)
+
+    def attempt(i: int, s_mask: int, nbr_mask: int, used: int) -> bool:
+        for j in earlier[i]:
+            if not nbr_mask & sets[j]:
+                return False
+        used2 = used | s_mask
+        free_after = full & ~used2
+        if pending[i] and (nbr_mask & free_after).bit_count() < pending[i]:
+            return False
+        for j in earlier[i]:
+            pending[j] -= 1
+        ok = all(not pending[j] or (nbrs[j] & free_after).bit_count() >= pending[j]
+                 for j in range(i))
+        if ok:
+            sets[i] = s_mask
+            nbrs[i] = nbr_mask
+            if place(i + 1, used2):
+                return True
+        for j in earlier[i]:
+            pending[j] += 1
+        return False
+
+    def expand(i: int, s_mask: int, nbr_mask: int, avail: int, used: int, budget: int) -> bool:
+        if attempt(i, s_mask, nbr_mask, used):
+            return True
+        if s_mask.bit_count() == budget:
+            return False
+        cand = nbr_mask & avail
+        banned = 0
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            v = b.bit_length() - 1
+            s2 = s_mask | b
+            if expand(i, s2, (nbr_mask | hrows[v]) & ~s2, avail & ~banned & ~b, used, budget):
+                return True
+            banned |= b
+        return False
+
+    def place(i: int, used: int) -> bool:
+        if i == np_:
+            return True
+        budget = nh - used.bit_count() - (np_ - i - 1)
+        free = full & ~used
+        rem = free
+        while rem:
+            rb = rem & -rem
+            rem ^= rb
+            v = rb.bit_length() - 1
+            allowed = free & ~(rb - 1) & ~rb  # root is the least vertex of its set
+            if expand(i, rb, hrows[v] & ~rb, allowed, used, budget):
+                return True
+        return False
+
+    if not place(0, 0):
+        return MinorSearch(False, None)
+    branch_sets: list[tuple[int, ...]] = [()] * np_
+    for i, pv in enumerate(order):
+        branch_sets[pv] = tuple(_bits(sets[i]))
+    return MinorSearch(True, MinorWitness(tuple(branch_sets)))

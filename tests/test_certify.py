@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
+import maxnik.certify as certify_module
 from maxnik.canon import orbits
 from maxnik.catalog import named_graph
 from maxnik.certify import (VERDICT_IK, VERDICT_MAXNIK, VERDICT_NIK,
@@ -13,9 +15,9 @@ from maxnik.certify import (VERDICT_IK, VERDICT_MAXNIK, VERDICT_NIK,
                             check_necessary, relabel_certificate,
                             validate_certificate)
 from maxnik.graphs import (complete_graph, complete_multipartite, cycle_graph,
+                           from_edges, graph6_decode, graph6_encode,
                            path_graph)
 from maxnik.smallgraphs import enumerate_graphs
-
 
 
 class TestCertifyIK:
@@ -151,6 +153,95 @@ class TestOrbitReductionSoundness:
                 for u2, v2 in orbit[1:]:
                     assert certify_ik(g.with_edge(u2, v2), lib).verdict == per_orbit[orbit]
             assert set(per_orbit.values()) == {VERDICT_IK}
+
+
+# Forty G(n, p) hosts of order 9 and 10 (p from 0.4 to 0.7), one fixed draw.
+GOLDEN_HOSTS = (
+    "HMS|Kkv", "H_hWr?E", "I~L[}JP]g", "H}Ducog", "I?MA|rcEG",
+    "HY]Nan^", "HvFbm|Z", "IwPgoF\\R?", "IpNezuHTg", "H}q^BpO",
+    "IZiu\\zv}w", "IIixEk~{W", "IBYpEIlVo", "Hd\\vJVV", "IjjnH^Uzo",
+    "IfByZ]zMo", "ItZyYNZZo", "Hz~j{Vl", "IfPWt~DC_", "I|n{}^^zw",
+    "HuuvV}l", "Isw~rHezg", "IEVzpl\\m?", "H]WH`N[", "HVCz|}M",
+    "I~v|NVm~g", "IEWI\\lFtG", "IHOKuQoUW", "HEu\\uqj", "HzXP~V{",
+    "IhPlhmPxO", "I|~byqi~w", "Hrvmpew", "Hq|}iXm", "H}JOhrc",
+    "Iq]lj`]T?", "HfI}Z~p", "IDd~vo_^o", "I}]zz{nng", "IjQ^l\\Z|W",
+)
+# sha256 of the concatenated certificate JSON, measured before the apex-pair
+# gate and the twin-ordered minor search were added
+GOLDEN_DIGEST = "04b3e67f257201474e5261f4860b6a5420883536fd643813756f5bd7f1d157f1"
+
+
+class TestPerNonEdgeGolden:
+    def test_random_host_certificates_unchanged(self, lib):
+        blob = "".join(certify_maxnik(graph6_decode(h), lib).dumps() for h in GOLDEN_HOSTS)
+        assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN_DIGEST
+
+    @staticmethod
+    def _gated(monkeypatch, lib, g):
+        """certify_maxnik with the IK search disabled, counting gate planarity tests."""
+        is_planar = certify_module.is_planar
+        calls = []
+
+        def counted_is_planar(h):
+            calls.append(h)
+            return is_planar(h)
+
+        def no_ik_search(*_args):
+            raise AssertionError("the apex-pair gate should settle this edge")
+
+        monkeypatch.setattr(certify_module, "is_planar", counted_is_planar)
+        monkeypatch.setattr(certify_module, "certify_ik", no_ik_search)
+        return certify_maxnik(g, lib), len(calls)
+
+    @staticmethod
+    def _old_path(lib, g, edge):
+        """The certificate the IK-first loop builds when the edge's addition is nIK."""
+        added = g.with_edge(*edge)
+        assert certify_ik(added, lib).verdict != VERDICT_IK
+        return Certificate(VERDICT_NOT_MAXNIK, "augmentation-nik",
+                           {"graph": graph6_encode(g), "edge": list(edge)},
+                           (certify_nik(g, lib), certify_nik(added, lib)))
+
+    def test_gate_through_planarity(self, monkeypatch, lib):
+        # K2 joined with a 5-cycle: every non-edge is a chord, away from {0, 1}
+        g = from_edges(7, [(0, 1)] + [(a, b) for a in (0, 1) for b in range(2, 7)]
+                       + [(2, 3), (3, 4), (4, 5), (5, 6), (2, 6)])
+        expected = self._old_path(lib, g, (2, 4))
+        cert, planarity_tests = self._gated(monkeypatch, lib, g)
+        assert cert.children[0].evidence["witness"] == [0, 1]
+        assert cert == expected
+        assert planarity_tests == 1
+        assert validate_certificate(cert, lib) == []
+
+    def test_gate_through_apex_endpoint(self, monkeypatch, lib):
+        g = cycle_graph(7)
+        expected = self._old_path(lib, g, (0, 2))
+        cert, planarity_tests = self._gated(monkeypatch, lib, g)
+        assert cert.children[0].evidence["witness"] == [0, 1]
+        assert cert == expected
+        assert planarity_tests == 0
+        assert validate_certificate(cert, lib) == []
+
+
+class TestSmallOrderSizeBound:
+    """5n-14 edges force a K7 minor only from order 7 on (Mader)."""
+
+    def test_no_size_bound_below_order_7(self, lib):
+        for n in (1, 2, 3, 4):
+            assert certify_ik(complete_graph(n), lib).verdict == VERDICT_UNKNOWN
+
+    def test_validator_rejects_small_size_bound(self, lib):
+        forged = Certificate(VERDICT_IK, "size-bound",
+                             {"graph": "C~", "n": 4, "m": 6, "threshold": 6})
+        assert validate_certificate(forged, lib) != []
+
+    def test_only_complete_graphs_are_maxnik_below_order_5(self, lib):
+        for n in (1, 2, 3, 4):
+            for g in enumerate_graphs(n):
+                cert = certify_maxnik(g, lib)
+                want = VERDICT_MAXNIK if g.is_complete() else VERDICT_NOT_MAXNIK
+                assert cert.verdict == want
+                assert validate_certificate(cert, lib) == []
 
 
 class TestNecessary:

@@ -188,3 +188,29 @@ def test_parse_error_exit_1(capsys):
     code, _, err = run_cli(capsys, ["classify", "!!!"])
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_workers_setting_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("MAXNIK_WORKERS", value)
+    code, out, err = run_cli(capsys, ["certify", "-"], stdin="F^~~w\nF?~vw\n")
+    assert code == 64
+    assert out == ""
+    assert "MAXNIK_WORKERS" in err
+
+
+@pytest.mark.parametrize("value", ["1", "2"])
+def test_workers_setting_keeps_output(capsys, monkeypatch, value):
+    monkeypatch.delenv("MAXNIK_WORKERS", raising=False)
+    _, serial, _ = run_cli(capsys, ["certify", "-"], stdin="F^~~w\nF?~vw\n")
+    monkeypatch.setenv("MAXNIK_WORKERS", value)
+    code, out, _ = run_cli(capsys, ["certify", "-"], stdin="F^~~w\nF?~vw\n")
+    assert code == 0
+    assert out == serial
+
+
+def test_construct_size_above_177_out_of_range(capsys):
+    code, out, err = run_cli(capsys, ["construct", "--size", "178"])
+    assert code == 1
+    assert out == ""
+    assert "177" in err

@@ -155,6 +155,13 @@ class TestSizeConstruct:
         with pytest.raises(SizeOutOfRangeError):
             size_construct(19)
 
+    def test_size_177_is_the_largest(self):
+        plan, g, cert = size_construct(177)
+        assert g.m == 177 and g.n <= 64
+        assert cert.verdict == VERDICT_MAXNIK
+        with pytest.raises(SizeOutOfRangeError):
+            size_construct(178)
+
     def test_size37_plan(self):
         plan, g, cert = size_construct(37)
         assert plan.base_chain == 1

@@ -13,7 +13,7 @@ from maxnik.minors import (DELTA_Y, Y_DELTA, closure, delta_y, has_minor,
                            y_delta)
 from maxnik.smallgraphs import enumerate_graphs
 
-from conftest import brute_force_minor, random_graph
+from conftest import brute_force_minor, random_graph, reference_has_minor
 
 
 class TestHasMinor:
@@ -152,3 +152,47 @@ class TestClosure:
             closure([complete_graph(4)], set())
         with pytest.raises(ValueError):
             closure([complete_graph(4)], {"zz"})
+
+
+def _twin_class_sizes(pattern) -> set[int]:
+    """Sizes of the classes of vertices whose transposition is an automorphism."""
+    rows = pattern.rows
+    classes: list[list[int]] = []
+    for a in range(pattern.n):
+        for cls in classes:
+            b = cls[0]
+            if rows[a] & ~(1 << b) == rows[b] & ~(1 << a):
+                cls.append(a)
+                break
+        else:
+            classes.append([a])
+    return {len(cls) for cls in classes}
+
+
+class TestTwinOrderedRoots:
+    """The twin-root cut returns exactly the unrestricted search's answer."""
+
+    def test_witness_equals_unrestricted_search(self, lib):
+        patterns = [complete_graph(5), complete_multipartite(3, 3), complete_graph(7),
+                    complete_multipartite(3, 3, 1, 1)]
+        patterns += [p.graph for p in lib.mmik_patterns]
+        twin_sizes = set().union(*(_twin_class_sizes(p) for p in patterns))
+        assert {2, 3, 7} <= twin_sizes
+        rng = random.Random(2024)
+        outcomes = set()
+        for _ in range(30):
+            host = random_graph(rng, rng.randint(7, 10), rng.choice((0.4, 0.5, 0.6, 0.7, 0.8)))
+            for pattern in patterns:
+                if pattern.n > host.n or pattern.m > host.m:
+                    continue
+                got = has_minor(host, pattern)
+                assert got == reference_has_minor(host, pattern)
+                if got.found:
+                    assert got.witness.validate(host, pattern)
+                outcomes.add(got.found)
+        assert outcomes == {True, False}
+
+    def test_negative_k7_query(self):
+        # the unrestricted search tries every order of K7's branch sets here
+        host = random_graph(random.Random(3), 13, 0.45)
+        assert has_minor(host, complete_graph(7)) == reference_has_minor(host, complete_graph(7))
