@@ -239,17 +239,15 @@ def _addends_for(k: int) -> tuple[int, ...]:
     raise UnrepresentableSizeError(f"{k} is not a sum of six addends from {{2,5,9,14}}")
 
 
-# The largest size whose chain-plus-addends graph fits in MAX_ORDER vertices.
-MAX_SIZE = 177
-
-
 def size_construct(n: int) -> tuple[ConstructionPlan, Graph, Certificate]:
-    """A maximal knotless graph with exactly n edges, 20 <= n <= 177, n != 22."""
+    """A maximal knotless graph with exactly n edges, n >= 20 and n != 22.
+
+    Sizes whose plan needs more than MAX_ORDER vertices (178, and every size
+    from 181 on) raise SizeOutOfRangeError.
+    """
     if n < 20:
         raise SizeOutOfRangeError("sizes below 20 admit no maximal knotless graph "
                                   "beyond the small complete graphs")
-    if n > MAX_SIZE:
-        raise SizeOutOfRangeError(f"sizes above {MAX_SIZE} need more than {MAX_ORDER} vertices")
     if n == 22:
         raise UnrepresentableSizeError("no maximal knotless graph has size 22")
     if n == 20:
@@ -273,6 +271,10 @@ def size_construct(n: int) -> tuple[ConstructionPlan, Graph, Certificate]:
     if i < 1:
         raise UnrepresentableSizeError(f"size {n} has no chain-plus-addends plan")
     addends = _addends_for(k)
+    # the chain has 7i+2 vertices and each K_c addend brings c-2 more
+    order = 7 * i + 2 + sum(_ADDEND_CLIQUE[a] - 2 for a in addends)
+    if order > MAX_ORDER:
+        raise SizeOutOfRangeError(f"size {n} needs {order} vertices, more than {MAX_ORDER}")
     g, cert = chain_graphs(i)
     sites = []
     for addend in addends:

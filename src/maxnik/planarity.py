@@ -247,16 +247,7 @@ def is_k_apex(g: Graph, k: int) -> KApexResult:
     if k < 0:
         raise ValueError("k must be nonnegative")
     k_eff = min(k, g.n - 1)
-    # a planar graph on at least 3 vertices has at most 3n-6 edges, so a
-    # subset leaving more edges than that is skipped without a planarity test
-    rows, deg, m = g.rows, g.degrees(), g.m
-    bound = 3 * (g.n - k_eff) - 6 if g.n - k_eff >= 3 else None
     for subset in combinations(range(g.n), k_eff):
-        if bound is not None:
-            mask = sum(1 << v for v in subset)
-            inner = sum((rows[v] & mask).bit_count() for v in subset) // 2
-            if m - sum(deg[v] for v in subset) + inner > bound:
-                continue
         if is_planar(g.delete_vertices(subset) if subset else g):
             return KApexResult(True, subset)
     return KApexResult(False, None)

@@ -9,7 +9,6 @@ from maxnik.canon import canonical_form
 from maxnik.catalog import mmik_library
 from maxnik.graphs import Graph, _bits, contract_edge, from_edges
 from maxnik.minors import MinorSearch, MinorWitness
-from maxnik.planarity import KApexResult, is_planar
 
 
 @pytest.fixture(scope="session")
@@ -56,14 +55,6 @@ def all_labeled_graphs(n: int):
     pairs = list(combinations(range(n), 2))
     for bits in range(1 << len(pairs)):
         yield from_edges(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
-
-
-def reference_is_k_apex(g: Graph, k: int) -> KApexResult:
-    """Oracle: every k-subset in lex order, each with a planarity test."""
-    for subset in combinations(range(g.n), min(k, g.n - 1)):
-        if is_planar(g.delete_vertices(subset) if subset else g):
-            return KApexResult(True, subset)
-    return KApexResult(False, None)
 
 
 def reference_has_minor(host: Graph, pattern: Graph) -> MinorSearch:

