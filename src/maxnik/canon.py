@@ -147,14 +147,20 @@ class _Search:
             self.best_lab = lab
 
 
-def canonical_labeling(g: Graph) -> tuple[CanonicalForm, tuple[int, ...]]:
-    """Canonical form plus a labeling: position i holds vertex lab[i]."""
+def _canonical_search(g: Graph) -> tuple[CanonicalForm, tuple[int, ...], list[tuple[int, ...]]]:
+    """Canonical form, labeling and automorphism generators from one search."""
     s = _Search(g)
     s.run()
     assert s.best_key is not None and s.best_lab is not None
     nbytes = (g.n * (g.n - 1) // 2 + 7) // 8
     key = bytes([g.n]) + s.best_key.to_bytes(nbytes, "big")
-    return CanonicalForm(key), s.best_lab
+    return CanonicalForm(key), s.best_lab, list(s.autos)
+
+
+def canonical_labeling(g: Graph) -> tuple[CanonicalForm, tuple[int, ...]]:
+    """Canonical form plus a labeling: position i holds vertex lab[i]."""
+    form, lab, _ = _canonical_search(g)
+    return form, lab
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
@@ -164,10 +170,15 @@ def canonical_form(g: Graph) -> CanonicalForm:
 def canonical_key_graph(g: Graph) -> tuple[bytes, Graph]:
     """Canonical key and representative from a single search."""
     form, lab = canonical_labeling(g)
+    return form.key, _relabel_canonically(g, lab)
+
+
+def _relabel_canonically(g: Graph, lab: tuple[int, ...]) -> Graph:
+    """g with vertex lab[i] renamed to i: the canonical representative."""
     pos = [0] * g.n
     for i, v in enumerate(lab):
         pos[v] = i
-    return form.key, g.relabel(pos)
+    return g.relabel(pos)
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -199,9 +210,7 @@ def isomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:
 
 def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     """Permutations generating the full automorphism group."""
-    s = _Search(g)
-    s.run()
-    return list(s.autos)
+    return _canonical_search(g)[2]
 
 
 def _object_orbits(objects: list, gens: list[tuple[int, ...]], image) -> tuple[tuple, ...]:
@@ -249,59 +258,3 @@ def orbits(g: Graph, kind: str) -> OrbitPartition:
     else:
         raise ValueError(f"unknown orbit kind {kind!r}")
     return OrbitPartition(kind, _object_orbits(objects, gens, image))
-
-
-def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
-    """Permutation-search oracle; exponential, for cross-checks on tiny graphs."""
-    from itertools import permutations
-
-    if g.n != h.n or g.m != h.m:
-        return False
-    hd = h.degrees()
-    for perm in permutations(range(g.n)):
-        if all(hd[perm[v]] == g.degree(v) for v in range(g.n)) and g.relabel(perm) == h:
-            return True
-    return False
-
-
-def brute_force_automorphisms(g: Graph) -> list[tuple[int, ...]]:
-    from itertools import permutations
-
-    deg = g.degrees()
-    out = []
-    for perm in permutations(range(g.n)):
-        if all(deg[perm[v]] == deg[v] for v in range(g.n)) and g.relabel(perm) == g:
-            out.append(perm)
-    return out
-
-
-def dedup_by_canonical_form(graphs) -> list[Graph]:
-    """One canonical representative per isomorphism class, in key order."""
-    reps: dict[bytes, Graph] = {}
-    for g in graphs:
-        form, lab = canonical_labeling(g)
-        if form.key not in reps:
-            pos = [0] * g.n
-            for i, v in enumerate(lab):
-                pos[v] = i
-            reps[form.key] = g.relabel(pos)
-    return [reps[k] for k in sorted(reps)]
-
-
-def group_order(gens: list[tuple[int, ...]], n: int) -> int:
-    """Order of the generated permutation group, by closure enumeration.
-
-    Fine at test scale (groups here have at most 8! elements); production
-    code only ever needs the generators, never the full element list.
-    """
-    identity = tuple(range(n))
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        e = frontier.pop()
-        for a in gens:
-            composed = tuple(a[e[i]] for i in range(n))
-            if composed not in elements:
-                elements.add(composed)
-                frontier.append(composed)
-    return len(elements)

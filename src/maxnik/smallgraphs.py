@@ -1,15 +1,46 @@
 """Exhaustive isomorphism-class enumeration for small orders.
 
-Classes of order n come from extending every class of order n-1 by one
-vertex with every possible neighborhood, deduplicated by canonical form.
-This covers disconnected graphs too (every graph arises by deleting its
-last vertex). Results are cached per order; the order-8 level is the large
-one (12346 classes from 1044 x 128 candidates).
+Classes of order n are generated from the classes of order n-1 by
+canonical augmentation (McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 1998), so no candidate is ever labeled only to be thrown
+away as a duplicate. A parent P (a canonical representative of order n-1)
+is extended by a new vertex x adjacent to a set N, for one N from each
+orbit of Aut(P) on vertex subsets. The child C = P + x is accepted iff x
+has the largest degree in C and lies in the orbit, under Aut(C), of the
+chosen vertex w: the last vertex of C's canonical labeling among those of
+largest degree.
+
+Every class X of order n is produced exactly once:
+
+* The orbit of w is an isomorphism invariant. Isomorphic graphs X and Y
+  have the same canonical graph, and w is the vertex at a fixed position
+  of it (the last one of largest degree). So the isomorphism X -> Y read
+  off the two canonical labelings sends w_X to w_Y, and every other
+  isomorphism differs from it by an automorphism: each maps the chosen
+  orbit of X onto the chosen orbit of Y.
+* At least once: X - w is isomorphic to exactly one parent P, and an
+  isomorphism X - w -> P takes w's neighbours to a set in the orbit of one
+  representative N; composing with an automorphism of P gives an
+  isomorphism X -> P + x with N(x) = N that sends w to x. So x is in the
+  chosen orbit of that child, which is accepted.
+* At most once: if children (P, N) and (P', N') are accepted and
+  isomorphic, both new vertices lie in the chosen orbits, so an
+  isomorphism can be taken that sends x to x'. It restricts to an
+  isomorphism P -> P', hence P = P' (both are canonical representatives)
+  and it is an automorphism of P mapping N to N', so N and N' are the same
+  orbit representative.
+
+A child in which some vertex has degree above |N| is rejected before any
+canonical search. The rest take one search, which yields the key, the
+labeling and the automorphism generators at once. This covers
+disconnected graphs too. Results are cached per order, and the known class
+counts are checked on every build.
 """
 
 from __future__ import annotations
 
-from .canon import canonical_key_graph
+from .canon import (_canonical_search, _object_orbits, _relabel_canonically,
+                    automorphism_generators)
 from .graphs import Graph, _bits
 from .planarity import is_planar
 
@@ -17,6 +48,17 @@ _CLASS_CACHE: dict[int, tuple[Graph, ...]] = {}
 
 # number of graphs on n unlabeled vertices, used as a generation self-check
 KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
+
+
+def _mask_image(mask: int, perm: tuple[int, ...]) -> int:
+    out = 0
+    for v in _bits(mask):
+        out |= 1 << perm[v]
+    return out
+
+
+def _vertex_image(v: int, perm: tuple[int, ...]) -> int:
+    return perm[v]
 
 
 def enumerate_graphs(n: int) -> tuple[Graph, ...]:
@@ -30,16 +72,29 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
     else:
         reps: dict[bytes, Graph] = {}
         new = n - 1
-        for g in enumerate_graphs(n - 1):
-            base = list(g.rows) + [0]
-            for nb in range(1 << new):
-                rows = base.copy()
-                rows[new] = nb
+        for parent in enumerate_graphs(n - 1):
+            degrees = parent.degrees()
+            subset_orbits = _object_orbits(
+                list(range(1 << new)), automorphism_generators(parent), _mask_image)
+            for orbit in subset_orbits:
+                nb = orbit[0]
+                top = nb.bit_count()
+                if any(d + (nb >> v & 1) > top for v, d in enumerate(degrees)):
+                    continue
+                rows = list(parent.rows) + [nb]
                 for v in _bits(nb):
                     rows[v] |= 1 << new
-                key, rep = canonical_key_graph(Graph(n, rows))
-                if key not in reps:
-                    reps[key] = rep
+                child = Graph(n, rows)
+                form, lab, autos = _canonical_search(child)
+                w = next(v for v in reversed(lab) if rows[v].bit_count() == top)
+                if w != new and not any(
+                        w in o and new in o
+                        for o in _object_orbits(list(range(n)), autos, _vertex_image)):
+                    continue
+                if form.key in reps:
+                    raise AssertionError(
+                        f"order {n} class generated twice: automorphism generators incomplete")
+                reps[form.key] = _relabel_canonically(child, lab)
         out = tuple(reps[k] for k in sorted(reps))
     if n in KNOWN_CLASS_COUNTS and len(out) != KNOWN_CLASS_COUNTS[n]:
         raise AssertionError(

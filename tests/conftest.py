@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, permutations
 
 import pytest
 
-from maxnik.canon import canonical_form
+from maxnik.canon import canonical_form, canonical_labeling
 from maxnik.catalog import mmik_library
 from maxnik.graphs import Graph, _bits, contract_edge, from_edges
 from maxnik.minors import MinorSearch, MinorWitness
@@ -43,6 +44,81 @@ def brute_force_minor(host: Graph, pattern: Graph) -> bool:
                         break
     _minor_memo[(hkey, pkey)] = result
     return result
+
+
+def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
+    """Permutation-search oracle; exponential, for cross-checks on tiny graphs."""
+    if g.n != h.n or g.m != h.m:
+        return False
+    hd = h.degrees()
+    for perm in permutations(range(g.n)):
+        if all(hd[perm[v]] == g.degree(v) for v in range(g.n)) and g.relabel(perm) == h:
+            return True
+    return False
+
+
+def brute_force_automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    deg = g.degrees()
+    out = []
+    for perm in permutations(range(g.n)):
+        if all(deg[perm[v]] == deg[v] for v in range(g.n)) and g.relabel(perm) == g:
+            out.append(perm)
+    return out
+
+
+def dedup_by_canonical_form(graphs) -> list[Graph]:
+    """One canonical representative per isomorphism class, in key order."""
+    reps: dict[bytes, Graph] = {}
+    for g in graphs:
+        form, lab = canonical_labeling(g)
+        if form.key not in reps:
+            pos = [0] * g.n
+            for i, v in enumerate(lab):
+                pos[v] = i
+            reps[form.key] = g.relabel(pos)
+    return [reps[k] for k in sorted(reps)]
+
+
+def group_order(gens: list[tuple[int, ...]], n: int) -> int:
+    """Order of the generated permutation group, by closure enumeration.
+
+    Fine at test scale (groups here have at most 8! elements); the package
+    only ever needs the generators, never the full element list.
+    """
+    identity = tuple(range(n))
+    elements = {identity}
+    frontier = [identity]
+    while frontier:
+        e = frontier.pop()
+        for a in gens:
+            composed = tuple(a[e[i]] for i in range(n))
+            if composed not in elements:
+                elements.add(composed)
+                frontier.append(composed)
+    return len(elements)
+
+
+@lru_cache(maxsize=None)
+def reference_enumerate_graphs(n: int) -> tuple[Graph, ...]:
+    """Oracle: every one-vertex extension of every class, deduplicated.
+
+    The extend-and-deduplicate loop ``enumerate_graphs`` used before
+    canonical augmentation; it labels all 2**(n-1) extensions of each
+    class of order n-1.
+    """
+    if n == 1:
+        return (Graph(1, [0]),)
+    new = n - 1
+    candidates = []
+    for g in reference_enumerate_graphs(n - 1):
+        base = list(g.rows) + [0]
+        for nb in range(1 << new):
+            rows = base.copy()
+            rows[new] = nb
+            for v in _bits(nb):
+                rows[v] |= 1 << new
+            candidates.append(Graph(n, rows))
+    return tuple(dedup_by_canonical_form(candidates))
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

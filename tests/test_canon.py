@@ -2,18 +2,19 @@
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import permutations
 
 from maxnik.canon import (are_isomorphic, automorphism_generators,
-                          brute_force_automorphisms, brute_force_isomorphic,
-                          canonical_form, canonical_graph, dedup_by_canonical_form,
-                          group_order, isomorphism, orbits)
+                          canonical_form, canonical_graph, isomorphism, orbits)
 from maxnik.graphs import (complement, complete_graph, complete_multipartite,
                            cycle_graph)
 from maxnik.smallgraphs import enumerate_graphs
 
-from conftest import all_labeled_graphs, random_graph
+from conftest import (all_labeled_graphs, brute_force_automorphisms,
+                      brute_force_isomorphic, dedup_by_canonical_form,
+                      group_order, random_graph)
 
 
 def test_c5_self_complementary():
@@ -86,6 +87,16 @@ def test_automorphism_group_complete_small():
         for g in all_labeled_graphs(n):
             gens = automorphism_generators(g)
             assert group_order(gens, n) == len(brute_force_automorphisms(g))
+
+
+def test_generators_pass_orbit_counting_through_order8():
+    # each class of order n has n!/|Aut| labelings, and the labelings of all
+    # classes together are the 2**(n(n-1)/2) labeled graphs: a generator set
+    # missing part of any group breaks the sum
+    for n in range(1, 9):
+        total = sum(math.factorial(n) // group_order(automorphism_generators(g), n)
+                    for g in enumerate_graphs(n))
+        assert total == 2 ** (n * (n - 1) // 2)
 
 
 def test_automorphism_group_known_orders():

@@ -2,22 +2,37 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 from maxnik.canon import are_isomorphic
 from maxnik.catalog import named_graph
 from maxnik.certify import check_necessary
-from maxnik.graphs import complete_graph
+from maxnik.graphs import complete_graph, graph6_encode
 from maxnik.survey import (classified_maxnik, enumerate_graphs,
                            enumerate_maxnik, enumerate_triangulations,
                            maximal_2apex_graphs, sweep_bounds_check, table_deg,
                            table_ve, verify_order9, verify_size20)
+
+from conftest import reference_enumerate_graphs
 
 
 class TestEnumeration:
     def test_class_counts(self):
         assert [len(enumerate_graphs(n)) for n in range(1, 8)] == \
             [1, 2, 4, 11, 34, 156, 1044]
+
+    def test_matches_extend_and_deduplicate(self):
+        for n in range(1, 8):
+            assert enumerate_graphs(n) == reference_enumerate_graphs(n)
+
+    def test_golden_digests(self):
+        # sha256 of the graph6 lines, as the extend-and-deduplicate loop gave them
+        want = {7: "0119e1e0676b729511fc1bd3e7f87d896ec62ad29925928baa5ad9528b69c540",
+                8: "87e11fc60398f2e7ba2d8396d7fb807be8b9d595c32e6546973f3dfa7302aa37"}
+        for n, digest in want.items():
+            text = "".join(graph6_encode(g) + "\n" for g in enumerate_graphs(n))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_triangulations(self):
         assert len(enumerate_triangulations(5)) == 1
