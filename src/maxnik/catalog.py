@@ -57,10 +57,15 @@ class TriangleDiskAxiom:
 
 @dataclass(frozen=True)
 class ObstructionLibrary:
-    """Patterns certifying IK, axioms certifying nIK, and disk-triangle data."""
+    """Patterns certifying IK, axioms certifying nIK, and disk-triangle data.
+
+    ``nik_axiom_keys`` holds the canonical key of each of ``nik_axioms``, in
+    the same order, computed once when the library is built.
+    """
 
     mmik_patterns: tuple[NamedGraph, ...]
     nik_axioms: tuple[NamedGraph, ...]
+    nik_axiom_keys: tuple[bytes, ...]
     triangle_disk_axioms: tuple[TriangleDiskAxiom, ...]
     unavailable: dict[str, str]
 
@@ -72,8 +77,8 @@ class ObstructionLibrary:
 
     def axiom_for(self, g: Graph) -> NamedGraph | None:
         key = canonical_key_graph(g)[0]
-        for a in self.nik_axioms:
-            if canonical_key_graph(a.graph)[0] == key:
+        for a, a_key in zip(self.nik_axioms, self.nik_axiom_keys):
+            if a_key == key:
                 return a
         return None
 
@@ -357,8 +362,10 @@ def mmik_library() -> ObstructionLibrary:
     for ng in patterns.values():
         if ng.graph.m < 21:
             raise ValidationError(f"pattern {ng.name} has under 21 edges")
-    for ax in (e9, g929):
-        if canonical_key_graph(ax.graph)[0] in patterns:
+    axioms = (e9, g929)
+    axiom_keys = tuple(canonical_key_graph(ax.graph)[0] for ax in axioms)
+    for ax, key in zip(axioms, axiom_keys):
+        if key in patterns:
             raise ValidationError(f"knotless axiom {ax.name} collides with a pattern")
     ordered = tuple(sorted(patterns.values(), key=lambda p: (p.graph.n, p.graph.m, canonical_key_graph(p.graph)[0])))
     tri_axioms = (
@@ -372,7 +379,8 @@ def mmik_library() -> ObstructionLibrary:
     )
     return ObstructionLibrary(
         mmik_patterns=ordered,
-        nik_axioms=(e9, g929),
+        nik_axioms=axioms,
+        nik_axiom_keys=axiom_keys,
         triangle_disk_axioms=tri_axioms,
         unavailable={
             "G9,28": "order-9 pattern named in the source classification; adjacency not published there",

@@ -140,13 +140,13 @@ def _cutset_decomposition(g: Graph, max_size: int = 3):
     Pieces come back as (vertex list in g, induced subgraph) with the
     vertex list sorted, so piece labels are reproducible.
     """
-    from .primality import clique_cutsets
+    from .primality import _minimal_clique_cutsets
 
     if not g.is_connected():
         return
-    for cut in clique_cutsets(g):
+    for cut in _minimal_clique_cutsets(g):
         if len(cut) > max_size:
-            continue
+            return  # cutsets come smallest first
         kept = [v for v in range(g.n) if v not in cut]
         pieces = []
         for comp in g.delete_vertices(cut).components():

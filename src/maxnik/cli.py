@@ -25,7 +25,7 @@ from .graphs import (Graph, complete_graph, complete_multipartite,
                      graph6_decode, graph6_encode)
 from .minors import DELTA_Y, Y_DELTA, closure, has_minor
 from .planarity import is_k_apex, is_maximal_2apex, is_maximal_planar, is_planar
-from .primality import decompose, is_prime
+from .primality import decompose
 from .survey import (enumerate_maxnik, enumerate_triangulations,
                      maximal_2apex_graphs, table_deg, table_ve)
 
@@ -228,12 +228,12 @@ def _dispatch(args) -> int:
     if args.command == "prime":
         graphs = _input_graphs(args.graph)
         for g in graphs:
-            verdict = is_prime(g)
+            d = decompose(g)
             _emit({
                 "graph6": graph6_encode(g),
-                "prime": verdict.prime,
-                "witness_cutset": list(verdict.witness) if verdict.witness else None,
-                "decomposition": decompose(g).to_json(),
+                "prime": d.is_leaf,
+                "witness_cutset": None if d.is_leaf else list(d.cutset),
+                "decomposition": d.to_json(),
             }, args.format)
         return EXIT_OK
 

@@ -3,62 +3,65 @@
 A graph is composite when it is the clique sum of two smaller graphs;
 with clique edges always retained (the convention every construction in
 scope uses), that is exactly the existence of a clique whose removal
-disconnects the graph. Cliques are enumerated exhaustively (the clique
-number stays tiny here), cutsets are kept inclusion-minimal, and
-decomposition recurses on the first cutset in (size, lex) order so runs
-are reproducible.
+disconnects the graph. Cliques are generated lazily, smallest first and
+in lex order within a size, each tested with a bitmask flood fill; cutsets
+are kept inclusion-minimal. ``is_prime`` and ``decompose`` stop at the first
+cutset in that (size, lex) order, which is minimal because every proper
+sub-clique was tested before it, and decomposition recurses on it so runs
+are reproducible (Tarjan, "Decomposition by clique separators", 1985).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .graphs import Graph, _bits, identified_union
 
 
-def _all_cliques_by_size(g: Graph) -> list[list[tuple[int, ...]]]:
-    """Nonempty cliques grouped by size; each listed once, vertices ascending."""
-    by_size: dict[int, list[tuple[int, ...]]] = {}
+def _minimal_clique_cutsets(g: Graph) -> Iterator[tuple[int, ...]]:
+    """Inclusion-minimal cliques whose removal disconnects g, in (size, lex) order.
+
+    Lazy: a caller that stops at the first cutset pays for nothing after it.
+    Level k+1 extends each size-k clique by its common neighbours above its
+    last vertex, in increasing order, so every level stays in lex order. A
+    clique holding a cutset already found is skipped with its extensions.
+    """
+    if not g.is_connected():
+        raise ValueError("clique cutset search expects a connected graph")
     rows = g.rows
     full = (1 << g.n) - 1
-
-    def grow(verts: list[int], allowed: int) -> None:
-        by_size.setdefault(len(verts), []).append(tuple(verts))
-        a = allowed
-        while a:
-            b = a & -a
-            a ^= b
-            v = b.bit_length() - 1
-            grow(verts + [v], allowed & rows[v] & ~((b << 1) - 1))
-
-    for v in range(g.n):
-        grow([v], rows[v] & (full << (v + 1)))
-    out = []
-    for size in sorted(by_size):
-        out.append(sorted(by_size[size]))
-    return out
+    found: list[int] = []
+    # (clique, its bitmask, common neighbours above its last vertex)
+    level = [((v,), 1 << v, rows[v] & (full << (v + 1))) for v in range(g.n)]
+    while level:
+        grown = []
+        for clique, cmask, common in level:
+            if any(fm & cmask == fm for fm in found):
+                continue
+            rest = full & ~cmask
+            reach = frontier = rest & -rest
+            while frontier:  # flood fill of g minus the clique
+                b = frontier & -frontier
+                frontier ^= b
+                new = rows[b.bit_length() - 1] & rest & ~reach
+                reach |= new
+                frontier |= new
+            if reach != rest:
+                found.append(cmask)
+                yield clique
+                continue
+            while common:
+                b = common & -common
+                common ^= b
+                v = b.bit_length() - 1
+                grown.append((clique + (v,), cmask | b, common & rows[v]))
+        level = grown
 
 
 def clique_cutsets(g: Graph) -> list[tuple[int, ...]]:
     """All inclusion-minimal cliques whose removal disconnects g."""
-    if not g.is_connected():
-        raise ValueError("clique cutset search expects a connected graph")
-    found: list[tuple[int, ...]] = []
-    found_masks: list[int] = []
-    for size_group in _all_cliques_by_size(g):
-        for clique in size_group:
-            if len(clique) >= g.n:
-                continue
-            cmask = 0
-            for v in clique:
-                cmask |= 1 << v
-            if any(fm & cmask == fm for fm in found_masks):
-                continue  # a smaller cutset inside this clique already found
-            if len(g.delete_vertices(clique).components()) >= 2:
-                found.append(clique)
-                found_masks.append(cmask)
-    return found
+    return list(_minimal_clique_cutsets(g))
 
 
 class PrimeResult(NamedTuple):
@@ -71,10 +74,8 @@ class PrimeResult(NamedTuple):
 
 def is_prime(g: Graph) -> PrimeResult:
     """Prime iff no clique cutset exists; witness is the first cutset otherwise."""
-    cuts = clique_cutsets(g)
-    if cuts:
-        return PrimeResult(False, cuts[0])
-    return PrimeResult(True, None)
+    cut = next(_minimal_clique_cutsets(g), None)
+    return PrimeResult(cut is None, cut)
 
 
 @dataclass(frozen=True)
@@ -145,10 +146,9 @@ class Decomposition:
 
 def decompose(g: Graph) -> Decomposition:
     """Split recursively on the first minimal clique cutset; leaves prime."""
-    cuts = clique_cutsets(g)
-    if not cuts:
+    cut = next(_minimal_clique_cutsets(g), None)
+    if cut is None:
         return Decomposition(g, None, (), ())
-    cut = cuts[0]
     cmask = 0
     for v in cut:
         cmask |= 1 << v

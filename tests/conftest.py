@@ -214,3 +214,51 @@ def reference_has_minor(host: Graph, pattern: Graph) -> MinorSearch:
     for i, pv in enumerate(order):
         branch_sets[pv] = tuple(_bits(sets[i]))
     return MinorSearch(True, MinorWitness(tuple(branch_sets)))
+
+
+def reference_clique_cutsets(g: Graph) -> list[tuple[int, ...]]:
+    """Oracle: every clique listed eagerly, each tested on a built subgraph.
+
+    A verbatim copy of ``clique_cutsets`` and its clique lister before the
+    search became a lazy generator with a bitmask connectivity test.
+    """
+    if not g.is_connected():
+        raise ValueError("clique cutset search expects a connected graph")
+    found: list[tuple[int, ...]] = []
+    found_masks: list[int] = []
+    for size_group in _reference_cliques_by_size(g):
+        for clique in size_group:
+            if len(clique) >= g.n:
+                continue
+            cmask = 0
+            for v in clique:
+                cmask |= 1 << v
+            if any(fm & cmask == fm for fm in found_masks):
+                continue  # a smaller cutset inside this clique already found
+            if len(g.delete_vertices(clique).components()) >= 2:
+                found.append(clique)
+                found_masks.append(cmask)
+    return found
+
+
+def _reference_cliques_by_size(g: Graph) -> list[list[tuple[int, ...]]]:
+    """Nonempty cliques grouped by size; each listed once, vertices ascending."""
+    by_size: dict[int, list[tuple[int, ...]]] = {}
+    rows = g.rows
+    full = (1 << g.n) - 1
+
+    def grow(verts: list[int], allowed: int) -> None:
+        by_size.setdefault(len(verts), []).append(tuple(verts))
+        a = allowed
+        while a:
+            b = a & -a
+            a ^= b
+            v = b.bit_length() - 1
+            grow(verts + [v], allowed & rows[v] & ~((b << 1) - 1))
+
+    for v in range(g.n):
+        grow([v], rows[v] & (full << (v + 1)))
+    out = []
+    for size in sorted(by_size):
+        out.append(sorted(by_size[size]))
+    return out

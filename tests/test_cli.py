@@ -131,6 +131,19 @@ def test_prime_command(capsys):
     assert payload["decomposition"]["prime"] is False
 
 
+def test_prime_command_on_k1(capsys):
+    code, out, err = run_cli(capsys, ["prime", "@"])
+    assert (code, err) == (0, "")
+    assert out == ('{"decomposition": {"graph6": "@", "prime": true}, '
+                   '"graph6": "@", "prime": true, "witness_cutset": null}\n')
+
+
+def test_prime_command_rejects_disconnected_input(capsys):
+    code, out, err = run_cli(capsys, ["prime", "C`"])  # two disjoint edges
+    assert (code, out) == (1, "")
+    assert "connected" in err
+
+
 def test_enumerate_triangulations(capsys):
     code, out, _ = run_cli(capsys, ["enumerate", "--order", "6",
                                     "--kind", "triangulation"])

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from maxnik import primality
 from maxnik.canon import are_isomorphic, canonical_form
 from maxnik.catalog import named_graph
-from maxnik.certify import certify_maxnik
-from maxnik.construct import chain_graphs, npp5_family
+from maxnik.certify import _cutset_decomposition, certify_maxnik
+from maxnik.construct import chain_graphs, npp5_family, size_construct
 from maxnik.graphs import (complete_graph, cycle_graph, path_graph,
                            vertex_connectivity)
 from maxnik.primality import (check_lemma_complement_k2, check_lemma_two_cut,
                               clique_cutsets, decompose, is_prime)
+
+from conftest import random_graph, reference_clique_cutsets
 
 PRIME_NAMES = ["K8-3K2", "Pentagon-bar", "E9", "G9,29"]
 COMPOSITE_NAMES = ["K7^-", "K8-P3", "Big-Y", "Long-Y", "Hat", "House"]
@@ -46,8 +51,47 @@ class TestCutsets:
 
     def test_disconnected_rejected(self):
         from maxnik.graphs import disjoint_union
-        with pytest.raises(ValueError):
-            clique_cutsets(disjoint_union(complete_graph(2), complete_graph(2)))
+        for search in (clique_cutsets, is_prime, decompose):
+            with pytest.raises(ValueError):
+                search(disjoint_union(complete_graph(2), complete_graph(2)))
+
+
+def _oracle_graphs():
+    """Planner graphs, K1, K2, K7 and 1,500 seeded random connected graphs."""
+    graphs = [size_construct(n)[1] for n in range(20, 61) if n != 22]
+    graphs += [complete_graph(1), complete_graph(2), complete_graph(7)]
+    rng = random.Random(20210105)
+    randoms = []
+    while len(randoms) < 1500:
+        g = random_graph(rng, rng.randint(2, 14), rng.uniform(0.15, 0.7))
+        if g.is_connected():
+            randoms.append(g)
+    return graphs + randoms
+
+
+class TestLazySearchMatchesReference:
+    """The lazy first-cutset search against the eager list it replaced."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return [(g, reference_clique_cutsets(g)) for g in _oracle_graphs()]
+
+    def test_cutsets_and_primality(self, cases):
+        assert sum(bool(ref) for _, ref in cases) > 500  # composites are common
+        for g, ref in cases:
+            assert clique_cutsets(g) == ref
+            assert is_prime(g) == (not ref, ref[0] if ref else None)
+
+    def test_decomposition(self, cases, monkeypatch):
+        fast = [decompose(g).to_json() for g, _ in cases]
+        monkeypatch.setattr(primality, "_minimal_clique_cutsets",
+                            lambda g: iter(reference_clique_cutsets(g)))
+        assert fast == [decompose(g).to_json() for g, _ in cases]
+
+    def test_certify_sees_the_small_cutsets_in_order(self, cases):
+        for g, ref in cases:
+            cuts = [cut for cut, _ in _cutset_decomposition(g)]
+            assert cuts == [c for c in ref if len(c) <= 3]
 
 
 class TestPrimeComposite:
