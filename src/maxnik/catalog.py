@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import minors
-from .canon import canonical_key_graph, isomorphism, orbits
+from .canon import canonical_form, canonical_key_graph, isomorphism, orbits
 from .errors import IdentificationAmbiguous, ValidationError
 from .graphs import (Graph, clique_number, complement, complete_graph,
                      complete_multipartite, cycle_graph, disjoint_union,
@@ -76,7 +76,7 @@ class ObstructionLibrary:
         raise KeyError(name)
 
     def axiom_for(self, g: Graph) -> NamedGraph | None:
-        key = canonical_key_graph(g)[0]
+        key = canonical_form(g).key
         for a, a_key in zip(self.nik_axioms, self.nik_axiom_keys):
             if a_key == key:
                 return a
@@ -224,7 +224,7 @@ def _order9_registry() -> dict[str, Graph]:
     joins = {}
     for t in enumerate_triangulations(7):
         g = join(t, complete_graph(2))
-        joins[canonical_key_graph(g)[0]] = g
+        joins[canonical_form(g).key] = g
     if len(joins) != 5:
         raise ValidationError(f"expected 5 distinct order-9 joins, found {len(joins)}")
     named: dict[str, Graph] = {}
@@ -349,32 +349,32 @@ def mmik_library() -> ObstructionLibrary:
     e9_plus_e = named_graph("E9+e")
     patterns: dict[bytes, NamedGraph] = {}
     for idx, g in enumerate(k7_dy_family().members):
-        key = canonical_key_graph(g)[0]
+        key = canonical_form(g).key
         patterns[key] = NamedGraph(f"K7-family-{idx}", g, PROV_CLOSURE)
     for idx, g in enumerate(k3311_family().members):
-        key = canonical_key_graph(g)[0]
+        key = canonical_form(g).key
         patterns.setdefault(key, NamedGraph(f"K3,3,1,1-family-{idx}", g, PROV_CLOSURE))
     # give the seeds and derived members their customary names
     for name in ("K7", "K3,3,1,1", "F9"):
-        key = canonical_key_graph(named_graph(name).graph)[0]
+        key = canonical_form(named_graph(name).graph).key
         patterns[key] = NamedGraph(name, patterns[key].graph, patterns[key].provenance)
-    patterns[canonical_key_graph(e9_plus_e.graph)[0]] = e9_plus_e
+    patterns[canonical_form(e9_plus_e.graph).key] = e9_plus_e
     for ng in patterns.values():
         if ng.graph.m < 21:
             raise ValidationError(f"pattern {ng.name} has under 21 edges")
     axioms = (e9, g929)
-    axiom_keys = tuple(canonical_key_graph(ax.graph)[0] for ax in axioms)
+    axiom_keys = tuple(canonical_form(ax.graph).key for ax in axioms)
     for ax, key in zip(axioms, axiom_keys):
         if key in patterns:
             raise ValidationError(f"knotless axiom {ax.name} collides with a pattern")
-    ordered = tuple(sorted(patterns.values(), key=lambda p: (p.graph.n, p.graph.m, canonical_key_graph(p.graph)[0])))
+    ordered = tuple(sorted(patterns.values(), key=lambda p: (p.graph.n, p.graph.m, canonical_form(p.graph).key)))
     tri_axioms = (
         TriangleDiskAxiom(
-            "E9", canonical_key_graph(e9.graph)[0],
+            "E9", canonical_form(e9.graph).key,
             _designated_e9_triangle_orbit(e9.graph),
             "orbit choice among common-neighbor-free triangles is a recorded assumption"),
         TriangleDiskAxiom(
-            "K4", canonical_key_graph(complete_graph(4))[0], None,
+            "K4", canonical_form(complete_graph(4)).key, None,
             "any triangle of K4 bounds a face of the planar embedding"),
     )
     return ObstructionLibrary(
@@ -423,7 +423,7 @@ def disk_axiom_covers(lib: ObstructionLibrary, g: Graph, triangle: tuple[int, in
     a, b, c = triangle
     if len({a, b, c}) != 3 or not (g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)):
         return False
-    key = canonical_key_graph(g)[0]
+    key = canonical_form(g).key
     for ax in lib.triangle_disk_axioms:
         if ax.key != key:
             continue

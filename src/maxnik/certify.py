@@ -23,6 +23,12 @@ Inference rules used:
     When the host is 2-apex through a pair P, an added edge that touches P
     or leaves the graph minus P planar keeps it 2-apex, so that addition
     goes straight to augmentation-nik without an IK search.
+
+Within one top-level ``certify_nik`` or ``certify_maxnik`` call each graph
+gets one nIK certificate: the call owns a dict from graph to certificate,
+so a clique-sum piece met again (in the nIK and then the maxnik split, or
+at a second cutset) reuses its certificate instead of repeating the 2-apex
+search. Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -117,7 +123,24 @@ def certify_nik(g: Graph, lib: ObstructionLibrary | None = None) -> Certificate:
     For order at most 8 a graph that is not 2-apex is IK, so this
     operation may return an IK verdict there.
     """
-    lib = lib or mmik_library()
+    return _certify_nik(g, lib or mmik_library(), {})
+
+
+def _certify_nik(g: Graph, lib: ObstructionLibrary,
+                 nik_certs: dict[Graph, Certificate]) -> Certificate:
+    """``certify_nik`` that reuses the certificate ``nik_certs`` holds for ``g``.
+
+    ``nik_certs`` belongs to one top-level call, so each graph that call
+    meets is settled once however many clique sums it appears in.
+    """
+    cert = nik_certs.get(g)
+    if cert is None:
+        cert = nik_certs[g] = _prove_nik(g, lib, nik_certs)
+    return cert
+
+
+def _prove_nik(g: Graph, lib: ObstructionLibrary,
+               nik_certs: dict[Graph, Certificate]) -> Certificate:
     apex = is_k_apex(g, 2)
     if apex.found:
         return _cert(VERDICT_NIK, "apex-pair", g, witness=list(apex.witness or ()))
@@ -128,7 +151,7 @@ def certify_nik(g: Graph, lib: ObstructionLibrary | None = None) -> Certificate:
     if g.n <= 8:
         return _cert(VERDICT_IK, "not-2apex-small-order", g, n=g.n,
                      trust="published equivalence: low-order nIK graphs are 2-apex")
-    built = _certify_by_cutsets(g, lib, want_maxnik=False)
+    built = _certify_by_cutsets(g, lib, nik_certs, want_maxnik=False)
     if built is not None:
         return built
     return _cert(VERDICT_UNKNOWN, "no-nik-evidence", g)
@@ -166,6 +189,7 @@ def _triangle_in_k4(piece: Graph, verts: list[int], cut: tuple[int, ...]) -> boo
 
 
 def _certify_by_cutsets(g: Graph, lib: ObstructionLibrary,
+                        nik_certs: dict[Graph, Certificate],
                         want_maxnik: bool) -> Certificate | None:
     """Certify via a clique-sum split at a small clique cutset, if any works."""
     want = VERDICT_MAXNIK if want_maxnik else VERDICT_NIK
@@ -178,7 +202,8 @@ def _certify_by_cutsets(g: Graph, lib: ObstructionLibrary,
         sub_certs = []
         ok = True
         for verts, piece in pieces:
-            sub = certify_maxnik(piece, lib) if want_maxnik else certify_nik(piece, lib)
+            sub = (_certify_maxnik(piece, lib, nik_certs) if want_maxnik
+                   else _certify_nik(piece, lib, nik_certs))
             if sub.verdict != want:
                 ok = False
                 break
@@ -213,8 +238,12 @@ def _certify_by_cutsets(g: Graph, lib: ObstructionLibrary,
 
 def certify_maxnik(g: Graph, lib: ObstructionLibrary | None = None) -> Certificate:
     """Edge-maximality: nIK now, IK after every orbit-distinct edge addition."""
-    lib = lib or mmik_library()
-    nik = certify_nik(g, lib)
+    return _certify_maxnik(g, lib or mmik_library(), {})
+
+
+def _certify_maxnik(g: Graph, lib: ObstructionLibrary,
+                    nik_certs: dict[Graph, Certificate]) -> Certificate:
+    nik = _certify_nik(g, lib, nik_certs)
     if nik.verdict == VERDICT_IK:
         return _cert(VERDICT_NOT_MAXNIK, "is-ik", g, children=[nik])
     if nik.verdict != VERDICT_NIK:
@@ -223,7 +252,7 @@ def certify_maxnik(g: Graph, lib: ObstructionLibrary | None = None) -> Certifica
             return _cert(VERDICT_NOT_MAXNIK, "is-ik", g, children=[ik])
     if g.is_complete() and nik.verdict == VERDICT_NIK:
         return _cert(VERDICT_MAXNIK, "complete-nik", g, children=[nik], n=g.n)
-    built = _certify_by_cutsets(g, lib, want_maxnik=True)
+    built = _certify_by_cutsets(g, lib, nik_certs, want_maxnik=True)
     if built is not None:
         return built
     if nik.verdict != VERDICT_NIK:
@@ -238,12 +267,13 @@ def certify_maxnik(g: Graph, lib: ObstructionLibrary | None = None) -> Certifica
                                  or is_planar(added.delete_vertices(apex))):
             # still 2-apex through the host's pair, so never IK
             return _cert(VERDICT_NOT_MAXNIK, "augmentation-nik", g,
-                         children=[nik, certify_nik(added, lib)], edge=[u, v])
+                         children=[nik, _certify_nik(added, lib, nik_certs)],
+                         edge=[u, v])
         ik = certify_ik(added, lib)
         if ik.verdict == VERDICT_IK:
             children.append(ik)
             continue
-        back = certify_nik(added, lib)
+        back = _certify_nik(added, lib, nik_certs)
         if back.verdict == VERDICT_NIK:
             return _cert(VERDICT_NOT_MAXNIK, "augmentation-nik", g,
                          children=[nik, back], edge=[u, v])
@@ -382,12 +412,22 @@ def validate_certificate(cert: Certificate, lib: ObstructionLibrary | None = Non
     """Re-check every node of an evidence tree; returns human-readable problems."""
     lib = lib or mmik_library()
     problems: list[str] = []
-    _validate(cert, lib, problems, path="root")
+    _validate(cert, lib, problems, path="root", graphs={})
     return problems
 
 
-def _validate(cert: Certificate, lib: ObstructionLibrary, problems: list[str], path: str) -> None:
-    g = cert.graph
+def _graph_of(cert: Certificate, graphs: dict[str, Graph]) -> Graph:
+    """``cert.graph``, decoded once per graph6 string in ``graphs``."""
+    g6 = cert.evidence["graph"]
+    g = graphs.get(g6)
+    if g is None:
+        g = graphs[g6] = graph6_decode(g6)
+    return g
+
+
+def _validate(cert: Certificate, lib: ObstructionLibrary, problems: list[str], path: str,
+              graphs: dict[str, Graph]) -> None:
+    g = _graph_of(cert, graphs)
     rule = cert.rule
     ev = cert.evidence
 
@@ -424,7 +464,7 @@ def _validate(cert: Certificate, lib: ObstructionLibrary, problems: list[str], p
         if not (cert.children and cert.children[0].verdict == VERDICT_NIK):
             bad("missing nIK child")
     elif rule == "construction":
-        _validate_construction(cert, lib, problems, path)
+        _validate_construction(cert, lib, problems, path, graphs)
     elif rule == "per-non-edge":
         reps = [tuple(r) for r in ev["orbit_representatives"]]
         orbit_list = orbits(g, "non-edge").orbits
@@ -436,7 +476,7 @@ def _validate(cert: Certificate, lib: ObstructionLibrary, problems: list[str], p
         if len(ik_children) != len(reps):
             bad("per-non-edge children do not match representatives")
         for rep, child in zip(reps, ik_children):
-            if child.graph != g.with_edge(*rep):
+            if _graph_of(child, graphs) != g.with_edge(*rep):
                 bad(f"child for edge {rep} certifies a different graph")
     elif rule == "is-ik":
         if not (cert.children and cert.children[0].verdict == VERDICT_IK):
@@ -445,7 +485,8 @@ def _validate(cert: Certificate, lib: ObstructionLibrary, problems: list[str], p
         u, v = ev["edge"]
         if g.has_edge(u, v):
             bad("augmentation edge already present")
-        kids = [c for c in cert.children if c.verdict == VERDICT_NIK and c.graph == g.with_edge(u, v)]
+        kids = [c for c in cert.children
+                if c.verdict == VERDICT_NIK and _graph_of(c, graphs) == g.with_edge(u, v)]
         if not kids:
             bad("missing nIK child for the augmented graph")
     elif rule in ("no-ik-evidence", "no-nik-evidence", "nik-undecided",
@@ -454,12 +495,13 @@ def _validate(cert: Certificate, lib: ObstructionLibrary, problems: list[str], p
     else:
         bad(f"unknown rule {rule!r}")
     for i, child in enumerate(cert.children):
-        _validate(child, lib, problems, f"{path}.{i}")
+        _validate(child, lib, problems, f"{path}.{i}", graphs)
 
 
 def _validate_construction(cert: Certificate, lib: ObstructionLibrary,
-                           problems: list[str], path: str) -> None:
-    g = cert.graph
+                           problems: list[str], path: str,
+                           graphs: dict[str, Graph]) -> None:
+    g = _graph_of(cert, graphs)
     ev = cert.evidence
 
     def bad(msg: str) -> None:
@@ -508,7 +550,7 @@ def _validate_construction(cert: Certificate, lib: ObstructionLibrary,
         return
     want = cert.verdict
     for verts, piece, kid in zip(parts, pieces, kids):
-        if kid.graph != piece:
+        if _graph_of(kid, graphs) != piece:
             bad("child certifies something other than its part")
         if kid.verdict not in (want, VERDICT_MAXNIK):
             bad(f"child verdict {kid.verdict} does not support {want}")

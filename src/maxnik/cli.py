@@ -2,9 +2,12 @@
 
 Exit codes: 0 definite verdicts, 2 for UNKNOWN, 1 on errors, 64 on bad
 flags. Graphs come in as a graph6 positional argument or one per line on
-stdin (batch mode, results as JSON lines in input order). MAXNIK_WORKERS
-fans batch certification out across processes; it must be a positive
-integer (else exit 64) and is capped at the CPU count.
+stdin (batch mode, results as JSON lines in input order). In a ``classify``
+or ``certify`` batch a line that is not graph6 prints
+``{"graph6": line, "error": message}`` in its place, the other lines are
+still processed, and the exit code is 1. MAXNIK_WORKERS fans batch
+certification out across processes; it must be a positive integer (else
+exit 64) and is capped at the CPU count.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ import argparse
 import json
 import os
 import sys
-from typing import Iterable
+from functools import partial
+from typing import Callable, Iterable
 
 from . import __version__
 from .canon import canonical_key_graph
@@ -63,8 +67,7 @@ def _input_graphs(arg: str | None) -> list[Graph]:
     return [graph6_decode(line) for line in sys.stdin if line.strip()]
 
 
-def _classify_one(g6: str) -> dict:
-    g = graph6_decode(g6)
+def _classify_one(g: Graph) -> dict:
     apex = is_k_apex(g, 2)
     necessary = check_necessary(g)
     return {
@@ -84,8 +87,7 @@ def _classify_one(g6: str) -> dict:
     }
 
 
-def _certify_one(g6: str) -> dict:
-    g = graph6_decode(g6)
+def _certify_one(g: Graph) -> dict:
     cert = certify_maxnik(g)
     return {
         "graph6": graph6_encode(g),
@@ -105,15 +107,33 @@ def _workers() -> int:
     return min(workers, os.cpu_count() or 1)
 
 
-def _batch(fn, graphs: list[Graph]) -> list[dict]:
-    lines = [graph6_encode(g) for g in graphs]
+def _one_line(fn: Callable[[Graph], dict], line: str) -> dict:
+    """``fn``'s record for one graph6 line, or an error record in its place."""
+    try:
+        g = graph6_decode(line)
+    except MaxnikError as exc:
+        return {"graph6": line, "error": str(exc)}
+    return fn(g)
+
+
+def _batch(fn: Callable[[Graph], dict], arg: str | None) -> list[dict]:
+    """``fn``'s record for the positional graph, or for each stdin line in order.
+
+    A positional graph that is not graph6 raises; a stdin line that is not
+    costs only its own record.
+    """
+    if arg and arg != "-":
+        lines = [graph6_encode(graph6_decode(arg))]
+    else:
+        lines = [line.strip() for line in sys.stdin if line.strip()]
+    job = partial(_one_line, fn)
     workers = _workers()
     if workers > 1 and len(lines) > 1:
         from multiprocessing import Pool
 
         with Pool(workers) as pool:
-            return pool.map(fn, lines)
-    return [fn(line) for line in lines]
+            return pool.map(job, lines)
+    return [job(line) for line in lines]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -182,19 +202,20 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "classify":
-        graphs = _input_graphs(args.graph)
-        for result in _batch(_classify_one, graphs):
+        results = _batch(_classify_one, args.graph)
+        for result in results:
             _emit(result, args.format)
-        return EXIT_OK
+        return EXIT_ERROR if any("error" in r for r in results) else EXIT_OK
 
     if args.command == "certify":
-        graphs = _input_graphs(args.graph)
-        code = EXIT_OK
-        for result in _batch(_certify_one, graphs):
+        results = _batch(_certify_one, args.graph)
+        for result in results:
             _emit(result, args.format)
-            if result["verdict"] == VERDICT_UNKNOWN:
-                code = EXIT_UNKNOWN
-        return code
+        if any("error" in r for r in results):
+            return EXIT_ERROR
+        if any(r["verdict"] == VERDICT_UNKNOWN for r in results):
+            return EXIT_UNKNOWN
+        return EXIT_OK
 
     if args.command == "minor":
         host = graph6_decode(args.host)

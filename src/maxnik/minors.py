@@ -28,7 +28,7 @@ import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .canon import canonical_key_graph
+from .canon import _relabel_canonically, canonical_key_graph, canonical_labeling
 from .graphs import Graph, _bits, triangles
 
 
@@ -263,9 +263,10 @@ def closure(seeds: list[Graph], moves) -> ClosureResult:
             children.extend((Y_DELTA, y_delta(g, v))
                             for v in range(g.n) if g.degree(v) == 3)
         for move, child in children:
-            ck, rep = canonical_key_graph(child)
-            if ck not in members:
-                members[ck] = rep
+            form, lab = canonical_labeling(child)
+            ck = form.key
+            if ck not in members:  # build the representative only for a new class
+                members[ck] = _relabel_canonically(child, lab)
                 genealogy[ck] = (move, key)
                 heapq.heappush(heap, ck)
     keys = tuple(sorted(members))

@@ -8,25 +8,32 @@ vertices. A fragment admitting no such face proves non-planarity, and
 always embedding a fragment with the fewest admissible faces first makes
 the greedy choice safe. An independent Wagner oracle (no K5 minor and no
 K3,3 minor) is exposed alongside for cross-validation.
+
+The core runs on one host's bit rows plus a vertex mask: the components,
+the blocks and the DMP run all read ``rows[v] & mask``, so ``is_k_apex``
+tests each vertex subset by clearing its bits from the mask instead of
+building a graph per subset, per component and per block. Vertices are
+visited in increasing order, as they are on a densely relabelled copy, so
+each DMP run takes the same steps and the first witness is the same.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .graphs import Graph, _bits, complete_graph, complete_multipartite
 from .minors import has_minor
 
 
-def _dfs_cycle(g: Graph) -> list[int]:
+def _dfs_cycle(rows: Sequence[int], mask: int) -> list[int]:
     """Recursive DFS cycle finder (back edges only, so cycles are simple)."""
-    parent = [-1] * g.n
-    seen = [False] * g.n
+    parent = [-1] * len(rows)
+    seen = [False] * len(rows)
 
     def dfs(v: int, par: int) -> list[int] | None:
         seen[v] = True
-        for u in _bits(g.rows[v]):
+        for u in _bits(rows[v] & mask):
             if u == par:
                 continue
             if seen[u]:
@@ -42,61 +49,59 @@ def _dfs_cycle(g: Graph) -> list[int]:
                 return got
         return None
 
-    got = dfs(0, -1)
+    got = dfs((mask & -mask).bit_length() - 1, -1)
     if got is None or len(got) < 3:
         raise ValueError("no simple cycle found")
     return got
 
 
-def _blocks(g: Graph) -> list[list[int]]:
-    """Vertex sets of biconnected components (classic lowpoint edge stack)."""
-    n = g.n
-    num = [0] * n
-    low = [0] * n
+def _blocks(rows: Sequence[int], mask: int) -> list[int]:
+    """Vertex masks of biconnected components (classic lowpoint edge stack)."""
+    num = [0] * len(rows)
+    low = [0] * len(rows)
     counter = [0]
     estack: list[tuple[int, int]] = []
-    out: list[list[int]] = []
+    out: list[int] = []
 
     def dfs(v: int, parent: int) -> None:
         counter[0] += 1
         num[v] = low[v] = counter[0]
-        for u in _bits(g.rows[v]):
+        for u in _bits(rows[v] & mask):
             if num[u] == 0:
                 estack.append((v, u))
                 dfs(u, v)
                 low[v] = min(low[v], low[u])
                 if low[u] >= num[v]:
-                    verts = set()
+                    verts = 0
                     while True:
                         a, b = estack.pop()
-                        verts.add(a)
-                        verts.add(b)
+                        verts |= (1 << a) | (1 << b)
                         if (a, b) == (v, u):
                             break
-                    out.append(sorted(verts))
+                    out.append(verts)
             elif u != parent and num[u] < num[v]:
                 estack.append((v, u))
                 low[v] = min(low[v], num[u])
 
-    for v in range(n):
+    for v in _bits(mask):
         if num[v] == 0:
             dfs(v, -1)
     return out
 
 
-def _dmp_biconnected(g: Graph) -> bool:
-    """Planarity of a 2-connected graph by face growing."""
-    n = g.n
-    m = g.m
+def _dmp_biconnected(rows: Sequence[int], mask: int) -> bool:
+    """Planarity of the 2-connected subgraph induced on ``mask`` by face growing."""
+    n = mask.bit_count()
     if n <= 4:
         return True
+    m = _size_within(rows, mask)
     if m > 3 * n - 6:
         return False
-    cyc = _dfs_cycle(g)
+    cyc = _dfs_cycle(rows, mask)
     in_h = 0
     for v in cyc:
         in_h |= 1 << v
-    emb = [0] * n  # embedded adjacency rows
+    emb = [0] * len(rows)  # embedded adjacency rows
     for i, v in enumerate(cyc):
         u = cyc[(i + 1) % len(cyc)]
         emb[v] |= 1 << u
@@ -104,18 +109,15 @@ def _dmp_biconnected(g: Graph) -> bool:
     emb_count = len(cyc)
     faces: list[list[int]] = [list(cyc), list(cyc)]
     fmasks = [in_h, in_h]
-    full = (1 << n) - 1
 
     while emb_count < m:
         # fragments: chords of H, and bridges hanging off components of G - H
         frags: list[tuple[int, tuple]] = []  # (attachment mask, descriptor)
-        for v in range(n):
-            if not in_h >> v & 1:
-                continue
-            for u in _bits(g.rows[v] & in_h & ~emb[v]):
+        for v in _bits(in_h):
+            for u in _bits(rows[v] & in_h & ~emb[v]):
                 if u > v:
                     frags.append(((1 << v) | (1 << u), ("chord", v, u)))
-        rest = full & ~in_h
+        rest = mask & ~in_h
         seen = 0
         while rest & ~seen:
             start = (rest & ~seen) & -(rest & ~seen)
@@ -124,13 +126,13 @@ def _dmp_biconnected(g: Graph) -> bool:
             while frontier:
                 grow = 0
                 for v in _bits(frontier):
-                    grow |= g.rows[v]
+                    grow |= rows[v]
                 frontier = grow & rest & ~comp
                 comp |= grow & rest
             seen |= comp
             attach = 0
             for v in _bits(comp):
-                attach |= g.rows[v] & in_h
+                attach |= rows[v] & in_h
             frags.append((attach, ("comp", comp)))
 
         best = None
@@ -161,9 +163,9 @@ def _dmp_biconnected(g: Graph) -> bool:
             while frontier and path is None:
                 nxt = []
                 for w in frontier:
-                    reach = g.rows[w] & comp & ~seenb
-                    if w != a and g.rows[w] & others:
-                        b = (g.rows[w] & others)
+                    reach = rows[w] & comp & ~seenb
+                    if w != a and rows[w] & others:
+                        b = (rows[w] & others)
                         b = (b & -b).bit_length() - 1
                         path = [b, w]
                         x = w
@@ -208,21 +210,39 @@ def _dmp_biconnected(g: Graph) -> bool:
     return True
 
 
-def is_planar(g: Graph) -> bool:
-    """Deterministic combinatorial planarity test (DMP per block)."""
-    if g.n <= 4:
+def _size_within(rows: Sequence[int], mask: int) -> int:
+    """Edge count of the subgraph induced on ``mask``."""
+    return sum((rows[v] & mask).bit_count() for v in _bits(mask)) // 2
+
+
+def _planar_within(rows: Sequence[int], keep: int) -> bool:
+    """Planarity of the subgraph induced on ``keep`` (DMP per block)."""
+    if keep.bit_count() <= 4:
         return True
-    for comp in g.components():
-        verts = list(_bits(comp))
-        if len(verts) <= 4:
+    rest = keep
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            grow = 0
+            for v in _bits(frontier):
+                grow |= rows[v]
+            frontier = grow & keep & ~comp
+            comp |= frontier
+        rest &= ~comp
+        n = comp.bit_count()
+        if n <= 4:
             continue
-        sub = g.subgraph(verts)
-        if sub.m > 3 * sub.n - 6:
+        if _size_within(rows, comp) > 3 * n - 6:
             return False
-        for block in _blocks(sub):
-            if len(block) >= 5 and not _dmp_biconnected(sub.subgraph(block)):
+        for block in _blocks(rows, comp):
+            if block.bit_count() >= 5 and not _dmp_biconnected(rows, block):
                 return False
     return True
+
+
+def is_planar(g: Graph) -> bool:
+    """Deterministic combinatorial planarity test (DMP per block)."""
+    return _planar_within(g.rows, (1 << g.n) - 1)
 
 
 _K5 = complete_graph(5)
@@ -247,8 +267,12 @@ def is_k_apex(g: Graph, k: int) -> KApexResult:
     if k < 0:
         raise ValueError("k must be nonnegative")
     k_eff = min(k, g.n - 1)
+    full = (1 << g.n) - 1
     for subset in combinations(range(g.n), k_eff):
-        if is_planar(g.delete_vertices(subset) if subset else g):
+        keep = full
+        for v in subset:
+            keep &= ~(1 << v)
+        if _planar_within(g.rows, keep):
             return KApexResult(True, subset)
     return KApexResult(False, None)
 

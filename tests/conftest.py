@@ -10,6 +10,7 @@ from maxnik.canon import canonical_form, canonical_labeling
 from maxnik.catalog import mmik_library
 from maxnik.graphs import Graph, _bits, contract_edge, from_edges
 from maxnik.minors import MinorSearch, MinorWitness
+from maxnik.planarity import KApexResult
 
 
 @pytest.fixture(scope="session")
@@ -262,3 +263,224 @@ def _reference_cliques_by_size(g: Graph) -> list[list[tuple[int, ...]]]:
     for size in sorted(by_size):
         out.append(sorted(by_size[size]))
     return out
+
+
+def _reference_dfs_cycle(g: Graph) -> list[int]:
+    """Recursive DFS cycle finder (back edges only, so cycles are simple)."""
+    parent = [-1] * g.n
+    seen = [False] * g.n
+
+    def dfs(v: int, par: int) -> list[int] | None:
+        seen[v] = True
+        for u in _bits(g.rows[v]):
+            if u == par:
+                continue
+            if seen[u]:
+                path = [v]
+                w = v
+                while w != u:
+                    w = parent[w]
+                    path.append(w)
+                return path
+            parent[u] = v
+            got = dfs(u, v)
+            if got is not None:
+                return got
+        return None
+
+    got = dfs(0, -1)
+    if got is None or len(got) < 3:
+        raise ValueError("no simple cycle found")
+    return got
+
+
+def _reference_blocks(g: Graph) -> list[list[int]]:
+    """Vertex sets of biconnected components (classic lowpoint edge stack)."""
+    n = g.n
+    num = [0] * n
+    low = [0] * n
+    counter = [0]
+    estack: list[tuple[int, int]] = []
+    out: list[list[int]] = []
+
+    def dfs(v: int, parent: int) -> None:
+        counter[0] += 1
+        num[v] = low[v] = counter[0]
+        for u in _bits(g.rows[v]):
+            if num[u] == 0:
+                estack.append((v, u))
+                dfs(u, v)
+                low[v] = min(low[v], low[u])
+                if low[u] >= num[v]:
+                    verts = set()
+                    while True:
+                        a, b = estack.pop()
+                        verts.add(a)
+                        verts.add(b)
+                        if (a, b) == (v, u):
+                            break
+                    out.append(sorted(verts))
+            elif u != parent and num[u] < num[v]:
+                estack.append((v, u))
+                low[v] = min(low[v], num[u])
+
+    for v in range(n):
+        if num[v] == 0:
+            dfs(v, -1)
+    return out
+
+
+def _reference_dmp_biconnected(g: Graph) -> bool:
+    """Planarity of a 2-connected graph by face growing."""
+    n = g.n
+    m = g.m
+    if n <= 4:
+        return True
+    if m > 3 * n - 6:
+        return False
+    cyc = _reference_dfs_cycle(g)
+    in_h = 0
+    for v in cyc:
+        in_h |= 1 << v
+    emb = [0] * n  # embedded adjacency rows
+    for i, v in enumerate(cyc):
+        u = cyc[(i + 1) % len(cyc)]
+        emb[v] |= 1 << u
+        emb[u] |= 1 << v
+    emb_count = len(cyc)
+    faces: list[list[int]] = [list(cyc), list(cyc)]
+    fmasks = [in_h, in_h]
+    full = (1 << n) - 1
+
+    while emb_count < m:
+        # fragments: chords of H, and bridges hanging off components of G - H
+        frags: list[tuple[int, tuple]] = []  # (attachment mask, descriptor)
+        for v in range(n):
+            if not in_h >> v & 1:
+                continue
+            for u in _bits(g.rows[v] & in_h & ~emb[v]):
+                if u > v:
+                    frags.append(((1 << v) | (1 << u), ("chord", v, u)))
+        rest = full & ~in_h
+        seen = 0
+        while rest & ~seen:
+            start = (rest & ~seen) & -(rest & ~seen)
+            comp = start
+            frontier = start
+            while frontier:
+                grow = 0
+                for v in _bits(frontier):
+                    grow |= g.rows[v]
+                frontier = grow & rest & ~comp
+                comp |= grow & rest
+            seen |= comp
+            attach = 0
+            for v in _bits(comp):
+                attach |= g.rows[v] & in_h
+            frags.append((attach, ("comp", comp)))
+
+        best = None
+        best_faces: list[int] = []
+        for attach, desc in frags:
+            adm = [i for i, fm in enumerate(fmasks) if not attach & ~fm]
+            if not adm:
+                return False
+            if best is None or len(adm) < len(best_faces):
+                best = (attach, desc)
+                best_faces = adm
+                if len(adm) == 1:
+                    break
+        assert best is not None
+        attach, desc = best
+        if desc[0] == "chord":
+            path = [desc[1], desc[2]]
+        else:
+            comp = desc[1]
+            ats = list(_bits(attach))
+            a = ats[0]
+            others = attach & ~(1 << a)
+            # BFS from a through the component to any other attachment
+            prev: dict[int, int] = {}
+            frontier = [a]
+            seenb = 1 << a
+            path = None
+            while frontier and path is None:
+                nxt = []
+                for w in frontier:
+                    reach = g.rows[w] & comp & ~seenb
+                    if w != a and g.rows[w] & others:
+                        b = (g.rows[w] & others)
+                        b = (b & -b).bit_length() - 1
+                        path = [b, w]
+                        x = w
+                        while x != a:
+                            x = prev[x]
+                            path.append(x)
+                        break
+                    for x in _bits(reach):
+                        prev[x] = w
+                        seenb |= 1 << x
+                        nxt.append(x)
+                frontier = nxt
+            assert path is not None, "attachment unreachable in its own fragment"
+        u, v = path[0], path[-1]
+        fi = best_faces[0]
+        face = faces[fi]
+        iu = face.index(u)
+        face = face[iu:] + face[:iu]
+        iv = face.index(v)
+        interior = path[1:-1]
+        face1 = face[:iv + 1] + interior[::-1]
+        face2 = face[iv:] + [face[0]] + interior
+        faces[fi] = face1
+        faces.append(face2)
+        im = 0
+        for w in interior:
+            im |= 1 << w
+        m1 = 0
+        for w in face1:
+            m1 |= 1 << w
+        m2 = 0
+        for w in face2:
+            m2 |= 1 << w
+        fmasks[fi] = m1
+        fmasks.append(m2)
+        in_h |= im
+        for i in range(len(path) - 1):
+            a, b = path[i], path[i + 1]
+            emb[a] |= 1 << b
+            emb[b] |= 1 << a
+            emb_count += 1
+    return True
+
+
+def reference_is_planar(g: Graph) -> bool:
+    """Oracle: DMP per block, on a Graph built for every component and block.
+
+    A verbatim copy of ``is_planar`` and its helpers before the DMP core ran
+    on the host's rows and a vertex mask.
+    """
+    if g.n <= 4:
+        return True
+    for comp in g.components():
+        verts = list(_bits(comp))
+        if len(verts) <= 4:
+            continue
+        sub = g.subgraph(verts)
+        if sub.m > 3 * sub.n - 6:
+            return False
+        for block in _reference_blocks(sub):
+            if len(block) >= 5 and not _reference_dmp_biconnected(sub.subgraph(block)):
+                return False
+    return True
+
+
+def reference_is_k_apex(g: Graph, k: int) -> KApexResult:
+    """Oracle: ``is_k_apex`` building a Graph for every vertex subset (verbatim copy)."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    k_eff = min(k, g.n - 1)
+    for subset in combinations(range(g.n), k_eff):
+        if reference_is_planar(g.delete_vertices(subset) if subset else g):
+            return KApexResult(True, subset)
+    return KApexResult(False, None)

@@ -14,6 +14,7 @@ from maxnik.certify import (VERDICT_IK, VERDICT_MAXNIK, VERDICT_NIK,
                             certify_ik, certify_maxnik, certify_nik,
                             check_necessary, relabel_certificate,
                             validate_certificate)
+from maxnik.construct import size_construct
 from maxnik.graphs import (complete_graph, complete_multipartite, cycle_graph,
                            from_edges, graph6_decode, graph6_encode,
                            path_graph)
@@ -303,3 +304,66 @@ class TestCertificateMechanics:
         bad = Certificate(cert.verdict, cert.rule,
                           {**cert.evidence, "pattern": "F9"}, cert.children)
         assert validate_certificate(bad, lib) != []
+
+
+# sha256 of certify_maxnik(g).dumps(), joined, over size_construct(n) for
+# n = 23..52, each relabelled by the next shuffle of one Random(2021); measured
+# while every piece's nIK certificate was still recomputed wherever it recurred
+COMPOSITE_DIGEST = "e7420ab4dd15d342f2a33510f2446edee61a41b8a49228ecac185bb394170ec3"
+
+
+class TestOneNikCertificatePerCall:
+    def test_relabelled_composites_unchanged(self, lib):
+        rng = random.Random(2021)
+        blob = []
+        for n in range(23, 53):
+            g = size_construct(n)[1]
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            blob.append(certify_maxnik(g.relabel(perm), lib).dumps())
+        assert hashlib.sha256("".join(blob).encode()).hexdigest() == COMPOSITE_DIGEST
+
+    @staticmethod
+    def _count_apex_searches(monkeypatch) -> list:
+        searched = []
+        real = certify_module.is_k_apex
+
+        def counted(g, k):
+            searched.append(g)
+            return real(g, k)
+
+        monkeypatch.setattr(certify_module, "is_k_apex", counted)
+        return searched
+
+    def test_one_apex_search_per_graph(self, monkeypatch, lib):
+        g = size_construct(40)[1]  # edge sums over five pieces
+        searched = self._count_apex_searches(monkeypatch)
+        first = certify_maxnik(g, lib)
+        assert first.verdict == VERDICT_MAXNIK
+        assert len(searched) == len(set(searched)) >= 5
+        per_call = len(searched)
+        # a second call shares nothing with the first: it searches again
+        assert certify_maxnik(g, lib) == first
+        assert len(searched) == 2 * per_call
+        assert searched[:per_call] == searched[per_call:]
+
+    def test_certify_nik_searches_each_piece_once(self, monkeypatch, lib):
+        g = size_construct(90)[1]
+        searched = self._count_apex_searches(monkeypatch)
+        assert certify_nik(g, lib).verdict == VERDICT_NIK
+        assert len(searched) == len(set(searched)) >= 2
+
+
+class TestValidatorDecodesOnce:
+    def test_each_graph6_string_decoded_once(self, monkeypatch, lib):
+        cert = size_construct(100)[2]
+        decoded = []
+        real = certify_module.graph6_decode
+
+        def counted(text):
+            decoded.append(text)
+            return real(text)
+
+        monkeypatch.setattr(certify_module, "graph6_decode", counted)
+        assert validate_certificate(cert, lib) == []
+        assert len(decoded) == len(set(decoded)) > 1

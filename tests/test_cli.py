@@ -227,3 +227,26 @@ def test_construct_size_over_the_order_cap_out_of_range(capsys):
     assert code == 1
     assert out == ""
     assert "65 vertices" in err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_certify_batch_isolates_a_bad_line(capsys, monkeypatch, workers):
+    monkeypatch.delenv("MAXNIK_WORKERS", raising=False)
+    singles = [run_cli(capsys, ["certify", g6])[1] for g6 in ("F^~~w", "F?~vw")]
+    monkeypatch.setenv("MAXNIK_WORKERS", workers)
+    code, out, _ = run_cli(capsys, ["certify", "-"], stdin="F^~~w\n!!\nF?~vw\n")
+    assert code == 1
+    lines = out.splitlines(keepends=True)
+    assert len(lines) == 3
+    assert [lines[0], lines[2]] == singles
+    bad = json.loads(lines[1])
+    assert bad["graph6"] == "!!" and "out of graph6 range" in bad["error"]
+
+
+def test_classify_batch_isolates_a_bad_line(capsys):
+    _, single, _ = run_cli(capsys, ["classify", "C~"])
+    code, out, _ = run_cli(capsys, ["classify", "-"], stdin="!!\nC~\n")
+    assert code == 1
+    lines = out.splitlines(keepends=True)
+    assert json.loads(lines[0]).keys() == {"graph6", "error"}
+    assert lines[1:] == [single]

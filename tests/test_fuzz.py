@@ -1,0 +1,41 @@
+"""Property tests over arbitrary input strings (needs hypothesis)."""
+
+from __future__ import annotations
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from maxnik.errors import MaxnikError  # noqa: E402
+from maxnik.graphs import graph6_decode, graph6_encode  # noqa: E402
+
+GRAPH6_CHARS = st.characters(min_codepoint=63, max_codepoint=126)
+
+
+@st.composite
+def _sized_graph6(draw) -> str:
+    """A header byte and exactly as many data bytes as its order needs."""
+    n = draw(st.integers(1, 62))
+    body = draw(st.text(GRAPH6_CHARS, min_size=-(-n * (n - 1) // 12),
+                        max_size=-(-n * (n - 1) // 12)))
+    return chr(n + 63) + body
+
+
+TEXT = st.one_of(
+    st.text(),
+    st.text(GRAPH6_CHARS),
+    _sized_graph6(),
+    st.builds(lambda s: " >>graph6<<" + s + "\n", _sized_graph6()),
+)
+
+
+@settings(max_examples=2000, deadline=None, database=None, derandomize=True)
+@given(TEXT)
+def test_graph6_decode_raises_or_round_trips(text):
+    try:
+        g = graph6_decode(text)
+    except MaxnikError:
+        return
+    assert graph6_decode(graph6_encode(g)) == g

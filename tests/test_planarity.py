@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
-from maxnik.graphs import (complete_graph, complete_multipartite, cycle_graph,
-                           disjoint_union, from_edges, join, path_graph)
+import pytest
+
+from maxnik.graphs import (Graph, complete_graph, complete_multipartite, cycle_graph,
+                           disjoint_union, from_edges, join, path_graph,
+                           vertex_connectivity)
 from maxnik.planarity import (is_k_apex, is_maximal_2apex, is_maximal_planar,
                               is_planar, is_planar_wagner)
 from maxnik.smallgraphs import enumerate_graphs, enumerate_triangulations
 
-from conftest import all_labeled_graphs, random_graph
+from conftest import (all_labeled_graphs, random_graph, reference_is_k_apex,
+                      reference_is_planar)
 
 
 class TestPlanar:
@@ -125,3 +130,59 @@ def test_path_and_trees_planar():
     assert is_planar(path_graph(10))
     star = from_edges(8, [(0, i) for i in range(1, 8)])
     assert is_planar(star)
+
+
+def _oracle_graph(rng: random.Random) -> Graph:
+    """A seeded random graph of order 1-16 in one of four shapes, relabelled.
+
+    The vertices are cut into consecutive parts, each a G(k, p): one part;
+    disjoint parts; parts that share one vertex with the next (cut
+    vertices); or one part beside components of at most four vertices.
+    """
+    n = rng.randint(1, 16)
+    shape = rng.randrange(4)
+    starts = [0, n if shape == 0 else rng.randint(1, n)]
+    while starts[-1] < n:
+        starts.append(min(n, starts[-1] + rng.randint(1, 4 if shape == 3 else n)))
+    overlap = shape == 2
+    parts = [range(a, min(b + overlap, n)) for a, b in zip(starts, starts[1:])]
+    edges = set()
+    for part in parts:
+        p = rng.choice([0.2, 0.35, 0.5, 0.7, 0.9])
+        edges.update((u, v) for u, v in combinations(part, 2) if rng.random() < p)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return from_edges(n, sorted(edges)).relabel(perm)
+
+
+class TestOracles:
+    """The mask-based DMP core against the Graph-building copy it replaced."""
+
+    def test_matches_reference_on_random_shapes(self):
+        rng = random.Random(2101)
+        disconnected = cut_vertex = small_component = 0
+        for _ in range(2000):
+            g = _oracle_graph(rng)
+            comps = [c.bit_count() for c in g.components()]
+            disconnected += len(comps) > 1
+            small_component += len(comps) > 1 and min(comps) <= 4
+            cut_vertex += len(comps) == 1 and g.n >= 3 and vertex_connectivity(g) == 1
+            assert is_planar(g) == reference_is_planar(g), g
+            for k in (0, 1, 2):
+                assert is_k_apex(g, k) == reference_is_k_apex(g, k), (g, k)
+        assert min(disconnected, cut_vertex, small_component) >= 200
+
+    def test_matches_networkx_orders_9_to_12(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(2102)
+        verdicts = set()
+        for _ in range(600):
+            n = rng.randint(9, 12)
+            g = random_graph(rng, n, rng.choice([0.2, 0.3, 0.4, 0.5]))
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(g.edges())
+            planar = is_planar(g)
+            assert planar == nx.check_planarity(h)[0], g
+            verdicts.add(planar)
+        assert verdicts == {True, False}
