@@ -28,7 +28,9 @@ Within one top-level ``certify_nik`` or ``certify_maxnik`` call each graph
 gets one nIK certificate: the call owns a dict from graph to certificate,
 so a clique-sum piece met again (in the nIK and then the maxnik split, or
 at a second cutset) reuses its certificate instead of repeating the 2-apex
-search. Nothing is kept between calls.
+search. Likewise one ``validate_certificate`` call decodes each graph6
+string once and looks up its non-edge orbits and its axiom at most once.
+Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .canon import orbits
 from .catalog import ObstructionLibrary, disk_axiom_covers, mmik_library
@@ -412,22 +414,27 @@ def validate_certificate(cert: Certificate, lib: ObstructionLibrary | None = Non
     """Re-check every node of an evidence tree; returns human-readable problems."""
     lib = lib or mmik_library()
     problems: list[str] = []
-    _validate(cert, lib, problems, path="root", graphs={})
+    _validate(cert, lib, problems, path="root", memo={})
     return problems
 
 
-def _graph_of(cert: Certificate, graphs: dict[str, Graph]) -> Graph:
-    """``cert.graph``, decoded once per graph6 string in ``graphs``."""
+def _memo(memo: dict, what: str, g6: str, compute: Callable[[], object]):
+    """``compute()`` for the graph ``g6``, run once per ``what`` in ``memo``."""
+    key = (what, g6)
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def _graph_of(cert: Certificate, memo: dict) -> Graph:
+    """``cert.graph``, decoded once per graph6 string in ``memo``."""
     g6 = cert.evidence["graph"]
-    g = graphs.get(g6)
-    if g is None:
-        g = graphs[g6] = graph6_decode(g6)
-    return g
+    return _memo(memo, "graph", g6, lambda: graph6_decode(g6))
 
 
 def _validate(cert: Certificate, lib: ObstructionLibrary, problems: list[str], path: str,
-              graphs: dict[str, Graph]) -> None:
-    g = _graph_of(cert, graphs)
+              memo: dict) -> None:
+    g = _graph_of(cert, memo)
     rule = cert.rule
     ev = cert.evidence
 
@@ -452,7 +459,7 @@ def _validate(cert: Certificate, lib: ObstructionLibrary, problems: list[str], p
         if not is_planar(rest):
             bad("apex witness does not leave a planar graph")
     elif rule == "axiom":
-        axiom = lib.axiom_for(g)
+        axiom = _memo(memo, "axiom", ev["graph"], lambda: lib.axiom_for(g))
         if axiom is None or axiom.name != ev["name"]:
             bad("axiom lookup fails")
     elif rule == "not-2apex-small-order":
@@ -464,10 +471,11 @@ def _validate(cert: Certificate, lib: ObstructionLibrary, problems: list[str], p
         if not (cert.children and cert.children[0].verdict == VERDICT_NIK):
             bad("missing nIK child")
     elif rule == "construction":
-        _validate_construction(cert, lib, problems, path, graphs)
+        _validate_construction(cert, lib, problems, path, memo)
     elif rule == "per-non-edge":
         reps = [tuple(r) for r in ev["orbit_representatives"]]
-        orbit_list = orbits(g, "non-edge").orbits
+        orbit_list = _memo(memo, "non-edge orbits", ev["graph"],
+                           lambda: orbits(g, "non-edge").orbits)
         if len(reps) != len(orbit_list):
             bad("representative count differs from orbit count")
         elif not all(any(tuple(r) in orbit for r in reps) for orbit in orbit_list):
@@ -476,7 +484,7 @@ def _validate(cert: Certificate, lib: ObstructionLibrary, problems: list[str], p
         if len(ik_children) != len(reps):
             bad("per-non-edge children do not match representatives")
         for rep, child in zip(reps, ik_children):
-            if _graph_of(child, graphs) != g.with_edge(*rep):
+            if _graph_of(child, memo) != g.with_edge(*rep):
                 bad(f"child for edge {rep} certifies a different graph")
     elif rule == "is-ik":
         if not (cert.children and cert.children[0].verdict == VERDICT_IK):
@@ -486,7 +494,7 @@ def _validate(cert: Certificate, lib: ObstructionLibrary, problems: list[str], p
         if g.has_edge(u, v):
             bad("augmentation edge already present")
         kids = [c for c in cert.children
-                if c.verdict == VERDICT_NIK and _graph_of(c, graphs) == g.with_edge(u, v)]
+                if c.verdict == VERDICT_NIK and _graph_of(c, memo) == g.with_edge(u, v)]
         if not kids:
             bad("missing nIK child for the augmented graph")
     elif rule in ("no-ik-evidence", "no-nik-evidence", "nik-undecided",
@@ -495,13 +503,13 @@ def _validate(cert: Certificate, lib: ObstructionLibrary, problems: list[str], p
     else:
         bad(f"unknown rule {rule!r}")
     for i, child in enumerate(cert.children):
-        _validate(child, lib, problems, f"{path}.{i}", graphs)
+        _validate(child, lib, problems, f"{path}.{i}", memo)
 
 
 def _validate_construction(cert: Certificate, lib: ObstructionLibrary,
                            problems: list[str], path: str,
-                           graphs: dict[str, Graph]) -> None:
-    g = _graph_of(cert, graphs)
+                           memo: dict) -> None:
+    g = _graph_of(cert, memo)
     ev = cert.evidence
 
     def bad(msg: str) -> None:
@@ -550,7 +558,7 @@ def _validate_construction(cert: Certificate, lib: ObstructionLibrary,
         return
     want = cert.verdict
     for verts, piece, kid in zip(parts, pieces, kids):
-        if _graph_of(kid, graphs) != piece:
+        if _graph_of(kid, memo) != piece:
             bad("child certifies something other than its part")
         if kid.verdict not in (want, VERDICT_MAXNIK):
             bad(f"child verdict {kid.verdict} does not support {want}")

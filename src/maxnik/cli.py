@@ -2,12 +2,14 @@
 
 Exit codes: 0 definite verdicts, 2 for UNKNOWN, 1 on errors, 64 on bad
 flags. Graphs come in as a graph6 positional argument or one per line on
-stdin (batch mode, results as JSON lines in input order). In a ``classify``
-or ``certify`` batch a line that is not graph6 prints
+stdin (batch mode, results as JSON lines in input order). In a ``classify``,
+``certify`` or ``prime`` batch a line that is not graph6, or that the
+command rejects (``prime`` takes connected graphs only), prints
 ``{"graph6": line, "error": message}`` in its place, the other lines are
-still processed, and the exit code is 1. MAXNIK_WORKERS fans batch
-certification out across processes; it must be a positive integer (else
-exit 64) and is capped at the CPU count.
+still processed, and the exit code is 1; a positional graph of either kind
+exits 1 with the error on stderr. MAXNIK_WORKERS fans these batches out
+across processes; it must be a positive integer (else exit 64) and is
+capped at the CPU count.
 """
 
 from __future__ import annotations
@@ -61,12 +63,6 @@ def _emit(obj: dict, fmt: str, graph_lines: Iterable[str] = ()) -> None:
             print(f"{key}: {value}")
 
 
-def _input_graphs(arg: str | None) -> list[Graph]:
-    if arg and arg != "-":
-        return [graph6_decode(arg)]
-    return [graph6_decode(line) for line in sys.stdin if line.strip()]
-
-
 def _classify_one(g: Graph) -> dict:
     apex = is_k_apex(g, 2)
     necessary = check_necessary(g)
@@ -84,6 +80,16 @@ def _classify_one(g: Graph) -> dict:
             "verdict": necessary.verdict,
             "failures": necessary.failures(),
         },
+    }
+
+
+def _prime_one(g: Graph) -> dict:
+    d = decompose(g)
+    return {
+        "graph6": graph6_encode(g),
+        "prime": d.is_leaf,
+        "witness_cutset": None if d.is_leaf else list(d.cutset),
+        "decomposition": d.to_json(),
     }
 
 
@@ -110,24 +116,22 @@ def _workers() -> int:
 def _one_line(fn: Callable[[Graph], dict], line: str) -> dict:
     """``fn``'s record for one graph6 line, or an error record in its place."""
     try:
-        g = graph6_decode(line)
-    except MaxnikError as exc:
+        return fn(graph6_decode(line))
+    except (MaxnikError, ValueError) as exc:
         return {"graph6": line, "error": str(exc)}
-    return fn(g)
 
 
 def _batch(fn: Callable[[Graph], dict], arg: str | None) -> list[dict]:
     """``fn``'s record for the positional graph, or for each stdin line in order.
 
-    A positional graph that is not graph6 raises; a stdin line that is not
-    costs only its own record.
+    A positional graph that is not graph6, or that ``fn`` rejects, raises; a
+    stdin line that is not, or that ``fn`` rejects, costs only its own record.
     """
-    if arg and arg != "-":
-        lines = [graph6_encode(graph6_decode(arg))]
-    else:
-        lines = [line.strip() for line in sys.stdin if line.strip()]
-    job = partial(_one_line, fn)
     workers = _workers()
+    if arg and arg != "-":
+        return [fn(graph6_decode(arg))]
+    lines = [line.strip() for line in sys.stdin if line.strip()]
+    job = partial(_one_line, fn)
     if workers > 1 and len(lines) > 1:
         from multiprocessing import Pool
 
@@ -247,16 +251,10 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "prime":
-        graphs = _input_graphs(args.graph)
-        for g in graphs:
-            d = decompose(g)
-            _emit({
-                "graph6": graph6_encode(g),
-                "prime": d.is_leaf,
-                "witness_cutset": None if d.is_leaf else list(d.cutset),
-                "decomposition": d.to_json(),
-            }, args.format)
-        return EXIT_OK
+        results = _batch(_prime_one, args.graph)
+        for result in results:
+            _emit(result, args.format)
+        return EXIT_ERROR if any("error" in r for r in results) else EXIT_OK
 
     if args.command == "enumerate":
         if args.kind == "triangulation":

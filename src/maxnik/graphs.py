@@ -30,6 +30,17 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= b
 
 
+def _permuted_rows(rows: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
+    """The rows of the graph on ``rows`` with vertex v renamed to perm[v]."""
+    out = [0] * len(rows)
+    for v, r in enumerate(rows):
+        x = 0
+        for u in _bits(r):
+            x |= 1 << perm[u]
+        out[perm[v]] = x
+    return tuple(out)
+
+
 class Graph:
     """Immutable simple graph: vertex count ``n`` plus bit-rows ``rows``."""
 
@@ -54,6 +65,22 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_hash", hash((n, rows)))
+
+    @classmethod
+    def _trusted(cls, n: int, rows: tuple[int, ...]) -> "Graph":
+        """A graph on rows that are valid by construction, without the checks.
+
+        ``rows`` must be a tuple of ``n`` loop-free, symmetric rows inside
+        0..n-1, with 1 <= n <= 64. Only the package's canonical relabelling
+        (``canon._relabel_canonically``) and the augmented child in
+        ``smallgraphs.enumerate_graphs`` call it; every other graph, and
+        everything a user builds, goes through the validating constructor.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "rows", rows)
+        object.__setattr__(g, "_hash", hash((n, rows)))
+        return g
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Graph is immutable")
@@ -115,14 +142,7 @@ class Graph:
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Return the graph with vertex v renamed to perm[v]."""
-        n = self.n
-        rows = [0] * n
-        for v in range(n):
-            r = 0
-            for u in _bits(self.rows[v]):
-                r |= 1 << perm[u]
-            rows[perm[v]] = r
-        return Graph(n, rows)
+        return Graph(self.n, _permuted_rows(self.rows, perm))
 
     def delete_vertices(self, doomed: Iterable[int]) -> "Graph":
         """Delete vertices and relabel the rest densely, preserving order."""

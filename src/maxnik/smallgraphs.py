@@ -30,16 +30,18 @@ Every class X of order n is produced exactly once:
   and it is an automorphism of P mapping N to N', so N and N' are the same
   orbit representative.
 
-A child in which some vertex has degree above |N| is rejected before any
-canonical search. The rest take one search, which yields the key, the
-labeling and the automorphism generators at once. This covers
-disconnected graphs too. Results are cached per order, and the known class
-counts are checked on every build.
+The representatives N are the least mask of each orbit of Aut(P) on
+subsets, found by a flood fill over one image table per generator instead
+of a union-find over every mask. A child in which some vertex has degree
+above |N| is rejected before any canonical search. The rest take one
+search, which yields the key, the labeling and the automorphism generators
+at once. This covers disconnected graphs too. Results are cached per
+order, and the known class counts are checked on every build.
 """
 
 from __future__ import annotations
 
-from .canon import (_canonical_search, _object_orbits, _relabel_canonically,
+from .canon import (_canonical_search, _reaches, _relabel_canonically,
                     automorphism_generators)
 from .graphs import Graph, _bits
 from .planarity import is_planar
@@ -50,15 +52,37 @@ _CLASS_CACHE: dict[int, tuple[Graph, ...]] = {}
 KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
 
-def _mask_image(mask: int, perm: tuple[int, ...]) -> int:
-    out = 0
-    for v in _bits(mask):
-        out |= 1 << perm[v]
-    return out
+def _subset_orbit_minima(n: int, gens: list[tuple[int, ...]]) -> list[int]:
+    """The least mask of each orbit of <gens> on subsets of 0..n-1, increasing.
 
-
-def _vertex_image(v: int, perm: tuple[int, ...]) -> int:
-    return perm[v]
+    Each generator gets a table of its images of all 2**n masks, filled by
+    adding one bit at a time; each mask not yet seen starts a new orbit,
+    which a flood fill through the tables marks.
+    """
+    size = 1 << n
+    tables = []
+    for a in gens:
+        img = [0] * size
+        for m in range(1, size):
+            low = m & -m
+            img[m] = img[m ^ low] | 1 << a[low.bit_length() - 1]
+        tables.append(img)
+    seen = bytearray(size)
+    minima = []
+    for m in range(size):
+        if seen[m]:
+            continue
+        minima.append(m)
+        seen[m] = 1
+        stack = [m]
+        while stack:
+            x = stack.pop()
+            for img in tables:
+                y = img[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    stack.append(y)
+    return minima
 
 
 def enumerate_graphs(n: int) -> tuple[Graph, ...]:
@@ -74,22 +98,23 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
         new = n - 1
         for parent in enumerate_graphs(n - 1):
             degrees = parent.degrees()
-            subset_orbits = _object_orbits(
-                list(range(1 << new)), automorphism_generators(parent), _mask_image)
-            for orbit in subset_orbits:
-                nb = orbit[0]
+            most = max(degrees)
+            busiest = 0
+            for v, d in enumerate(degrees):
+                if d == most:
+                    busiest |= 1 << v
+            for nb in _subset_orbit_minima(new, automorphism_generators(parent)):
                 top = nb.bit_count()
-                if any(d + (nb >> v & 1) > top for v, d in enumerate(degrees)):
+                # a vertex of degree top adjacent to x would have degree top + 1
+                if top < most or top == most and nb & busiest:
                     continue
                 rows = list(parent.rows) + [nb]
                 for v in _bits(nb):
                     rows[v] |= 1 << new
-                child = Graph(n, rows)
+                child = Graph._trusted(n, tuple(rows))
                 form, lab, autos = _canonical_search(child)
                 w = next(v for v in reversed(lab) if rows[v].bit_count() == top)
-                if w != new and not any(
-                        w in o and new in o
-                        for o in _object_orbits(list(range(n)), autos, _vertex_image)):
+                if w != new and not _reaches(w, [new], autos):
                     continue
                 if form.key in reps:
                     raise AssertionError(

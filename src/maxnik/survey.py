@@ -16,7 +16,7 @@ from itertools import combinations
 
 from .canon import canonical_key_graph
 from .catalog import _order9_registry, named_graph
-from .certify import VERDICT_MAXNIK, certify_maxnik, check_necessary
+from .certify import VERDICT_MAXNIK, certify_maxnik
 from .errors import ValidationError
 from .graphs import Graph, complete_graph, graph6_encode, join
 from .planarity import is_k_apex, is_maximal_2apex
@@ -361,14 +361,3 @@ def table_deg() -> DegreeTable:
         rows.append(DegreeRow(
             n, (min(mins), max(mins)), (min(maxs), max(maxs)), ref_min, ref_max))
     return DegreeTable(tuple(rows))
-
-
-def sweep_bounds_check(max_order: int = 8) -> list[str]:
-    """Run every structural necessary condition over the classified sets."""
-    problems = []
-    for n in range(1, max_order + 1):
-        for g in classified_maxnik(n):
-            report = check_necessary(g)
-            if not report.all_pass:
-                problems.append(f"{graph6_encode(g)}: {report.failures()}")
-    return problems

@@ -6,11 +6,13 @@ from itertools import combinations, permutations
 
 import pytest
 
-from maxnik.canon import canonical_form, canonical_labeling
+from maxnik.canon import CanonicalForm, canonical_form, canonical_labeling
 from maxnik.catalog import mmik_library
-from maxnik.graphs import Graph, _bits, contract_edge, from_edges
+from maxnik.certify import check_necessary
+from maxnik.graphs import Graph, _bits, contract_edge, from_edges, graph6_encode
 from maxnik.minors import MinorSearch, MinorWitness
 from maxnik.planarity import KApexResult
+from maxnik.survey import classified_maxnik
 
 
 @pytest.fixture(scope="session")
@@ -120,6 +122,17 @@ def reference_enumerate_graphs(n: int) -> tuple[Graph, ...]:
                 rows[v] |= 1 << new
             candidates.append(Graph(n, rows))
     return tuple(dedup_by_canonical_form(candidates))
+
+
+def sweep_bounds_check(max_order: int = 8) -> list[str]:
+    """Run every structural necessary condition over the classified sets."""
+    problems = []
+    for n in range(1, max_order + 1):
+        for g in classified_maxnik(n):
+            report = check_necessary(g)
+            if not report.all_pass:
+                problems.append(f"{graph6_encode(g)}: {report.failures()}")
+    return problems
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -484,3 +497,132 @@ def reference_is_k_apex(g: Graph, k: int) -> KApexResult:
         if reference_is_planar(g.delete_vertices(subset) if subset else g):
             return KApexResult(True, subset)
     return KApexResult(False, None)
+
+
+def _reference_refine(rows: tuple[int, ...], cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Equitable refinement; children of a split cell ordered by signature."""
+    while True:
+        masks = []
+        for cell in cells:
+            m = 0
+            for v in cell:
+                m |= 1 << v
+            masks.append(m)
+        out: list[tuple[int, ...]] = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            buckets: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                rv = rows[v]
+                sig = tuple((rv & m).bit_count() for m in masks)
+                buckets.setdefault(sig, []).append(v)
+            if len(buckets) == 1:
+                out.append(cell)
+            else:
+                changed = True
+                for sig in sorted(buckets):
+                    out.append(tuple(buckets[sig]))
+        cells = out
+        if not changed:
+            return cells
+
+
+def _reference_leaf_key(n: int, rows: tuple[int, ...], lab: tuple[int, ...]) -> int:
+    """Upper-triangle bits of the adjacency matrix relabelled by ``lab``."""
+    pos = [0] * n
+    for i, v in enumerate(lab):
+        pos[v] = i
+    key = 0
+    for i, v in enumerate(lab):
+        row_new = 0
+        for u in _bits(rows[v]):
+            row_new |= 1 << pos[u]
+        key = (key << (n - i - 1)) | (row_new >> (i + 1))
+    return key
+
+
+class _ReferenceSearch:
+    def __init__(self, g: Graph):
+        self.n = g.n
+        self.rows = g.rows
+        self.best_key: int | None = None
+        self.best_lab: tuple[int, ...] | None = None
+        self.seen: dict[int, tuple[int, ...]] = {}
+        self.autos: list[tuple[int, ...]] = []
+
+    def run(self) -> None:
+        self._node(_reference_refine(self.rows, [tuple(range(self.n))]), ())
+
+    def _node(self, cells: list[tuple[int, ...]], path: tuple[int, ...]) -> None:
+        target = -1
+        size = None
+        for i, cell in enumerate(cells):
+            if len(cell) > 1 and (size is None or len(cell) < size):
+                target = i
+                size = len(cell)
+        if target < 0:
+            self._leaf(tuple(c[0] for c in cells))
+            return
+        cell = cells[target]
+        explored: list[int] = []
+        for v in cell:
+            if explored and self._equivalent_to_explored(v, explored, path):
+                continue
+            explored.append(v)
+            rest = tuple(u for u in cell if u != v)
+            branched = cells[:target] + [(v,), rest] + cells[target + 1:]
+            self._node(_reference_refine(self.rows, branched), path + (v,))
+
+    def _equivalent_to_explored(self, v: int, explored: list[int], path: tuple[int, ...]) -> bool:
+        """Is v mapped into the explored set by a path-fixing automorphism?"""
+        gens = [a for a in self.autos if all(a[p] == p for p in path)]
+        if not gens:
+            return False
+        reach = {v}
+        frontier = [v]
+        targets = set(explored)
+        while frontier:
+            w = frontier.pop()
+            for a in gens:
+                for img in (a[w],):
+                    if img in targets:
+                        return True
+                    if img not in reach:
+                        reach.add(img)
+                        frontier.append(img)
+        return False
+
+    def _leaf(self, lab: tuple[int, ...]) -> None:
+        key = _reference_leaf_key(self.n, self.rows, lab)
+        prior = self.seen.get(key)
+        if prior is None:
+            self.seen[key] = lab
+        elif prior != lab:
+            # two labelings with identical relabelled matrices: automorphism
+            perm = [0] * self.n
+            for i in range(self.n):
+                perm[prior[i]] = lab[i]
+            auto = tuple(perm)
+            if auto not in self.autos:
+                self.autos.append(auto)
+        if self.best_key is None or key < self.best_key:
+            self.best_key = key
+            self.best_lab = lab
+
+
+def reference_canonical_search(g: Graph) -> tuple[CanonicalForm, tuple[int, ...], list[tuple[int, ...]]]:
+    """Oracle: canonical form, labeling and automorphism generators.
+
+    A verbatim copy of ``_canonical_search`` and its helpers before
+    refinement counted only against fresh cells and leaf keys were read
+    straight from the rows; every output must match it exactly.
+    """
+    s = _ReferenceSearch(g)
+    s.run()
+    assert s.best_key is not None and s.best_lab is not None
+    nbytes = (g.n * (g.n - 1) // 2 + 7) // 8
+    key = bytes([g.n]) + s.best_key.to_bytes(nbytes, "big")
+    return CanonicalForm(key), s.best_lab, list(s.autos)

@@ -6,15 +6,17 @@ import math
 import random
 from itertools import permutations
 
-from maxnik.canon import (are_isomorphic, automorphism_generators,
-                          canonical_form, canonical_graph, isomorphism, orbits)
-from maxnik.graphs import (complement, complete_graph, complete_multipartite,
-                           cycle_graph)
-from maxnik.smallgraphs import enumerate_graphs
+from maxnik.canon import (_canonical_search, _object_orbits,
+                          _relabel_canonically, are_isomorphic,
+                          automorphism_generators, canonical_form,
+                          canonical_graph, isomorphism, orbits)
+from maxnik.graphs import (Graph, _bits, complement, complete_graph,
+                           complete_multipartite, cycle_graph, from_edges)
+from maxnik.smallgraphs import _subset_orbit_minima, enumerate_graphs
 
 from conftest import (all_labeled_graphs, brute_force_automorphisms,
                       brute_force_isomorphic, dedup_by_canonical_form,
-                      group_order, random_graph)
+                      group_order, random_graph, reference_canonical_search)
 
 
 def test_c5_self_complementary():
@@ -160,3 +162,63 @@ def test_dedup_by_canonical_form():
     graphs += [complete_graph(5)]
     reps = dedup_by_canonical_form(graphs)
     assert len(reps) == 2
+
+
+def _relabelled(rng: random.Random, g: Graph) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabel(perm)
+
+
+class TestMatchesReferenceSearch:
+    """Form key, labeling and generator list equal the reference search's."""
+
+    def test_random_graphs(self):
+        rng = random.Random(2026)
+        densities = [d / 10 for d in range(1, 10)]
+        for _ in range(5000):
+            g = random_graph(rng, rng.randint(1, 16), rng.choice(densities))
+            assert _canonical_search(g) == reference_canonical_search(g), g
+
+    def test_every_class_through_order7_as_given_and_relabelled(self):
+        rng = random.Random(7)
+        for n in range(1, 8):
+            for g in enumerate_graphs(n):
+                for h in (g, _relabelled(rng, g)):
+                    assert _canonical_search(h) == reference_canonical_search(h), h
+
+    def test_symmetric_hosts(self, lib):
+        rng = random.Random(8)
+        petersen = from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                              + [(i, i + 5) for i in range(5)]
+                              + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+        hosts = [complete_graph(n) for n in range(1, 10)]
+        hosts += [complete_multipartite(a, b) for a in range(1, 6) for b in range(a, 6)]
+        hosts += [cycle_graph(n) for n in range(3, 17)]
+        hosts += [petersen] + [p.graph for p in lib.mmik_patterns]
+        for g in hosts:
+            for h in (g, _relabelled(rng, g)):
+                assert _canonical_search(h) == reference_canonical_search(h), h
+
+    def test_canonical_relabelling_builds_a_valid_graph(self):
+        rng = random.Random(9)
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(1, 12), 0.5)
+            rep = _relabel_canonically(g, _canonical_search(g)[1])
+            assert Graph(rep.n, rep.rows) == rep
+            assert are_isomorphic(rep, g)
+
+
+def _mask_image(mask: int, perm: tuple[int, ...]) -> int:
+    out = 0
+    for v in _bits(mask):
+        out |= 1 << perm[v]
+    return out
+
+
+def test_subset_orbit_minima_match_union_find():
+    for n in range(1, 8):
+        for parent in enumerate_graphs(n):
+            gens = automorphism_generators(parent)
+            want = [o[0] for o in _object_orbits(list(range(1 << n)), gens, _mask_image)]
+            assert _subset_orbit_minima(n, gens) == want, parent

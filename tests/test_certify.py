@@ -8,7 +8,7 @@ import random
 
 import maxnik.certify as certify_module
 from maxnik.canon import orbits
-from maxnik.catalog import named_graph
+from maxnik.catalog import ObstructionLibrary, named_graph
 from maxnik.certify import (VERDICT_IK, VERDICT_MAXNIK, VERDICT_NIK,
                             VERDICT_NOT_MAXNIK, VERDICT_UNKNOWN, Certificate,
                             certify_ik, certify_maxnik, certify_nik,
@@ -367,3 +367,28 @@ class TestValidatorDecodesOnce:
         monkeypatch.setattr(certify_module, "graph6_decode", counted)
         assert validate_certificate(cert, lib) == []
         assert len(decoded) == len(set(decoded)) > 1
+
+    def test_orbits_and_axiom_looked_up_once_per_graph(self, monkeypatch, lib):
+        # size 150 repeats two leaf graphs: 7 orbit and 7 axiom lookups before
+        cert = size_construct(150)[2]
+        looked_up = {"orbits": [], "axiom_for": []}
+        real_orbits = certify_module.orbits
+        real_axiom_for = ObstructionLibrary.axiom_for
+
+        def counted_orbits(g, kind):
+            looked_up["orbits"].append(graph6_encode(g))
+            return real_orbits(g, kind)
+
+        def counted_axiom_for(self, g):
+            looked_up["axiom_for"].append(graph6_encode(g))
+            return real_axiom_for(self, g)
+
+        monkeypatch.setattr(certify_module, "orbits", counted_orbits)
+        monkeypatch.setattr(ObstructionLibrary, "axiom_for", counted_axiom_for)
+        assert validate_certificate(cert, lib) == []
+        for seen in looked_up.values():
+            assert len(seen) == len(set(seen)) >= 2
+        # the memo lives for one call: a second validation looks up again
+        assert validate_certificate(cert, lib) == []
+        for seen in looked_up.values():
+            assert len(seen) == 2 * len(set(seen))

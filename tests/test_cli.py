@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import sys
@@ -250,3 +251,34 @@ def test_classify_batch_isolates_a_bad_line(capsys):
     lines = out.splitlines(keepends=True)
     assert json.loads(lines[0]).keys() == {"graph6", "error"}
     assert lines[1:] == [single]
+
+
+def test_prime_batch_isolates_bad_and_disconnected_lines(capsys):
+    _, single, _ = run_cli(capsys, ["prime", "C~"])
+    code, out, err = run_cli(capsys, ["prime", "-"], stdin="C~\n!!\nC`\n")
+    assert (code, err) == (1, "")
+    lines = out.splitlines(keepends=True)
+    assert len(lines) == 3
+    assert lines[0] == single
+    bad = json.loads(lines[1])
+    assert bad == {"graph6": "!!", "error": bad["error"]}
+    assert "out of graph6 range" in bad["error"]
+    disconnected = json.loads(lines[2])
+    assert disconnected["graph6"] == "C`" and "connected" in disconnected["error"]
+
+
+def test_prime_positional_bad_graph_exits_1(capsys):
+    code, out, err = run_cli(capsys, ["prime", "!!"])
+    assert (code, out) == (1, "")
+    assert "out of graph6 range" in err
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("json", "cf31e4ab5a1c09cc6c07bbadb433b34c2075f0e0d9d8f804a5722b3acc9a4f15"),
+    ("graph6", "6a282e595d30b77966e0191bbc46d863843e139149a2174fe7c9235c392a4c8c"),
+])
+def test_library_output_pinned(capsys, fmt, digest):
+    # canonical keys name and order the library: sha256 of its stdout
+    code, out, _ = run_cli(capsys, ["library", "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

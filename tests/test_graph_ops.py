@@ -186,3 +186,18 @@ def test_components_partition_vertices():
             assert not whole & c
             whole |= c
         assert whole == (1 << g.n) - 1
+
+
+def test_public_constructors_validate_beside_the_trusted_one():
+    # Graph._trusted skips the checks; Graph(...) and relabel keep them
+    for n, rows in ((3, [2, 0, 0]),    # asymmetric
+                    (2, [1, 2]),       # loop at vertex 0
+                    (2, [4, 0]),       # bit outside 0..1
+                    (3, [6, 5, 3, 0])):  # row count
+        with pytest.raises(ValueError):
+            Graph(n, rows)
+    with pytest.raises(ValueError):
+        path_graph(2).relabel([0, 0])  # not a permutation: a loop
+    g = random_graph(random.Random(6), 9, 0.5)
+    assert Graph._trusted(g.n, g.rows) == g
+    assert hash(Graph._trusted(g.n, g.rows)) == hash(g)

@@ -11,10 +11,10 @@ from maxnik.certify import check_necessary
 from maxnik.graphs import complete_graph, graph6_encode
 from maxnik.survey import (classified_maxnik, enumerate_graphs,
                            enumerate_maxnik, enumerate_triangulations,
-                           maximal_2apex_graphs, sweep_bounds_check, table_deg,
-                           table_ve, verify_order9, verify_size20)
+                           maximal_2apex_graphs, table_deg, table_ve,
+                           verify_order9, verify_size20)
 
-from conftest import reference_enumerate_graphs
+from conftest import reference_enumerate_graphs, sweep_bounds_check
 
 
 class TestEnumeration:
