@@ -22,7 +22,11 @@ Inference rules used:
     addition certifies IK (per-non-edge), vacuous for complete graphs.
     When the host is 2-apex through a pair P, an added edge that touches P
     or leaves the graph minus P planar keeps it 2-apex, so that addition
-    goes straight to augmentation-nik without an IK search.
+    goes straight to augmentation-nik without an IK search. The least
+    non-edge is gated first, before the maxnik cutset construction and the
+    orbit computation: it leads the first non-edge orbit, and a host it
+    keeps 2-apex is not maxnik, so nothing before it could have certified
+    the host and the orbit loop would return the same certificate.
 
 Within one top-level ``certify_nik`` or ``certify_maxnik`` call each graph
 gets one nIK certificate: the call owns a dict from graph to certificate,
@@ -42,10 +46,9 @@ from typing import Callable, Iterable
 
 from .canon import orbits
 from .catalog import ObstructionLibrary, disk_axiom_covers, mmik_library
-from .graphs import (Graph, _bits, graph6_decode, graph6_encode,
-                     vertex_connectivity)
+from .graphs import Graph, _bits, graph6_decode, graph6_encode
 from .minors import MinorWitness, has_minor
-from .planarity import is_k_apex, is_planar
+from .planarity import _blocks, is_k_apex, is_planar
 
 VERDICT_IK = "IK"
 VERDICT_NIK = "NIK"
@@ -254,23 +257,30 @@ def _certify_maxnik(g: Graph, lib: ObstructionLibrary,
             return _cert(VERDICT_NOT_MAXNIK, "is-ik", g, children=[ik])
     if g.is_complete() and nik.verdict == VERDICT_NIK:
         return _cert(VERDICT_MAXNIK, "complete-nik", g, children=[nik], n=g.n)
+    apex = nik.evidence["witness"] if nik.rule == "apex-pair" else None
+    least = None
+    if apex is not None:
+        # The least non-edge leads the first non-edge orbit, so the loop below
+        # would try it first. If it keeps g 2-apex, g is not maxnik, no sound
+        # construction certifies g, and the loop would return this certificate.
+        least = g.non_edges()[0]
+        gate = _apex_augmentation(g, least, apex, nik, lib, nik_certs)
+        if gate is not None:
+            return gate
     built = _certify_by_cutsets(g, lib, nik_certs, want_maxnik=True)
     if built is not None:
         return built
     if nik.verdict != VERDICT_NIK:
         return _cert(VERDICT_UNKNOWN, "nik-undecided", g, children=[nik])
     reps = [tuple(o[0]) for o in orbits(g, "non-edge").orbits]
-    apex = nik.evidence["witness"] if nik.rule == "apex-pair" else None
     children = [nik]
     undecided = []
     for u, v in reps:
+        if apex is not None and (u, v) != least:
+            gate = _apex_augmentation(g, (u, v), apex, nik, lib, nik_certs)
+            if gate is not None:
+                return gate
         added = g.with_edge(u, v)
-        if apex is not None and (u in apex or v in apex
-                                 or is_planar(added.delete_vertices(apex))):
-            # still 2-apex through the host's pair, so never IK
-            return _cert(VERDICT_NOT_MAXNIK, "augmentation-nik", g,
-                         children=[nik, _certify_nik(added, lib, nik_certs)],
-                         edge=[u, v])
         ik = certify_ik(added, lib)
         if ik.verdict == VERDICT_IK:
             children.append(ik)
@@ -285,6 +295,23 @@ def _certify_maxnik(g: Graph, lib: ObstructionLibrary,
                      children=children, edges=undecided)
     return _cert(VERDICT_MAXNIK, "per-non-edge", g, children=children,
                  orbit_representatives=[list(r) for r in reps])
+
+
+def _apex_augmentation(g: Graph, edge: tuple[int, int], apex: list[int],
+                       nik: Certificate, lib: ObstructionLibrary,
+                       nik_certs: dict[Graph, Certificate]) -> Certificate | None:
+    """augmentation-nik when g + edge is still 2-apex through g's pair ``apex``.
+
+    An added edge that touches the pair, or leaves the graph minus the pair
+    planar, keeps it 2-apex, so the augmented graph is never IK.
+    """
+    u, v = edge
+    added = g.with_edge(u, v)
+    if u in apex or v in apex or is_planar(added.delete_vertices(apex)):
+        return _cert(VERDICT_NOT_MAXNIK, "augmentation-nik", g,
+                     children=[nik, _certify_nik(added, lib, nik_certs)],
+                     edge=[u, v])
+    return None
 
 
 def relabel_certificate(cert: Certificate, perm: tuple[int, ...]) -> Certificate:
@@ -363,7 +390,9 @@ def check_necessary(g: Graph) -> NecessaryReport:
     if n == 2:
         conn_ok = g.is_connected()
     elif n >= 3:
-        conn_ok = g.is_connected() and vertex_connectivity(g) >= 2
+        # no cut vertex: the one block is the whole graph
+        full = (1 << n) - 1
+        conn_ok = g.is_connected() and _blocks(g.rows, full) == [full]
     checks.append(NecessaryCheck(
         "two-connected", n >= 2, conn_ok,
         "connected with no cut vertex"))

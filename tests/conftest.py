@@ -140,6 +140,29 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return from_edges(n, edges)
 
 
+def shaped_random_graph(rng: random.Random) -> Graph:
+    """A seeded random graph of order 1-16 in one of four shapes, relabelled.
+
+    The vertices are cut into consecutive parts, each a G(k, p): one part;
+    disjoint parts; parts that share one vertex with the next (cut
+    vertices); or one part beside components of at most four vertices.
+    """
+    n = rng.randint(1, 16)
+    shape = rng.randrange(4)
+    starts = [0, n if shape == 0 else rng.randint(1, n)]
+    while starts[-1] < n:
+        starts.append(min(n, starts[-1] + rng.randint(1, 4 if shape == 3 else n)))
+    overlap = shape == 2
+    parts = [range(a, min(b + overlap, n)) for a, b in zip(starts, starts[1:])]
+    edges = set()
+    for part in parts:
+        p = rng.choice([0.2, 0.35, 0.5, 0.7, 0.9])
+        edges.update((u, v) for u, v in combinations(part, 2) if rng.random() < p)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return from_edges(n, sorted(edges)).relabel(perm)
+
+
 def all_labeled_graphs(n: int):
     """Every labeled graph on n vertices; exponential, keep n tiny."""
     pairs = list(combinations(range(n), 2))

@@ -17,8 +17,10 @@ from maxnik.certify import (VERDICT_IK, VERDICT_MAXNIK, VERDICT_NIK,
 from maxnik.construct import size_construct
 from maxnik.graphs import (complete_graph, complete_multipartite, cycle_graph,
                            from_edges, graph6_decode, graph6_encode,
-                           path_graph)
+                           path_graph, vertex_connectivity)
 from maxnik.smallgraphs import enumerate_graphs
+
+from conftest import shaped_random_graph
 
 
 class TestCertifyIK:
@@ -214,6 +216,22 @@ class TestPerNonEdgeGolden:
         assert planarity_tests == 1
         assert validate_certificate(cert, lib) == []
 
+    def test_least_non_edge_gate_runs_before_orbits_and_cutsets(self, monkeypatch, lib):
+        def not_reached(*_args, **_kwargs):
+            raise AssertionError("the least non-edge should settle this graph")
+
+        # one gate through an apex endpoint, one through planarity
+        wheel_pair = from_edges(7, [(0, 1)] + [(a, b) for a in (0, 1) for b in range(2, 7)]
+                                + [(2, 3), (3, 4), (4, 5), (5, 6), (2, 6)])
+        hosts = [cycle_graph(7), wheel_pair]
+        expected = [certify_maxnik(g, lib) for g in hosts]
+        monkeypatch.setattr(certify_module, "orbits", not_reached)
+        monkeypatch.setattr(certify_module, "_certify_by_cutsets", not_reached)
+        for g, want in zip(hosts, expected):
+            cert = certify_maxnik(g, lib)
+            assert cert == want
+            assert cert.evidence["edge"] == list(g.non_edges()[0])
+
     def test_gate_through_apex_endpoint(self, monkeypatch, lib):
         g = cycle_graph(7)
         expected = self._old_path(lib, g, (0, 2))
@@ -273,6 +291,23 @@ class TestNecessary:
     def test_k7_minus_passes_all(self):
         assert check_necessary(named_graph("K7^-").graph).all_pass
 
+    def test_two_connected_matches_vertex_connectivity(self):
+        rng = random.Random(2108)
+        verdicts = {}
+        for _ in range(1500):
+            g = shaped_random_graph(rng)
+            check = check_necessary(g).checks[0]
+            assert (check.name, check.applicable, check.detail) == (
+                "two-connected", g.n >= 2, "connected with no cut vertex")
+            if g.n >= 2:
+                want = g.is_connected() and (g.n == 2 or vertex_connectivity(g) >= 2)
+                assert check.ok == want, g
+                shape = ("disconnected" if not g.is_connected() else
+                         "2-connected" if want else "cut vertex")
+                verdicts[shape] = verdicts.get(shape, 0) + 1
+        assert min(verdicts.get(s, 0) for s in ("disconnected", "cut vertex",
+                                                "2-connected")) >= 100
+
 
 class TestCertificateMechanics:
     def test_json_round_trip(self, lib):
@@ -310,6 +345,17 @@ class TestCertificateMechanics:
 # n = 23..52, each relabelled by the next shuffle of one Random(2021); measured
 # while every piece's nIK certificate was still recomputed wherever it recurred
 COMPOSITE_DIGEST = "e7420ab4dd15d342f2a33510f2446edee61a41b8a49228ecac185bb394170ec3"
+
+
+# sha256 of certify_maxnik(g).dumps(), joined, over every class of order
+# 1..8 from enumerate_graphs; measured before the least-non-edge apex gate
+ORDER8_DIGEST = "29ddea17e556768c8a69355157ead46b55b5fd3c8ce06e975a16465872a401af"
+
+
+def test_every_class_of_order_at_most_8_certifies_unchanged(lib):
+    blob = "".join(certify_maxnik(g, lib).dumps()
+                   for n in range(1, 9) for g in enumerate_graphs(n))
+    assert hashlib.sha256(blob.encode()).hexdigest() == ORDER8_DIGEST
 
 
 class TestOneNikCertificatePerCall:

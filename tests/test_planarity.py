@@ -2,20 +2,23 @@
 
 from __future__ import annotations
 
+import math
 import random
-from itertools import combinations
 
 import pytest
 
+import maxnik.planarity as planarity_module
+from maxnik.construct import size_construct
 from maxnik.graphs import (Graph, complete_graph, complete_multipartite, cycle_graph,
                            disjoint_union, from_edges, join, path_graph,
                            vertex_connectivity)
+from maxnik.minors import DELTA_Y, Y_DELTA, closure
 from maxnik.planarity import (is_k_apex, is_maximal_2apex, is_maximal_planar,
                               is_planar, is_planar_wagner)
 from maxnik.smallgraphs import enumerate_graphs, enumerate_triangulations
 
 from conftest import (all_labeled_graphs, random_graph, reference_is_k_apex,
-                      reference_is_planar)
+                      reference_is_planar, shaped_random_graph)
 
 
 class TestPlanar:
@@ -132,29 +135,6 @@ def test_path_and_trees_planar():
     assert is_planar(star)
 
 
-def _oracle_graph(rng: random.Random) -> Graph:
-    """A seeded random graph of order 1-16 in one of four shapes, relabelled.
-
-    The vertices are cut into consecutive parts, each a G(k, p): one part;
-    disjoint parts; parts that share one vertex with the next (cut
-    vertices); or one part beside components of at most four vertices.
-    """
-    n = rng.randint(1, 16)
-    shape = rng.randrange(4)
-    starts = [0, n if shape == 0 else rng.randint(1, n)]
-    while starts[-1] < n:
-        starts.append(min(n, starts[-1] + rng.randint(1, 4 if shape == 3 else n)))
-    overlap = shape == 2
-    parts = [range(a, min(b + overlap, n)) for a, b in zip(starts, starts[1:])]
-    edges = set()
-    for part in parts:
-        p = rng.choice([0.2, 0.35, 0.5, 0.7, 0.9])
-        edges.update((u, v) for u, v in combinations(part, 2) if rng.random() < p)
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return from_edges(n, sorted(edges)).relabel(perm)
-
-
 class TestOracles:
     """The mask-based DMP core against the Graph-building copy it replaced."""
 
@@ -162,7 +142,7 @@ class TestOracles:
         rng = random.Random(2101)
         disconnected = cut_vertex = small_component = 0
         for _ in range(2000):
-            g = _oracle_graph(rng)
+            g = shaped_random_graph(rng)
             comps = [c.bit_count() for c in g.components()]
             disconnected += len(comps) > 1
             small_component += len(comps) > 1 and min(comps) <= 4
@@ -186,3 +166,84 @@ class TestOracles:
             assert planar == nx.check_planarity(h)[0], g
             verdicts.add(planar)
         assert verdicts == {True, False}
+
+
+def _circulant(n: int, jumps: tuple[int, ...]) -> Graph:
+    return from_edges(n, sorted({tuple(sorted((i, (i + j) % n)))
+                                 for i in range(n) for j in jumps}))
+
+
+def _symmetric_hosts() -> list[Graph]:
+    """Hosts with large automorphism groups, each also randomly relabelled."""
+    rng = random.Random(2107)
+    hosts = [complete_graph(n) for n in range(5, 9)]
+    hosts += [complete_multipartite(3, 3), complete_multipartite(3, 3, 1)]
+    hosts += [join(cycle_graph(m), complete_graph(2)) for m in range(3, 10)]
+    hosts += [_circulant(n, jumps) for n, jumps in (
+        (8, (1, 2)), (9, (1, 3)), (10, (1, 2)), (10, (1, 4)), (11, (1, 2, 4)),
+        (12, (1, 5)), (12, (1, 2, 3)), (13, (1, 5)))]
+    # the Petersen family: K6 closed under both delta-wye moves
+    hosts += closure([complete_graph(6)], {DELTA_Y, Y_DELTA}).members
+    hosts += [size_construct(n)[1] for n in range(20, 41) if n != 22]
+    relabelled = []
+    for g in hosts:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        relabelled.append(g.relabel(perm))
+    return hosts + relabelled
+
+
+class TestOrbitPruning:
+    """``is_k_apex`` skips subsets in the orbit of a failed one, same answers."""
+
+    @staticmethod
+    def _count_tests(monkeypatch) -> list:
+        calls = []
+        real = planarity_module._planar_within
+
+        def counted(rows, keep):
+            calls.append(keep)
+            return real(rows, keep)
+
+        monkeypatch.setattr(planarity_module, "_planar_within", counted)
+        return calls
+
+    def test_matches_reference_on_symmetric_hosts(self, monkeypatch):
+        calls = self._count_tests(monkeypatch)
+        pruned = 0
+        for g in _symmetric_hosts():
+            for k in range(4):
+                calls.clear()
+                got = is_k_apex(g, k)
+                assert got == reference_is_k_apex(g, k), (g, k)
+                subsets = math.comb(g.n, min(k, g.n - 1))
+                assert len(calls) <= subsets
+                pruned += not got.found and len(calls) < subsets
+        assert pruned >= 20
+
+    def test_negative_query_tests_one_subset_per_orbit_after_the_deferral(self, monkeypatch):
+        # K8 minus 2 vertices is K6: every pair fails, and all 28 pairs form
+        # one orbit, so nothing after the first 2n = 16 failures is tested
+        calls = self._count_tests(monkeypatch)
+        assert is_k_apex(complete_graph(8), 2) == (False, None)
+        assert len(calls) == 16
+
+    def test_wrong_generator_fails_loudly(self, monkeypatch):
+        # K8 minus the edge 07 is not 2-apex; swapping 0 and 1 is no automorphism
+        g = complete_graph(8).without_edge(0, 7)
+        assert not is_k_apex(g, 2).found
+        monkeypatch.setattr(planarity_module, "automorphism_generators",
+                            lambda h: [(1, 0, 2, 3, 4, 5, 6, 7)])
+        with pytest.raises(AssertionError, match="not an automorphism"):
+            is_k_apex(g, 2)
+
+    def test_positive_query_fetches_no_generators_before_the_deferral(self, monkeypatch):
+        def no_search(h):
+            raise AssertionError("no generators needed before 2n failures")
+
+        monkeypatch.setattr(planarity_module, "automorphism_generators", no_search)
+        assert is_k_apex(complete_graph(6), 2) == (True, (0, 1))
+        # K2 joined with the octahedron, the K2 moved to {1, 2}: the seven
+        # pairs with vertex 0 fail first
+        g = join(complete_graph(2), complete_multipartite(2, 2, 2))
+        assert is_k_apex(g.relabel([1, 2, 0, 3, 4, 5, 6, 7]), 2) == (True, (1, 2))
