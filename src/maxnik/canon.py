@@ -23,7 +23,10 @@ those of the plain refinement, which the tests keep as a reference.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import Iterator
 
 from .graphs import Graph, _permuted_rows
 
@@ -237,9 +240,35 @@ def isomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:
     return tuple(phi)
 
 
+# Graph -> generators while a ``_generator_memo()`` block is open, else None
+_MEMO: ContextVar[dict[Graph, list[tuple[int, ...]]] | None] = ContextVar(
+    "maxnik_generator_memo", default=None)
+
+
+@contextmanager
+def _generator_memo() -> Iterator[None]:
+    """Inside the block, each graph's generators cost one canonical search.
+
+    A top-level certify call opens one, so the search ``is_k_apex`` runs for
+    a host that is not 2-apex also serves ``orbits`` for the same graph.
+    The memo is dropped when the block ends; nothing is kept between calls.
+    """
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
 def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     """Permutations generating the full automorphism group."""
-    return _canonical_search(g)[2]
+    memo = _MEMO.get()
+    if memo is None:
+        return _canonical_search(g)[2]
+    gens = memo.get(g)
+    if gens is None:
+        gens = memo[g] = _canonical_search(g)[2]
+    return list(gens)
 
 
 def _object_orbits(objects: list, gens: list[tuple[int, ...]], image) -> tuple[tuple, ...]:

@@ -32,9 +32,11 @@ Within one top-level ``certify_nik`` or ``certify_maxnik`` call each graph
 gets one nIK certificate: the call owns a dict from graph to certificate,
 so a clique-sum piece met again (in the nIK and then the maxnik split, or
 at a second cutset) reuses its certificate instead of repeating the 2-apex
-search. Likewise one ``validate_certificate`` call decodes each graph6
-string once and looks up its non-edge orbits and its axiom at most once.
-Nothing is kept between calls.
+search. The call also opens ``canon._generator_memo``, so a graph whose
+automorphism generators ``is_k_apex`` fetched reuses them in
+``orbits(g, "non-edge")``. Likewise one ``validate_certificate`` call
+decodes each graph6 string once and looks up its non-edge orbits and its
+axiom at most once. Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .canon import orbits
+from .canon import _generator_memo, orbits
 from .catalog import ObstructionLibrary, disk_axiom_covers, mmik_library
 from .graphs import Graph, _bits, graph6_decode, graph6_encode
 from .minors import MinorWitness, has_minor
@@ -128,7 +130,9 @@ def certify_nik(g: Graph, lib: ObstructionLibrary | None = None) -> Certificate:
     For order at most 8 a graph that is not 2-apex is IK, so this
     operation may return an IK verdict there.
     """
-    return _certify_nik(g, lib or mmik_library(), {})
+    lib = lib or mmik_library()
+    with _generator_memo():
+        return _certify_nik(g, lib, {})
 
 
 def _certify_nik(g: Graph, lib: ObstructionLibrary,
@@ -168,19 +172,14 @@ def _cutset_decomposition(g: Graph, max_size: int = 3):
     Pieces come back as (vertex list in g, induced subgraph) with the
     vertex list sorted, so piece labels are reproducible.
     """
-    from .primality import _minimal_clique_cutsets
+    from .primality import _minimal_clique_cutsets, _pieces
 
     if not g.is_connected():
         return
     for cut in _minimal_clique_cutsets(g):
         if len(cut) > max_size:
             return  # cutsets come smallest first
-        kept = [v for v in range(g.n) if v not in cut]
-        pieces = []
-        for comp in g.delete_vertices(cut).components():
-            verts = sorted([kept[i] for i in _bits(comp)] + list(cut))
-            pieces.append((verts, g.subgraph(verts)))
-        yield cut, pieces
+        yield cut, [(list(_bits(m)), g._induced(m)) for m in _pieces(g, cut)]
 
 
 def _edge_triangular_in(piece: Graph, verts: list[int], cut: tuple[int, ...]) -> bool:
@@ -243,7 +242,9 @@ def _certify_by_cutsets(g: Graph, lib: ObstructionLibrary,
 
 def certify_maxnik(g: Graph, lib: ObstructionLibrary | None = None) -> Certificate:
     """Edge-maximality: nIK now, IK after every orbit-distinct edge addition."""
-    return _certify_maxnik(g, lib or mmik_library(), {})
+    lib = lib or mmik_library()
+    with _generator_memo():
+        return _certify_maxnik(g, lib, {})
 
 
 def _certify_maxnik(g: Graph, lib: ObstructionLibrary,

@@ -5,10 +5,21 @@ intersection (the inner loop of triangle and minor tests) is a single
 ``&``. Vertices are always 0..n-1; deletion and contraction relabel
 densely. Graphs are immutable and hashable.
 
+The hot paths work on whole bit rows. ``Graph(...)`` checks symmetry by
+testing each upper-half bit against its mirror plus one popcount
+comparison of the two halves, and rescans in full only to name the first
+asymmetric pair. An induced subgraph closes up each run of deleted
+vertices with one shift and mask per row. Graphs derived from one that
+is already valid (induced subgraphs, ``identified_union``, canonical
+relabellings) skip the checks through ``Graph._trusted``; ``Graph(...)``
+and every public constructor validate.
+
 Also holds the graph6 codec (byte = 63 + value, upper-triangle
-column-major bit order, zero padding) and the elementary operations:
-complement, join, edge contraction, degree statistics, exact vertex
-connectivity, and non-triangular edge detection.
+column-major bit order, zero padding), which converts six bits at a time
+through two 64-entry tables and reads or writes each column of the upper
+triangle as one binary string, and the elementary operations: complement,
+join, edge contraction, degree statistics, exact vertex connectivity, and
+non-triangular edge detection.
 """
 
 from __future__ import annotations
@@ -35,10 +46,33 @@ def _permuted_rows(rows: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
     out = [0] * len(rows)
     for v, r in enumerate(rows):
         x = 0
-        for u in _bits(r):
-            x |= 1 << perm[u]
+        while r:
+            b = r & -r
+            x |= 1 << perm[b.bit_length() - 1]
+            r ^= b
         out[perm[v]] = x
     return tuple(out)
+
+
+def _symmetric(rows: tuple[int, ...]) -> bool:
+    """Is every edge of the loop-free ``rows`` stored in both of its rows?
+
+    Each bit u > v of row v must be mirrored in row u. If every upper bit
+    is, the lower halves hold at least the mirrored bits, so they hold
+    exactly those when both halves have the same total popcount.
+    """
+    upper = total = 0
+    for v, r in enumerate(rows):
+        total += r.bit_count()
+        hi = r >> (v + 1) << (v + 1)
+        upper += hi.bit_count()
+        bit = 1 << v
+        while hi:
+            b = hi & -hi
+            if not rows[b.bit_length() - 1] & bit:
+                return False
+            hi ^= b
+    return 2 * upper == total
 
 
 class Graph:
@@ -58,10 +92,12 @@ class Graph:
                 raise ValueError(f"row {v} has bits outside 0..{n - 1}")
             if r >> v & 1:
                 raise ValueError(f"loop at vertex {v}")
-        for v, r in enumerate(rows):
-            for u in _bits(r):
-                if not rows[u] >> v & 1:
-                    raise ValueError(f"asymmetric adjacency at ({v}, {u})")
+        if not _symmetric(rows):
+            # the full scan names the first asymmetric pair
+            for v, r in enumerate(rows):
+                for u in _bits(r):
+                    if not rows[u] >> v & 1:
+                        raise ValueError(f"asymmetric adjacency at ({v}, {u})")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_hash", hash((n, rows)))
@@ -71,10 +107,12 @@ class Graph:
         """A graph on rows that are valid by construction, without the checks.
 
         ``rows`` must be a tuple of ``n`` loop-free, symmetric rows inside
-        0..n-1, with 1 <= n <= 64. Only the package's canonical relabelling
+        0..n-1, with 1 <= n <= 64. It builds the graphs derived from one that
+        is already valid: induced subgraphs (``delete_vertices``,
+        ``subgraph``), ``identified_union``, the canonical relabelling
         (``canon._relabel_canonically``) and the augmented child in
-        ``smallgraphs.enumerate_graphs`` call it; every other graph, and
-        everything a user builds, goes through the validating constructor.
+        ``smallgraphs.enumerate_graphs``. ``Graph(...)``, ``relabel``,
+        ``with_edge`` and every public constructor keep validating.
         """
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
@@ -112,10 +150,12 @@ class Graph:
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         out = []
-        for v in range(self.n):
-            hi = self.rows[v] >> (v + 1) << (v + 1)
-            for u in _bits(hi):
-                out.append((v, u))
+        for v, r in enumerate(self.rows):
+            hi = r >> (v + 1) << (v + 1)
+            while hi:
+                b = hi & -hi
+                out.append((v, b.bit_length() - 1))
+                hi ^= b
         return tuple(out)
 
     def non_edges(self) -> tuple[tuple[int, int], ...]:
@@ -149,22 +189,44 @@ class Graph:
         gone = 0
         for v in doomed:
             gone |= 1 << v
-        keep = [v for v in range(self.n) if not gone >> v & 1]
-        if not keep:
-            raise ValueError("cannot delete every vertex")
-        pos = {v: i for i, v in enumerate(keep)}
-        rows = []
-        for v in keep:
-            r = 0
-            for u in _bits(self.rows[v] & ~gone):
-                r |= 1 << pos[u]
-            rows.append(r)
-        return Graph(len(keep), rows)
+        return self._induced(((1 << self.n) - 1) & ~gone)
 
     def subgraph(self, keep: Iterable[int]) -> "Graph":
         """Induced subgraph on ``keep``, relabelled densely in sorted order."""
         keepset = set(keep)
-        return self.delete_vertices(v for v in range(self.n) if v not in keepset)
+        mask = 0
+        for v in range(self.n):
+            if v in keepset:
+                mask |= 1 << v
+        return self._induced(mask)
+
+    def _induced(self, keep: int) -> "Graph":
+        """Induced subgraph on the vertex mask ``keep``, relabelled densely.
+
+        Each run of deleted vertices, highest first, is closed up with one
+        shift and mask per row, so the kept vertices keep their order.
+        """
+        if not keep:
+            raise ValueError("cannot delete every vertex")
+        runs = []  # (mask below the run, run end, run start), highest run first
+        gone = ((1 << self.n) - 1) & ~keep
+        while gone:
+            lo = (gone & -gone).bit_length() - 1
+            x = gone >> lo
+            hi = lo + (x ^ (x + 1)).bit_length() - 1
+            runs.append(((1 << lo) - 1, hi, lo))
+            gone = gone >> hi << hi
+        runs.reverse()
+        rows = []
+        k = keep
+        while k:
+            b = k & -k
+            r = self.rows[b.bit_length() - 1] & keep
+            for low, hi, lo in runs:
+                r = r & low | r >> hi << lo
+            rows.append(r)
+            k ^= b
+        return Graph._trusted(len(rows), tuple(rows))
 
     def components(self) -> list[int]:
         """Connected components as vertex bitmasks, sorted by lowest vertex."""
@@ -251,15 +313,26 @@ def identified_union(g: Graph, g_sites: Sequence[int], h: Graph, h_sites: Sequen
     n = g.n + h.n - len(g_sites)
     if n > MAX_ORDER:
         raise OrderOverflowError(f"identified union order {n} exceeds {MAX_ORDER}")
-    hmap = dict(zip(h_sites, g_sites))
+    if not (all(0 <= v < g.n for v in g_sites) and all(0 <= v < h.n for v in h_sites)):
+        raise ValueError("site outside its graph")
+    site = dict(zip(h_sites, g_sites))
+    hmap = []  # position of each h vertex in the union
     nxt = g.n
     for v in range(h.n):
-        if v not in hmap:
-            hmap[v] = nxt
+        if v in site:
+            hmap.append(site[v])
+        else:
+            hmap.append(nxt)
             nxt += 1
-    edges = list(g.edges())
-    edges.extend((hmap[u], hmap[v]) for u, v in h.edges())
-    return from_edges(n, edges)
+    rows = list(g.rows) + [0] * (n - g.n)
+    for v, r in enumerate(h.rows):
+        x = 0
+        while r:
+            b = r & -r
+            x |= 1 << hmap[b.bit_length() - 1]
+            r ^= b
+        rows[hmap[v]] |= x
+    return Graph._trusted(n, tuple(rows))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -426,6 +499,10 @@ def clique_number(g: Graph) -> int:
 
 # -- graph6 ------------------------------------------------------------------
 
+# six bits, most significant first, to their graph6 character and back
+_SIX_TO_CHAR = {format(v, "06b"): chr(63 + v) for v in range(64)}
+_CHAR_TO_SIX = {63 + v: format(v, "06b") for v in range(64)}  # str.translate table
+
 
 def graph6_encode(g: Graph) -> str:
     n = g.n
@@ -433,19 +510,11 @@ def graph6_encode(g: Graph) -> str:
         head = chr(63 + n)
     else:
         head = "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
-    bits = []
-    for v in range(1, n):
-        col = g.rows[v]
-        bits.extend((col >> u) & 1 for u in range(v))
-    out = []
-    for at in range(0, len(bits), 6):
-        chunk = bits[at:at + 6]
-        chunk += [0] * (6 - len(chunk))
-        val = 0
-        for b in chunk:
-            val = val << 1 | b
-        out.append(chr(63 + val))
-    return head + "".join(out)
+    # column v holds rows 0..v-1 of the upper triangle: row v's low bits, reversed
+    rows = g.rows
+    bits = "".join([format(rows[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, n)])
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join([_SIX_TO_CHAR[bits[at:at + 6]] for at in range(0, len(bits), 6)])
 
 
 def graph6_decode(text: str) -> Graph:
@@ -454,39 +523,38 @@ def graph6_decode(text: str) -> Graph:
         s = s[len(">>graph6<<"):]
     if not s:
         raise ParseError("empty graph6 string")
-    vals = []
-    for ch in s:
-        v = ord(ch) - 63
-        if not 0 <= v <= 63:
-            raise ParseError(f"byte {ord(ch)} out of graph6 range")
-        vals.append(v)
-    if vals[0] == 63:  # long form
-        if len(vals) >= 4 and vals[1] == 63:
+    if min(s) < "?" or max(s) > "~":  # name the first byte out of range
+        for ch in s:
+            if not 63 <= ord(ch) <= 126:
+                raise ParseError(f"byte {ord(ch)} out of graph6 range")
+    if s[0] == "~":  # long form
+        if len(s) >= 4 and s[1] == "~":
             raise ParseError("order above 64 not supported")
-        if len(vals) < 4:
+        if len(s) < 4:
             raise ParseError("truncated long-form order")
-        n = vals[1] << 12 | vals[2] << 6 | vals[3]
-        body = vals[4:]
+        n = (ord(s[1]) - 63) << 12 | (ord(s[2]) - 63) << 6 | (ord(s[3]) - 63)
+        body = s[4:]
     else:
-        n = vals[0]
-        body = vals[1:]
+        n = ord(s[0]) - 63
+        body = s[1:]
     if not 1 <= n <= MAX_ORDER:
         raise ParseError(f"order {n} outside 1..{MAX_ORDER}")
     nbits = n * (n - 1) // 2
     want = (nbits + 5) // 6
     if len(body) != want:
         raise ParseError(f"expected {want} data bytes, found {len(body)}")
-    bits = []
-    for v in body:
-        bits.extend((v >> s) & 1 for s in range(5, -1, -1))
-    if any(bits[nbits:]):
+    bits = body.translate(_CHAR_TO_SIX)
+    if "1" in bits[nbits:]:
         raise ParseError("nonzero padding bits")
     rows = [0] * n
     at = 0
     for v in range(1, n):
-        for u in range(v):
-            if bits[at]:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            at += 1
+        col = int(bits[at:at + v][::-1], 2)  # v's neighbours below v
+        at += v
+        rows[v] |= col
+        bit = 1 << v
+        while col:
+            b = col & -col
+            rows[b.bit_length() - 1] |= bit
+            col ^= b
     return Graph(n, rows)

@@ -55,7 +55,14 @@ class MinorWitness:
             if m & seen:
                 return False
             seen |= m
-            if len(host.subgraph(bs).components()) != 1:
+            reach = frontier = m & -m
+            while frontier:  # flood fill inside the branch set
+                b = frontier & -frontier
+                frontier ^= b
+                grow = host.rows[b.bit_length() - 1] & m & ~reach
+                reach |= grow
+                frontier |= grow
+            if reach != m:
                 return False
             masks.append(m)
         for a, b in pattern.edges():

@@ -14,7 +14,7 @@ are reproducible (Tarjan, "Decomposition by clique separators", 1985).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .graphs import Graph, _bits, identified_union
 
@@ -57,6 +57,31 @@ def _minimal_clique_cutsets(g: Graph) -> Iterator[tuple[int, ...]]:
                 v = b.bit_length() - 1
                 grown.append((clique + (v,), cmask | b, common & rows[v]))
         level = grown
+
+
+def _pieces(g: Graph, cut: Iterable[int]) -> list[int]:
+    """Vertex masks of the pieces of g at ``cut``, ordered by least vertex.
+
+    One piece per component of g minus the cut, with the cut added back;
+    the components come from a flood fill of the mask outside the cut.
+    """
+    rows = g.rows
+    cmask = 0
+    for v in cut:
+        cmask |= 1 << v
+    rest = ((1 << g.n) - 1) & ~cmask
+    out = []
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            new = rows[b.bit_length() - 1] & rest & ~comp
+            comp |= new
+            frontier |= new
+        rest ^= comp
+        out.append(comp | cmask)
+    return out
 
 
 def clique_cutsets(g: Graph) -> list[tuple[int, ...]]:
@@ -149,16 +174,11 @@ def decompose(g: Graph) -> Decomposition:
     cut = next(_minimal_clique_cutsets(g), None)
     if cut is None:
         return Decomposition(g, None, (), ())
-    cmask = 0
-    for v in cut:
-        cmask |= 1 << v
-    kept = [v for v in range(g.n) if not cmask >> v & 1]
     parts = []
     vert_lists = []
-    for comp in g.delete_vertices(cut).components():
-        verts = tuple(sorted([kept[i] for i in _bits(comp)] + list(cut)))
-        vert_lists.append(verts)
-        parts.append(decompose(g.subgraph(verts)))
+    for piece in _pieces(g, cut):
+        vert_lists.append(tuple(_bits(piece)))
+        parts.append(decompose(g._induced(piece)))
     d = Decomposition(g, cut, tuple(parts), tuple(vert_lists))
     rebuilt, gmap = d._re_glue_mapped()
     if g.relabel(gmap) != rebuilt:
@@ -198,20 +218,14 @@ def check_lemma_two_cut(g: Graph, certificate) -> TwoCutReport:
     checks = []
     for x in range(g.n):
         for y in range(x + 1, g.n):
-            if g.n - 2 < 1:
-                continue
-            rest = g.delete_vertices((x, y))
-            comps = rest.components()
-            if len(comps) < 2:
+            pieces = _pieces(g, (x, y))
+            if len(pieces) < 2:
                 continue
             edge_present = g.has_edge(x, y)
             verdicts = []
             ok = edge_present
-            kept = [v for v in range(g.n) if v not in (x, y)]
-            for comp in comps:
-                verts = sorted([kept[i] for i in _bits(comp)] + [x, y])
-                piece = g.subgraph(verts)
-                verdict = certify_maxnik(piece).verdict
+            for piece in pieces:
+                verdict = certify_maxnik(g._induced(piece)).verdict
                 verdicts.append(verdict)
                 ok = ok and verdict == VERDICT_MAXNIK
             checks.append(TwoCutCheck((x, y), edge_present, tuple(verdicts), ok))

@@ -9,7 +9,9 @@ import pytest
 from maxnik.canon import CanonicalForm, canonical_form, canonical_labeling
 from maxnik.catalog import mmik_library
 from maxnik.certify import check_necessary
-from maxnik.graphs import Graph, _bits, contract_edge, from_edges, graph6_encode
+from maxnik.errors import OrderOverflowError, ParseError
+from maxnik.graphs import (MAX_ORDER, Graph, _bits, contract_edge, from_edges,
+                           graph6_encode)
 from maxnik.minors import MinorSearch, MinorWitness
 from maxnik.planarity import KApexResult
 from maxnik.survey import classified_maxnik
@@ -649,3 +651,175 @@ def reference_canonical_search(g: Graph) -> tuple[CanonicalForm, tuple[int, ...]
     nbytes = (g.n * (g.n - 1) // 2 + 7) // 8
     key = bytes([g.n]) + s.best_key.to_bytes(nbytes, "big")
     return CanonicalForm(key), s.best_lab, list(s.autos)
+
+
+# -- graph core oracles ----------------------------------------------------------
+#
+# Verbatim copies of the bit-list graph6 codec, the validating constructor,
+# ``delete_vertices``, ``identified_union`` and the subgraph-based branch-set
+# check from before the graph core worked on whole bit rows. The fast code
+# must return the same graphs and strings and raise the same exception
+# classes with the same messages.
+
+
+def reference_graph(n: int, rows) -> Graph:
+    """Oracle: the validating constructor's checks, then the same graph."""
+    if not 1 <= n <= MAX_ORDER:
+        raise OrderOverflowError(f"order {n} outside 1..{MAX_ORDER}")
+    rows = tuple(rows)
+    if len(rows) != n:
+        raise ValueError("row count does not match order")
+    full = (1 << n) - 1
+    for v, r in enumerate(rows):
+        if r & ~full:
+            raise ValueError(f"row {v} has bits outside 0..{n - 1}")
+        if r >> v & 1:
+            raise ValueError(f"loop at vertex {v}")
+    for v, r in enumerate(rows):
+        for u in _bits(r):
+            if not rows[u] >> v & 1:
+                raise ValueError(f"asymmetric adjacency at ({v}, {u})")
+    return Graph._trusted(n, rows)
+
+
+def reference_delete_vertices(g: Graph, doomed) -> Graph:
+    """Oracle: ``Graph.delete_vertices`` through a position map."""
+    gone = 0
+    for v in doomed:
+        gone |= 1 << v
+    keep = [v for v in range(g.n) if not gone >> v & 1]
+    if not keep:
+        raise ValueError("cannot delete every vertex")
+    pos = {v: i for i, v in enumerate(keep)}
+    rows = []
+    for v in keep:
+        r = 0
+        for u in _bits(g.rows[v] & ~gone):
+            r |= 1 << pos[u]
+        rows.append(r)
+    return reference_graph(len(keep), rows)
+
+
+def reference_subgraph(g: Graph, keep) -> Graph:
+    keepset = set(keep)
+    return reference_delete_vertices(g, (v for v in range(g.n) if v not in keepset))
+
+
+def reference_identified_union(g: Graph, g_sites, h: Graph, h_sites) -> Graph:
+    """Oracle: ``identified_union`` through the edge lists (sites in range)."""
+    hmap = dict(zip(h_sites, g_sites))
+    nxt = g.n
+    for v in range(h.n):
+        if v not in hmap:
+            hmap[v] = nxt
+            nxt += 1
+    edges = list(g.edges())
+    edges.extend((hmap[u], hmap[v]) for u, v in h.edges())
+    n = g.n + h.n - len(g_sites)
+    rows = [0] * n
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return reference_graph(n, rows)
+
+
+def reference_branch_sets_valid(witness: MinorWitness, host: Graph, pattern: Graph) -> bool:
+    """Oracle: ``MinorWitness.validate`` with connectivity from ``subgraph``."""
+    if len(witness.branch_sets) != pattern.n:
+        return False
+    masks = []
+    seen = 0
+    for bs in witness.branch_sets:
+        if not bs:
+            return False
+        m = 0
+        for v in bs:
+            if not 0 <= v < host.n:
+                return False
+            m |= 1 << v
+        if m & seen:
+            return False
+        seen |= m
+        if len(reference_subgraph(host, bs).components()) != 1:
+            return False
+        masks.append(m)
+    for a, b in pattern.edges():
+        na = 0
+        for v in _bits(masks[a]):
+            na |= host.rows[v]
+        if not na & masks[b]:
+            return False
+    return True
+
+
+def reference_graph6_encode(g: Graph) -> str:
+    n = g.n
+    if n <= 62:
+        head = chr(63 + n)
+    else:
+        head = "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
+    bits = []
+    for v in range(1, n):
+        col = g.rows[v]
+        bits.extend((col >> u) & 1 for u in range(v))
+    out = []
+    for at in range(0, len(bits), 6):
+        chunk = bits[at:at + 6]
+        chunk += [0] * (6 - len(chunk))
+        val = 0
+        for b in chunk:
+            val = val << 1 | b
+        out.append(chr(63 + val))
+    return head + "".join(out)
+
+
+def reference_graph6_decode(text: str) -> Graph:
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise ParseError("empty graph6 string")
+    vals = []
+    for ch in s:
+        v = ord(ch) - 63
+        if not 0 <= v <= 63:
+            raise ParseError(f"byte {ord(ch)} out of graph6 range")
+        vals.append(v)
+    if vals[0] == 63:  # long form
+        if len(vals) >= 4 and vals[1] == 63:
+            raise ParseError("order above 64 not supported")
+        if len(vals) < 4:
+            raise ParseError("truncated long-form order")
+        n = vals[1] << 12 | vals[2] << 6 | vals[3]
+        body = vals[4:]
+    else:
+        n = vals[0]
+        body = vals[1:]
+    if not 1 <= n <= MAX_ORDER:
+        raise ParseError(f"order {n} outside 1..{MAX_ORDER}")
+    nbits = n * (n - 1) // 2
+    want = (nbits + 5) // 6
+    if len(body) != want:
+        raise ParseError(f"expected {want} data bytes, found {len(body)}")
+    bits = []
+    for v in body:
+        bits.extend((v >> s) & 1 for s in range(5, -1, -1))
+    if any(bits[nbits:]):
+        raise ParseError("nonzero padding bits")
+    rows = [0] * n
+    at = 0
+    for v in range(1, n):
+        for u in range(v):
+            if bits[at]:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            at += 1
+    return reference_graph(n, rows)
+
+
+def outcome(fn, *args):
+    """``("ok", result)`` or ``(exception class, message)`` for ``fn(*args)``."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the oracle tests compare every failure
+        return type(exc), str(exc)

@@ -5,9 +5,11 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
 
+import maxnik.canon as canon_module
 import maxnik.certify as certify_module
-from maxnik.canon import orbits
+from maxnik.canon import automorphism_generators, orbits
 from maxnik.catalog import ObstructionLibrary, named_graph
 from maxnik.certify import (VERDICT_IK, VERDICT_MAXNIK, VERDICT_NIK,
                             VERDICT_NOT_MAXNIK, VERDICT_UNKNOWN, Certificate,
@@ -398,6 +400,33 @@ class TestOneNikCertificatePerCall:
         searched = self._count_apex_searches(monkeypatch)
         assert certify_nik(g, lib).verdict == VERDICT_NIK
         assert len(searched) == len(set(searched)) >= 2
+
+
+class TestOneGeneratorSearchPerCall:
+    def test_is_k_apex_and_orbits_share_one_search(self, monkeypatch, lib):
+        # A host that is not 2-apex has its generators fetched by is_k_apex,
+        # then orbits(g, "non-edge") needs them again. The parent ran 143
+        # generator searches here (and 111 other canonical searches).
+        graphs = [size_construct(n)[1] for n in range(23, 53)]
+        searches = {"automorphism_generators": 0, "other": 0}
+        real = canon_module._canonical_search
+
+        def counted(g):
+            caller = sys._getframe(1).f_code.co_name
+            searches[caller if caller in searches else "other"] += 1
+            return real(g)
+
+        monkeypatch.setattr(canon_module, "_canonical_search", counted)
+        blob = "".join(certify_maxnik(g, lib).dumps() for g in graphs)
+        # digest measured at the parent, before the memo
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "c94c23810716fc654ab0477c1bcf6838f6336471d0bc7f0c4816177c75a79f75")
+        assert searches == {"automorphism_generators": 103, "other": 111}
+        # the memo lives for one call: outside one, every request searches
+        assert canon_module._MEMO.get() is None
+        automorphism_generators(graphs[0])
+        automorphism_generators(graphs[0])
+        assert searches["automorphism_generators"] == 105
 
 
 class TestValidatorDecodesOnce:

@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from maxnik.errors import MaxnikError  # noqa: E402
 from maxnik.graphs import graph6_decode, graph6_encode  # noqa: E402
 
+from conftest import outcome, reference_graph6_decode  # noqa: E402
+
 GRAPH6_CHARS = st.characters(min_codepoint=63, max_codepoint=126)
 
 
@@ -39,3 +41,13 @@ def test_graph6_decode_raises_or_round_trips(text):
     except MaxnikError:
         return
     assert graph6_decode(graph6_encode(g)) == g
+
+
+@settings(max_examples=2000, deadline=None, database=None, derandomize=True)
+@given(TEXT)
+def test_graph6_decode_matches_the_bit_list_codec(text):
+    # the same graph, or the same exception class and message
+    got, want = outcome(graph6_decode, text), outcome(reference_graph6_decode, text)
+    assert got == want
+    if got[0] == "ok":
+        assert got[1].rows == want[1].rows
