@@ -28,7 +28,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import Graph, _permuted_rows
+from .graphs import Graph, _permuted_rows, triangles
 
 
 @dataclass(frozen=True, order=True)
@@ -292,27 +292,28 @@ def _object_orbits(objects: list, gens: list[tuple[int, ...]], image) -> tuple[t
     return tuple(sorted(tuple(sorted(v)) for v in groups.values()))
 
 
+def _vertex_image(v: int, a: tuple[int, ...]) -> int:
+    return a[v]
+
+
+def _pair_image(e: tuple[int, int], a: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted((a[e[0]], a[e[1]])))
+
+
+def _triangle_image(t: tuple[int, int, int], a: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted((a[t[0]], a[t[1]], a[t[2]])))
+
+
 def orbits(g: Graph, kind: str) -> OrbitPartition:
     """Automorphism orbits of vertices, edges, non-edges, or triangles."""
     gens = automorphism_generators(g)
     if kind == "vertex":
-        objects = list(range(g.n))
-
-        def image(v, a):
-            return a[v]
+        objects, image = list(range(g.n)), _vertex_image
     elif kind in ("edge", "non-edge"):
         pairs = g.edges() if kind == "edge" else g.non_edges()
-        objects = [tuple(p) for p in pairs]
-
-        def image(e, a):
-            return tuple(sorted((a[e[0]], a[e[1]])))
+        objects, image = [tuple(p) for p in pairs], _pair_image
     elif kind == "triangle":
-        from .graphs import triangles
-
-        objects = [tuple(t) for t in triangles(g)]
-
-        def image(t, a):
-            return tuple(sorted((a[t[0]], a[t[1]], a[t[2]])))
+        objects, image = [tuple(t) for t in triangles(g)], _triangle_image
     else:
         raise ValueError(f"unknown orbit kind {kind!r}")
     return OrbitPartition(kind, _object_orbits(objects, gens, image))

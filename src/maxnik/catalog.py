@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import minors
-from .canon import canonical_form, canonical_key_graph, isomorphism, orbits
+from .canon import (canonical_form, canonical_key_graph, canonical_labeling,
+                    isomorphism, orbits)
 from .errors import IdentificationAmbiguous, ValidationError
 from .graphs import (Graph, clique_number, complement, complete_graph,
                      complete_multipartite, cycle_graph, disjoint_union,
@@ -47,12 +48,15 @@ class TriangleDiskAxiom:
 
     ``triangle_orbit`` lists the qualifying triangles on the registry
     labeling of the graph; None means every triangle qualifies.
+    ``labeling`` is the registry graph's canonical labeling, computed once
+    when the library is built, or None when every triangle qualifies.
     """
 
     graph_name: str
     key: bytes
     triangle_orbit: tuple[tuple[int, int, int], ...] | None
     note: str
+    labeling: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -348,12 +352,9 @@ def mmik_library() -> ObstructionLibrary:
     g929 = named_graph("G9,29")
     e9_plus_e = named_graph("E9+e")
     patterns: dict[bytes, NamedGraph] = {}
-    for idx, g in enumerate(k7_dy_family().members):
-        key = canonical_form(g).key
-        patterns[key] = NamedGraph(f"K7-family-{idx}", g, PROV_CLOSURE)
-    for idx, g in enumerate(k3311_family().members):
-        key = canonical_form(g).key
-        patterns.setdefault(key, NamedGraph(f"K3,3,1,1-family-{idx}", g, PROV_CLOSURE))
+    for fam, seed in ((k7_dy_family(), "K7"), (k3311_family(), "K3,3,1,1")):
+        for idx, (key, g) in enumerate(zip(fam.keys, fam.members)):
+            patterns.setdefault(key, NamedGraph(f"{seed}-family-{idx}", g, PROV_CLOSURE))
     # give the seeds and derived members their customary names
     for name in ("K7", "K3,3,1,1", "F9"):
         key = canonical_form(named_graph(name).graph).key
@@ -363,16 +364,19 @@ def mmik_library() -> ObstructionLibrary:
         if ng.graph.m < 21:
             raise ValidationError(f"pattern {ng.name} has under 21 edges")
     axioms = (e9, g929)
-    axiom_keys = tuple(canonical_form(ax.graph).key for ax in axioms)
+    e9_form, e9_labeling = canonical_labeling(e9.graph)
+    axiom_keys = (e9_form.key, canonical_form(g929.graph).key)
     for ax, key in zip(axioms, axiom_keys):
         if key in patterns:
             raise ValidationError(f"knotless axiom {ax.name} collides with a pattern")
-    ordered = tuple(sorted(patterns.values(), key=lambda p: (p.graph.n, p.graph.m, canonical_form(p.graph).key)))
+    ordered = tuple(p for _, p in sorted(
+        patterns.items(), key=lambda kp: (kp[1].graph.n, kp[1].graph.m, kp[0])))
     tri_axioms = (
         TriangleDiskAxiom(
-            "E9", canonical_form(e9.graph).key,
+            "E9", e9_form.key,
             _designated_e9_triangle_orbit(e9.graph),
-            "orbit choice among common-neighbor-free triangles is a recorded assumption"),
+            "orbit choice among common-neighbor-free triangles is a recorded assumption",
+            e9_labeling),
         TriangleDiskAxiom(
             "K4", canonical_form(complete_graph(4)).key, None,
             "any triangle of K4 bounds a face of the planar embedding"),
@@ -423,16 +427,14 @@ def disk_axiom_covers(lib: ObstructionLibrary, g: Graph, triangle: tuple[int, in
     a, b, c = triangle
     if len({a, b, c}) != 3 or not (g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)):
         return False
-    key = canonical_form(g).key
+    form, lab = canonical_labeling(g)
     for ax in lib.triangle_disk_axioms:
-        if ax.key != key:
+        if ax.key != form.key:
             continue
         if ax.triangle_orbit is None:
             return True
-        ref = named_graph(ax.graph_name).graph
-        phi = isomorphism(g, ref)
-        if phi is None:
-            continue
+        # equal keys: vertex lab[i] of g is vertex ax.labeling[i] of the registry graph
+        phi = dict(zip(lab, ax.labeling))
         image = tuple(sorted((phi[a], phi[b], phi[c])))
         if image in ax.triangle_orbit:
             return True

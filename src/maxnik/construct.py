@@ -143,10 +143,11 @@ def _certified(name: str) -> tuple[Graph, Certificate]:
 
 
 def _least_non_triangular_edge(g: Graph) -> tuple[int, int]:
-    edges = non_triangular_edges(g)
-    if not edges:
-        raise PreconditionError("no non-triangular edge available")
-    return edges[0]
+    rows = g.rows
+    for u, v in g.edges():
+        if not rows[u] & rows[v]:
+            return u, v
+    raise PreconditionError("no non-triangular edge available")
 
 
 def chain_graphs(i: int) -> tuple[Graph, Certificate]:

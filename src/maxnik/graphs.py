@@ -11,8 +11,9 @@ comparison of the two halves, and rescans in full only to name the first
 asymmetric pair. An induced subgraph closes up each run of deleted
 vertices with one shift and mask per row. Graphs derived from one that
 is already valid (induced subgraphs, ``identified_union``, canonical
-relabellings) skip the checks through ``Graph._trusted``; ``Graph(...)``
-and every public constructor validate.
+relabellings) and the rows ``graph6_decode`` fills on both sides skip the
+checks through ``Graph._trusted``; ``Graph(...)`` and every other public
+constructor validate.
 
 Also holds the graph6 codec (byte = 63 + value, upper-triangle
 column-major bit order, zero padding), which converts six bits at a time
@@ -110,9 +111,9 @@ class Graph:
         0..n-1, with 1 <= n <= 64. It builds the graphs derived from one that
         is already valid: induced subgraphs (``delete_vertices``,
         ``subgraph``), ``identified_union``, the canonical relabelling
-        (``canon._relabel_canonically``) and the augmented child in
-        ``smallgraphs.enumerate_graphs``. ``Graph(...)``, ``relabel``,
-        ``with_edge`` and every public constructor keep validating.
+        (``canon._relabel_canonically``), the augmented child in
+        ``smallgraphs.enumerate_graphs`` and ``graph6_decode``. ``Graph(...)``,
+        ``relabel``, ``with_edge`` and every other public constructor validate.
         """
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
@@ -557,4 +558,4 @@ def graph6_decode(text: str) -> Graph:
             b = col & -col
             rows[b.bit_length() - 1] |= bit
             col ^= b
-    return Graph(n, rows)
+    return Graph._trusted(n, tuple(rows))

@@ -20,6 +20,11 @@ order, because roots are tried in increasing order and every pruning rule
 only cuts placements that extend to no witness. So the first witness of
 the unrestricted search already has increasing twin roots and is also the
 first witness of the restricted one.
+
+``closure`` makes one delta-wye or wye-delta child per automorphism orbit
+of its parent, as ``enumerate_graphs`` builds each class once (McKay
+1998). An automorphism moving one triangle or degree-3 vertex onto another
+makes the two children isomorphic, so a skipped child never founds a class.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .canon import _relabel_canonically, canonical_key_graph, canonical_labeling
-from .graphs import Graph, _bits, triangles
+from . import canon
+from .graphs import Graph, _bits, _permuted_rows, triangles
 
 
 @dataclass(frozen=True)
@@ -245,6 +250,13 @@ def closure(seeds: list[Graph], moves) -> ClosureResult:
     The worklist is processed in canonical-key order so runs are
     reproducible; termination follows because both moves keep the edge
     count bounded and positive-degree vertices number at most twice that.
+
+    A member gets delta-wye on the least triangle of each triangle orbit,
+    then wye-delta on the least degree-3 vertex of each vertex orbit, under
+    the generators of the search that labelled it. A skipped child is
+    isomorphic to its orbit's least, an earlier child of the same parent,
+    so each class is first found by the same (move, parent): members, keys
+    and genealogy are those of labelling every child.
     """
     moves = frozenset(moves)
     if not moves or not moves <= {DELTA_Y, Y_DELTA}:
@@ -252,29 +264,41 @@ def closure(seeds: list[Graph], moves) -> ClosureResult:
     if not seeds:
         raise ValueError("need at least one seed")
     members: dict[bytes, Graph] = {}
+    gens: dict[bytes, list[tuple[int, ...]]] = {}  # for this call only
     genealogy: dict[bytes, tuple[str, bytes] | None] = {}
     heap: list[bytes] = []
+
+    def label(g: Graph, origin: tuple[str, bytes] | None) -> None:
+        form, lab, autos = canon._canonical_search(g)
+        key = form.key
+        if key in members:
+            return
+        # a new class: carry each generator a onto rep as b[i] = pos[a[lab[i]]]
+        rep = members[key] = canon._relabel_canonically(g, lab)
+        pos = [0] * g.n
+        for i, v in enumerate(lab):
+            pos[v] = i
+        gens[key] = [tuple([pos[a[v]] for v in lab]) for a in autos]
+        for b in gens[key]:
+            if _permuted_rows(rep.rows, b) != rep.rows:
+                raise AssertionError(f"generator {b} is not an automorphism")
+        genealogy[key] = origin
+        heapq.heappush(heap, key)
+
     for s in seeds:
-        key, rep = canonical_key_graph(s)
-        if key not in members:
-            members[key] = rep
-            genealogy[key] = None
-            heapq.heappush(heap, key)
+        label(s, None)
     while heap:
         key = heapq.heappop(heap)
         g = members[key]
         children: list[tuple[str, Graph]] = []
         if DELTA_Y in moves:
-            children.extend((DELTA_Y, delta_y(g, t)) for t in triangles(g))
+            orbs = canon._object_orbits(list(triangles(g)), gens[key], canon._triangle_image)
+            children.extend((DELTA_Y, delta_y(g, orbit[0])) for orbit in orbs)
         if Y_DELTA in moves:
-            children.extend((Y_DELTA, y_delta(g, v))
-                            for v in range(g.n) if g.degree(v) == 3)
+            cubic = [v for v in range(g.n) if g.degree(v) == 3]
+            orbs = canon._object_orbits(cubic, gens[key], canon._vertex_image)
+            children.extend((Y_DELTA, y_delta(g, orbit[0])) for orbit in orbs)
         for move, child in children:
-            form, lab = canonical_labeling(child)
-            ck = form.key
-            if ck not in members:  # build the representative only for a new class
-                members[ck] = _relabel_canonically(child, lab)
-                genealogy[ck] = (move, key)
-                heapq.heappush(heap, ck)
+            label(child, (move, key))
     keys = tuple(sorted(members))
     return ClosureResult(tuple(members[k] for k in keys), keys, genealogy)

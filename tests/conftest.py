@@ -1,18 +1,21 @@
 from __future__ import annotations
 
+import heapq
 import random
 from functools import lru_cache
 from itertools import combinations, permutations
 
 import pytest
 
-from maxnik.canon import CanonicalForm, canonical_form, canonical_labeling
-from maxnik.catalog import mmik_library
+from maxnik.canon import (CanonicalForm, _relabel_canonically, canonical_form,
+                          canonical_key_graph, canonical_labeling, isomorphism)
+from maxnik.catalog import ObstructionLibrary, mmik_library, named_graph
 from maxnik.certify import check_necessary
 from maxnik.errors import OrderOverflowError, ParseError
 from maxnik.graphs import (MAX_ORDER, Graph, _bits, contract_edge, from_edges,
-                           graph6_encode)
-from maxnik.minors import MinorSearch, MinorWitness
+                           graph6_encode, triangles)
+from maxnik.minors import (DELTA_Y, Y_DELTA, ClosureResult, MinorSearch,
+                           MinorWitness, delta_y, y_delta)
 from maxnik.planarity import KApexResult
 from maxnik.survey import classified_maxnik
 
@@ -823,3 +826,72 @@ def outcome(fn, *args):
         return "ok", fn(*args)
     except Exception as exc:  # the oracle tests compare every failure
         return type(exc), str(exc)
+
+
+# -- obstruction library oracles ------------------------------------------------
+# The closure that labels every child and the disk-axiom match that runs
+# ``isomorphism`` against the registry graph, as they were before the closure
+# carried automorphism generators.
+
+
+def reference_closure(seeds: list[Graph], moves) -> ClosureResult:
+    """Least move-closed family containing the seeds, deduplicated.
+
+    The worklist is processed in canonical-key order so runs are
+    reproducible; termination follows because both moves keep the edge
+    count bounded and positive-degree vertices number at most twice that.
+    """
+    moves = frozenset(moves)
+    if not moves or not moves <= {DELTA_Y, Y_DELTA}:
+        raise ValueError(f"moves must be a nonempty subset of {{{DELTA_Y!r}, {Y_DELTA!r}}}")
+    if not seeds:
+        raise ValueError("need at least one seed")
+    members: dict[bytes, Graph] = {}
+    genealogy: dict[bytes, tuple[str, bytes] | None] = {}
+    heap: list[bytes] = []
+    for s in seeds:
+        key, rep = canonical_key_graph(s)
+        if key not in members:
+            members[key] = rep
+            genealogy[key] = None
+            heapq.heappush(heap, key)
+    while heap:
+        key = heapq.heappop(heap)
+        g = members[key]
+        children: list[tuple[str, Graph]] = []
+        if DELTA_Y in moves:
+            children.extend((DELTA_Y, delta_y(g, t)) for t in triangles(g))
+        if Y_DELTA in moves:
+            children.extend((Y_DELTA, y_delta(g, v))
+                            for v in range(g.n) if g.degree(v) == 3)
+        for move, child in children:
+            form, lab = canonical_labeling(child)
+            ck = form.key
+            if ck not in members:  # build the representative only for a new class
+                members[ck] = _relabel_canonically(child, lab)
+                genealogy[ck] = (move, key)
+                heapq.heappush(heap, ck)
+    keys = tuple(sorted(members))
+    return ClosureResult(tuple(members[k] for k in keys), keys, genealogy)
+
+
+def reference_disk_axiom_covers(lib: ObstructionLibrary, g: Graph,
+                                triangle: tuple[int, int, int]) -> bool:
+    """Is (g, triangle) matched by a registered disk-bounding triangle axiom?"""
+    a, b, c = triangle
+    if len({a, b, c}) != 3 or not (g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)):
+        return False
+    key = canonical_form(g).key
+    for ax in lib.triangle_disk_axioms:
+        if ax.key != key:
+            continue
+        if ax.triangle_orbit is None:
+            return True
+        ref = named_graph(ax.graph_name).graph
+        phi = isomorphism(g, ref)
+        if phi is None:
+            continue
+        image = tuple(sorted((phi[a], phi[b], phi[c])))
+        if image in ax.triangle_orbit:
+            return True
+    return False

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import maxnik
+import maxnik.certify as certify_module
+import maxnik.construct as construct_module
+from maxnik import canon
 from maxnik.canon import are_isomorphic, orbits
 from maxnik.catalog import (disk_axiom_covers, heawood_family, k3311_family,
                             k7_dy_family, named_graph)
@@ -15,6 +22,8 @@ from maxnik.graphs import (clique_number, complement, complete_graph,
                            vertex_connectivity)
 from maxnik.minors import has_minor
 from maxnik.planarity import is_k_apex, is_maximal_2apex
+
+from conftest import reference_disk_axiom_covers
 
 
 class TestE9:
@@ -214,6 +223,77 @@ class TestLibrary:
             g = graph6_decode(entry["graph6"])
             assert (g.n, g.m) == (entry["order"], entry["size"])
         assert set(dump["unavailable"]) == {"G9,28", "G26", "G27"}
+
+
+_COLD_BUILD = """
+from maxnik import canon
+calls = 0
+real = canon._canonical_search
+
+def counted(g):
+    global calls
+    calls += 1
+    return real(g)
+
+canon._canonical_search = counted
+from maxnik.catalog import mmik_library
+mmik_library()
+print(calls)
+"""
+
+
+class TestLibraryBuildWork:
+    def test_cold_build_runs_at_most_400_searches(self):
+        # a fresh interpreter, so every cache starts empty; 989 when every
+        # closure child was labelled and the library re-derived its keys
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(maxnik.__file__))
+        out = subprocess.run([sys.executable, "-c", _COLD_BUILD], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        assert int(out.stdout) <= 400
+
+    def test_covered_call_runs_one_search(self, monkeypatch, lib):
+        e9 = named_graph("E9").graph
+        tri = lib.triangle_disk_axioms[0].triangle_orbit[0]
+        calls = []
+        real = canon._canonical_search
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(canon, "_canonical_search", counted)
+        assert disk_axiom_covers(lib, e9, tri)  # 3 searches with isomorphism
+        assert calls == [e9]
+
+    def test_verdicts_match_reference(self, monkeypatch, lib):
+        from maxnik.certify import certify_maxnik, validate_certificate
+        from maxnik.construct import size_construct
+        asked = []
+        real = disk_axiom_covers
+
+        def recorded(lib_, g, tri):
+            asked.append((g, tri))
+            return real(lib_, g, tri)
+
+        monkeypatch.setattr(certify_module, "disk_axiom_covers", recorded)
+        monkeypatch.setattr(construct_module, "disk_axiom_covers", recorded)
+        for n in range(20, 178):
+            if n != 22:
+                assert validate_certificate(size_construct(n)[2], lib) == []
+        for n in range(23, 53):
+            certify_maxnik(size_construct(n)[1], lib)
+        assert asked  # the planner certificates hold triangle sums
+        rng = random.Random(11)
+        e9 = named_graph("E9").graph
+        for g in [e9, complete_graph(4), complete_graph(5)] + [
+                e9.relabel(rng.sample(range(9), 9)) for _ in range(4)]:
+            asked += [(g, t) for t in triangles(g)]
+            asked += [(g, (0, 1, 2)), (g, (0, 0, 1))]
+        for g, tri in asked:
+            assert disk_axiom_covers(lib, g, tri) == reference_disk_axiom_covers(lib, g, tri)
+        assert any(disk_axiom_covers(lib, g, t) for g, t in asked if g.n == 9)
+        assert not all(disk_axiom_covers(lib, g, t) for g, t in asked if g.n == 9)
 
 
 class TestIdentificationErrors:

@@ -405,8 +405,9 @@ class TestOneNikCertificatePerCall:
 class TestOneGeneratorSearchPerCall:
     def test_is_k_apex_and_orbits_share_one_search(self, monkeypatch, lib):
         # A host that is not 2-apex has its generators fetched by is_k_apex,
-        # then orbits(g, "non-edge") needs them again. The parent ran 143
-        # generator searches here (and 111 other canonical searches).
+        # then orbits(g, "non-edge") needs them again. Without the memo 143
+        # generator searches ran here. The other canonical searches were 111
+        # while disk_axiom_covers ran three per covered call (two calls here).
         graphs = [size_construct(n)[1] for n in range(23, 53)]
         searches = {"automorphism_generators": 0, "other": 0}
         real = canon_module._canonical_search
@@ -421,7 +422,7 @@ class TestOneGeneratorSearchPerCall:
         # digest measured at the parent, before the memo
         assert hashlib.sha256(blob.encode()).hexdigest() == (
             "c94c23810716fc654ab0477c1bcf6838f6336471d0bc7f0c4816177c75a79f75")
-        assert searches == {"automorphism_generators": 103, "other": 111}
+        assert searches == {"automorphism_generators": 103, "other": 107}
         # the memo lives for one call: outside one, every request searches
         assert canon_module._MEMO.get() is None
         automorphism_generators(graphs[0])

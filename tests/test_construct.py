@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from maxnik.canon import are_isomorphic
@@ -10,8 +12,9 @@ from maxnik.certify import (LEMMA_EDGE_SUM, LEMMA_EDGE_SUM_MAXNIK,
                             LEMMA_TRIANGLE_SUM, VERDICT_MAXNIK, VERDICT_NIK,
                             certify_maxnik, check_necessary,
                             validate_certificate)
-from maxnik.construct import (GluingSpec, chain_graphs, clique_sum,
-                              npp5_family, prime_family, size_construct,
+from maxnik.construct import (GluingSpec, _least_non_triangular_edge,
+                              chain_graphs, clique_sum, npp5_family,
+                              prime_family, size_construct,
                               subdivide_retriangulate)
 from maxnik.errors import (PreconditionError, SizeOutOfRangeError,
                            UnrepresentableSizeError)
@@ -19,6 +22,8 @@ from maxnik.graphs import (clique_number, complete_graph,
                            complete_multipartite, is_k_connected,
                            non_triangular_edges)
 from maxnik.planarity import is_maximal_2apex, is_maximal_planar
+
+from conftest import random_graph
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +117,20 @@ class TestChain:
         for i in (1, 2, 3):
             g, _ = chain_graphs(i)
             assert len(non_triangular_edges(g)) >= 6
+
+
+class TestLeastNonTriangularEdge:
+    def test_first_of_the_full_list(self):
+        rng = random.Random(3)
+        graphs = [random_graph(rng, rng.randint(2, 14), rng.random()) for _ in range(300)]
+        graphs += [chain_graphs(2)[0], named_graph("E9").graph]
+        for g in graphs:
+            edges = non_triangular_edges(g)
+            if edges:
+                assert _least_non_triangular_edge(g) == edges[0]
+            else:
+                with pytest.raises(PreconditionError, match="no non-triangular edge"):
+                    _least_non_triangular_edge(g)
 
 
 class TestNpp5:

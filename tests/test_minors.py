@@ -6,14 +6,16 @@ import random
 
 import pytest
 
+from maxnik import canon
 from maxnik.canon import are_isomorphic, canonical_form
 from maxnik.graphs import (complete_graph, complete_multipartite,
-                           cycle_graph, from_edges)
+                           cycle_graph, from_edges, triangles)
 from maxnik.minors import (DELTA_Y, Y_DELTA, closure, delta_y, has_minor,
                            y_delta)
 from maxnik.smallgraphs import enumerate_graphs
 
-from conftest import brute_force_minor, random_graph, reference_has_minor
+from conftest import (brute_force_minor, random_graph, reference_closure,
+                      reference_has_minor)
 
 
 class TestHasMinor:
@@ -152,6 +154,83 @@ class TestClosure:
             closure([complete_graph(4)], set())
         with pytest.raises(ValueError):
             closure([complete_graph(4)], {"zz"})
+
+
+def _petersen():
+    return from_edges(10, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
+                           (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
+                           (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)])
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabel(perm)
+
+
+_BOTH = frozenset({DELTA_Y, Y_DELTA})
+_ORBIT_CASES = {
+    "k7-dy": ([complete_graph(7)], {DELTA_Y}),
+    "k7-both": ([complete_graph(7)], _BOTH),
+    "k3311-dy": ([complete_multipartite(3, 3, 1, 1)], {DELTA_Y}),
+    "k3311-both": ([complete_multipartite(3, 3, 1, 1)], _BOTH),
+    "k4-both": ([complete_graph(4)], _BOTH),
+    "k6-both": ([complete_graph(6)], _BOTH),
+    "petersen-both": ([_petersen()], _BOTH),
+    "petersen-dy": ([_petersen()], {DELTA_Y}),
+    "k4-k6-petersen": ([complete_graph(4), _petersen(), complete_graph(6)], _BOTH),
+    # a seed isomorphic to an earlier one adds nothing
+    "petersen-twice-k6": ([_petersen(), _petersen().relabel((3, 7, 0, 9, 1, 5, 8, 2, 6, 4)),
+                           complete_graph(6)], _BOTH),
+}
+
+
+class TestOneChildPerOrbit:
+    """``closure`` labels one child per automorphism orbit of its parent."""
+
+    @pytest.mark.parametrize("name", sorted(_ORBIT_CASES))
+    @pytest.mark.parametrize("relabel", [False, True])
+    def test_same_family_as_labelling_every_child(self, name, relabel):
+        seeds, moves = _ORBIT_CASES[name]
+        if relabel:
+            rng = random.Random(name)
+            seeds = [_relabelled(g, rng) for g in seeds]
+        got, want = closure(seeds, moves), reference_closure(seeds, moves)
+        assert got.members == want.members
+        assert got.keys == want.keys
+        assert got.genealogy == want.genealogy
+        assert list(got.genealogy) == list(want.genealogy)  # same discovery order
+
+    def test_fewer_searches_than_children(self, monkeypatch):
+        calls = []
+        real = canon._canonical_search
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(canon, "_canonical_search", counted)
+        fam = closure([complete_multipartite(3, 3, 1, 1)], _BOTH)
+        children = sum(len(triangles(g)) + sum(1 for v in range(g.n) if g.degree(v) == 3)
+                       for g in fam.members)
+        # one search for the seed, then one per child orbit, not per child
+        assert len(fam) < len(calls) < 1 + children
+
+    def test_corrupted_generator_raises(self, monkeypatch):
+        real = canon._canonical_search
+
+        def corrupted(g):
+            form, lab, autos = real(g)
+            deg = g.degrees()
+            u = 0
+            v = next(w for w in range(g.n) if deg[w] != deg[u])
+            bad = list(range(g.n))
+            bad[u], bad[v] = v, u  # swaps vertices of different degrees
+            return form, lab, autos + [tuple(bad)]
+
+        monkeypatch.setattr(canon, "_canonical_search", corrupted)
+        with pytest.raises(AssertionError, match="not an automorphism"):
+            closure([complete_multipartite(3, 3, 1, 1)], {DELTA_Y})
 
 
 def _twin_class_sizes(pattern) -> set[int]:
