@@ -6,27 +6,18 @@ independently (witnesses re-check, bounds recompute, axioms resolve in
 the registry). UNKNOWN is a first-class verdict: these rules certify
 everything in scope, and silence beats an unsound claim elsewhere.
 
-Inference rules used:
-  - at order n >= 7, at least 5n-14 edges forces a K7 minor, hence IK
-    (size-bound, Mader's theorem; below order 7 it proves nothing);
-  - a registered IK pattern as a minor gives IK (minor-of);
-  - a 2-apex graph is nIK (apex-pair);
-  - E9 and G9,29 are nIK by trusted published embeddings (axiom);
-  - an order <= 8 graph that is not 2-apex is IK, quoting the published
-    equivalence for small orders (not-2apex-small-order);
-  - clique sums over K1/K2 of nIK graphs are nIK; edge sums of maxnik
-    graphs with a glue edge non-triangular on one side are maxnik;
-    triangle sums under registered disk axioms are nIK, and maxnik when
-    the triangle avoids a K4 on one side (construction);
-  - maxnik itself: nIK plus every non-edge orbit representative whose
-    addition certifies IK (per-non-edge), vacuous for complete graphs.
-    When the host is 2-apex through a pair P, an added edge that touches P
-    or leaves the graph minus P planar keeps it 2-apex, so that addition
-    goes straight to augmentation-nik without an IK search. The least
-    non-edge is gated first, before the maxnik cutset construction and the
-    orbit computation: it leads the first non-edge orbit, and a host it
-    keeps 2-apex is not maxnik, so nothing before it could have certified
-    the host and the orbit loop would return the same certificate.
+``RULES`` holds one record per inference rule and ``LEMMAS`` one per
+clique-sum lemma, each entry with the result it rests on. The provers,
+``validate_certificate``, ``relabel_certificate`` and
+``construct.clique_sum`` all read them.
+
+When the host is 2-apex through a pair P, an added edge that touches P or
+leaves the graph minus P planar keeps it 2-apex, so that addition goes
+straight to augmentation-nik without an IK search. The least non-edge is
+gated first, before the maxnik cutset construction and the orbit
+computation: it leads the first non-edge orbit, and a host it keeps 2-apex
+is not maxnik, so nothing before it could have certified the host and the
+orbit loop would return the same certificate.
 
 Within one top-level ``certify_nik`` or ``certify_maxnik`` call each graph
 gets one nIK certificate: the call owns a dict from graph to certificate,
@@ -43,7 +34,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, Iterable
 
 from .canon import _generator_memo, orbits
@@ -98,6 +90,80 @@ def _cert(verdict: str, rule: str, g: Graph, children: Iterable[Certificate] = (
     ev = {"graph": graph6_encode(g)}
     ev.update(evidence)
     return Certificate(verdict, rule, ev, tuple(children))
+
+
+# -- clique-sum lemmas -----------------------------------------------------
+
+Sides = list[tuple[Graph, tuple[int, ...]]]  # each piece, with the glued clique's positions in it
+
+_STRENGTH = {VERDICT_NIK: 1, VERDICT_MAXNIK: 2}  # a maxnik certificate also certifies nIK
+
+
+@dataclass(frozen=True)
+class Lemma:
+    """Gluing over a ``clique``-clique gives each result in ``needs``.
+
+    Results come strongest first, each when every operand certifies at least
+    the verdict it maps to. ``side``, if set, returns the strongest result
+    the pieces allow, or None and the reason they allow none.
+    """
+
+    clique: int
+    needs: dict[str, str]
+    side: Callable[[Sides, ObstructionLibrary], tuple[str | None, str]] | None = None
+
+
+def _glue_edge_side(sides: Sides, lib: ObstructionLibrary) -> tuple[str | None, str]:
+    if sum(bool(p.rows[x] & p.rows[y]) for p, (x, y) in sides) > 1:
+        return None, "glue edge is triangular in more than one piece"
+    return VERDICT_MAXNIK, ""
+
+
+def _triangle_side(sides: Sides, lib: ObstructionLibrary) -> tuple[str | None, str]:
+    if len(sides) != 2:
+        return None, "triangle sum needs exactly two pieces"
+    if not all(disk_axiom_covers(lib, p, tri) for p, tri in sides):
+        return None, "triangle not covered by a disk axiom"
+    if all(p.rows[a] & p.rows[b] & p.rows[c] for p, (a, b, c) in sides):
+        return VERDICT_NIK, ""  # the triangle lies in a K4 on every side
+    return VERDICT_MAXNIK, ""
+
+
+LEMMAS: dict[str, Lemma] = {
+    # clique sums of nIK graphs over K1 and K2 are nIK
+    LEMMA_VERTEX_SUM: Lemma(1, {VERDICT_NIK: VERDICT_NIK}),
+    LEMMA_EDGE_SUM: Lemma(2, {VERDICT_NIK: VERDICT_NIK}),
+    # an edge sum of maxnik graphs whose glue edge is non-triangular on all
+    # sides but one is maxnik
+    LEMMA_EDGE_SUM_MAXNIK: Lemma(2, {VERDICT_MAXNIK: VERDICT_MAXNIK}, _glue_edge_side),
+    # a triangle sum under registered disk axioms is nIK, and maxnik when the
+    # triangle avoids a K4 on one side
+    LEMMA_TRIANGLE_SUM: Lemma(3, {VERDICT_MAXNIK: VERDICT_MAXNIK, VERDICT_NIK: VERDICT_NIK},
+                              _triangle_side),
+}
+
+
+def lemma_conclusion(name: str, sides: Sides, verdicts: list[str],
+                     lib: ObstructionLibrary) -> tuple[str | None, str]:
+    """The strongest verdict lemma ``name`` gives the clique sum of ``sides``.
+
+    ``verdicts`` are the operands' verdicts. Returns that verdict and "", or
+    None and the reason no verdict follows.
+    """
+    lemma = LEMMAS.get(name)
+    if lemma is None:
+        return None, f"unknown lemma {name!r}"
+    if any(len(c) != lemma.clique or not all(p.has_edge(u, v) for u, v in combinations(c, 2))
+           for p, c in sides):
+        return None, f"lemma {name} glues over a {lemma.clique}-clique"
+    cap, reason = lemma.side(sides, lib) if lemma.side else (VERDICT_MAXNIK, "")
+    for result, need in lemma.needs.items():
+        if cap is None or _STRENGTH[result] > _STRENGTH[cap]:
+            continue
+        if all(_STRENGTH.get(v, 0) >= _STRENGTH[need] for v in verdicts):
+            return result, ""
+        reason = f"an operand is not certified {need}"
+    return None, reason
 
 
 # -- IK ------------------------------------------------------------------
@@ -182,58 +248,28 @@ def _cutset_decomposition(g: Graph, max_size: int = 3):
         yield cut, [(list(_bits(m)), g._induced(m)) for m in _pieces(g, cut)]
 
 
-def _edge_triangular_in(piece: Graph, verts: list[int], cut: tuple[int, ...]) -> bool:
-    x, y = (verts.index(c) for c in cut)
-    return bool(piece.rows[x] & piece.rows[y])
-
-
-def _triangle_in_k4(piece: Graph, verts: list[int], cut: tuple[int, ...]) -> bool:
-    a, b, c = (verts.index(v) for v in cut)
-    return bool(piece.rows[a] & piece.rows[b] & piece.rows[c])
-
-
 def _certify_by_cutsets(g: Graph, lib: ObstructionLibrary,
                         nik_certs: dict[Graph, Certificate],
                         want_maxnik: bool) -> Certificate | None:
     """Certify via a clique-sum split at a small clique cutset, if any works."""
     want = VERDICT_MAXNIK if want_maxnik else VERDICT_NIK
     for cut, pieces in _cutset_decomposition(g):
-        t = len(cut)
-        if t == 3 and len(pieces) != 2:
+        lemma = next((name for name, lem in LEMMAS.items()
+                      if lem.clique == len(cut) and want in lem.needs), None)
+        # the side conditions first, as if every piece certified ``want``
+        sides = [(piece, tuple(verts.index(v) for v in cut)) for verts, piece in pieces]
+        if lemma_conclusion(lemma, sides, [want] * len(sides), lib)[0] != want:
             continue
-        if t == 1 and want_maxnik:
-            continue  # a vertex sum never certifies maximality
         sub_certs = []
-        ok = True
-        for verts, piece in pieces:
+        for _, piece in pieces:
             sub = (_certify_maxnik(piece, lib, nik_certs) if want_maxnik
                    else _certify_nik(piece, lib, nik_certs))
             if sub.verdict != want:
-                ok = False
                 break
             sub_certs.append(sub)
-        if not ok:
-            continue
-        if t == 2:
-            flags = [_edge_triangular_in(piece, verts, cut) for verts, piece in pieces]
-            if want_maxnik and sum(flags) > 1:
-                continue  # glue edge must be non-triangular in all sides but one
-            lemma = LEMMA_EDGE_SUM_MAXNIK if want_maxnik else LEMMA_EDGE_SUM
-        elif t == 3:
-            if not all(disk_axiom_covers(lib, piece, tuple(verts.index(v) for v in cut))
-                       for verts, piece in pieces):
-                continue
-            if want_maxnik and all(_triangle_in_k4(piece, verts, cut)
-                                   for verts, piece in pieces):
-                continue
-            lemma = LEMMA_TRIANGLE_SUM
         else:
-            lemma = LEMMA_VERTEX_SUM
-        return _cert(want, "construction", g,
-                     children=sub_certs,
-                     lemma=lemma,
-                     cutset=list(cut),
-                     parts=[verts for verts, _ in pieces])
+            return _cert(want, "construction", g, sub_certs, lemma=lemma, cutset=list(cut),
+                         parts=[verts for verts, _ in pieces])
     return None
 
 
@@ -260,10 +296,7 @@ def _certify_maxnik(g: Graph, lib: ObstructionLibrary,
         return _cert(VERDICT_MAXNIK, "complete-nik", g, children=[nik], n=g.n)
     apex = nik.evidence["witness"] if nik.rule == "apex-pair" else None
     least = None
-    if apex is not None:
-        # The least non-edge leads the first non-edge orbit, so the loop below
-        # would try it first. If it keeps g 2-apex, g is not maxnik, no sound
-        # construction certifies g, and the loop would return this certificate.
+    if apex is not None:  # the least non-edge gate of the module docstring
         least = g.non_edges()[0]
         gate = _apex_augmentation(g, least, apex, nik, lib, nik_certs)
         if gate is not None:
@@ -317,39 +350,21 @@ def _apex_augmentation(g: Graph, edge: tuple[int, int], apex: list[int],
 
 def relabel_certificate(cert: Certificate, perm: tuple[int, ...]) -> Certificate:
     """The same evidence tree under a vertex relabeling of its subject."""
-    g = cert.graph
     ev = dict(cert.evidence)
-    ev["graph"] = graph6_encode(g.relabel(perm))
-    children = cert.children
-    if cert.rule == "minor-of":
-        ev["branch_sets"] = [sorted(perm[v] for v in b) for b in ev["branch_sets"]]
-    elif cert.rule == "apex-pair":
-        ev["witness"] = sorted(perm[v] for v in ev["witness"])
-    elif cert.rule == "per-non-edge":
-        ev["orbit_representatives"] = [sorted(perm[v] for v in r)
-                                       for r in ev["orbit_representatives"]]
-        children = tuple(relabel_certificate(c, perm) for c in children)
-    elif cert.rule in ("augmentation-nik",):
-        ev["edge"] = sorted(perm[v] for v in ev["edge"])
-        children = tuple(relabel_certificate(c, perm) for c in children)
-    elif cert.rule == "augmentation-undecided":
-        ev["edges"] = [sorted(perm[v] for v in e) for e in ev["edges"]]
-        children = tuple(relabel_certificate(c, perm) for c in children)
-    elif cert.rule == "construction":
-        old_parts = [list(p) for p in ev["parts"]]
-        ev["cutset"] = [perm[v] for v in ev["cutset"]]
-        ev["parts"] = [sorted(perm[v] for v in p) for p in old_parts]
-        new_children = []
-        for old_verts, child in zip(old_parts, children):
-            old_sorted = sorted(old_verts)
-            new_sorted = sorted(perm[v] for v in old_verts)
-            piece_perm = [0] * len(old_sorted)
-            for v in old_verts:
-                piece_perm[old_sorted.index(v)] = new_sorted.index(perm[v])
-            new_children.append(relabel_certificate(child, tuple(piece_perm)))
-        children = tuple(new_children)
+    ev["graph"] = graph6_encode(cert.graph.relabel(perm))
+    for name, shape in RULES[cert.rule].fields.items():
+        if shape == SETS:
+            ev[name] = [sorted(map(perm.__getitem__, s)) for s in ev[name]]
+        else:
+            moved = list(map(perm.__getitem__, ev[name]))
+            ev[name] = sorted(moved) if shape == SET else moved
+    if cert.rule == "construction":  # each child certifies its part, in sorted order
+        parts = [sorted(part) for part in cert.evidence["parts"]]
+        ranks = [{x: i for i, x in enumerate(sorted(perm[v] for v in part))} for part in parts]
+        perms = [tuple(rank[perm[v]] for v in part) for rank, part in zip(ranks, parts)]
     else:
-        children = tuple(relabel_certificate(c, perm) for c in children)
+        perms = [perm] * len(cert.children)
+    children = tuple(relabel_certificate(c, p) for c, p in zip(cert.children, perms))
     return Certificate(cert.verdict, cert.rule, ev, children)
 
 
@@ -437,15 +452,25 @@ def check_necessary(g: Graph) -> NecessaryReport:
     return NecessaryReport(graph6_encode(g), tuple(checks))
 
 
-# -- certificate re-validation --------------------------------------------
+# -- inference rules and certificate re-validation -------------------------
+
+SET, SETS, TUPLE = "vertex set", "list of vertex sets", "vertex tuple"  # evidence shapes
 
 
-def validate_certificate(cert: Certificate, lib: ObstructionLibrary | None = None) -> list[str]:
-    """Re-check every node of an evidence tree; returns human-readable problems."""
-    lib = lib or mmik_library()
-    problems: list[str] = []
-    _validate(cert, lib, problems, path="root", memo={})
-    return problems
+@dataclass(frozen=True)
+class Rule:
+    """A node citing the rule may carry a verdict in ``concludes``.
+
+    ``fields`` maps each vertex-valued evidence field to its shape: a sorted
+    vertex set, a list of sorted sets, or an ordered tuple. The first child
+    must certify the node's own graph with verdict ``first_child``, if set.
+    ``replay`` returns the first problem with the rule's own evidence, if any.
+    """
+
+    concludes: set[str]
+    fields: dict[str, str] = field(default_factory=dict)
+    first_child: str | None = None
+    replay: Callable[[Certificate, Graph, ObstructionLibrary, dict], str | None] | None = None
 
 
 def _memo(memo: dict, what: str, g6: str, compute: Callable[[], object]):
@@ -462,160 +487,130 @@ def _graph_of(cert: Certificate, memo: dict) -> Graph:
     return _memo(memo, "graph", g6, lambda: graph6_decode(g6))
 
 
-def _validate(cert: Certificate, lib: ObstructionLibrary, problems: list[str], path: str,
-              memo: dict) -> None:
+def _replay_minor(cert, g, lib, memo):
+    try:
+        pattern = lib.pattern_by_name(cert.evidence.get("pattern")).graph
+    except KeyError:
+        return f"pattern {cert.evidence.get('pattern')!r} not in library"
+    if not MinorWitness(tuple(map(tuple, cert.evidence["branch_sets"]))).validate(g, pattern):
+        return "minor witness fails re-validation"
+
+
+def _replay_axiom(cert, g, lib, memo):
+    axiom = _memo(memo, "axiom", cert.evidence["graph"], lambda: lib.axiom_for(g))
+    if axiom is None or axiom.name != cert.evidence.get("name"):
+        return "axiom lookup fails"
+
+
+def _replay_per_non_edge(cert, g, lib, memo):
+    reps = [tuple(r) for r in cert.evidence["orbit_representatives"]]
+    orbit_list = _memo(memo, "non-edge orbits", cert.evidence["graph"],
+                       lambda: orbits(g, "non-edge").orbits)
+    if len(reps) != len(orbit_list):
+        return "representative count differs from orbit count"
+    if not all(any(r in orbit for r in reps) for orbit in orbit_list):
+        return "orbit representatives do not cover every non-edge orbit"
+    if [_graph_of(c, memo) for c in cert.children if c.verdict == VERDICT_IK] != [
+            g.with_edge(*r) for r in reps]:
+        return "the IK children do not certify the representatives' additions"
+
+
+def _replay_augmentation(cert, g, lib, memo):
+    edge = cert.evidence["edge"]
+    if len(set(edge)) != 2 or len(edge) != 2 or g.has_edge(*edge):
+        return "augmentation edge is not a non-edge"
+    added = g.with_edge(*edge)
+    if not any(c.verdict == VERDICT_NIK and _graph_of(c, memo) == added for c in cert.children):
+        return "missing nIK child for the augmented graph"
+
+
+def _replay_construction(cert, g, lib, memo):
+    cut = cert.evidence["cutset"]
+    parts = [sorted(p) for p in cert.evidence["parts"]]
+    # each part is the cutset plus a body, and the bodies partition the rest
+    if (not all(set(cut) < set(p) for p in parts) or set().union(*parts) != set(range(g.n))
+            or sum(map(len, parts)) - (len(parts) - 1) * len(cut) != g.n):
+        return "parts are not the cutset plus disjoint bodies covering the graph"
+    pieces = [g.subgraph(part) for part in parts]
+    # every piece holds the cutset's clique (lemma_conclusion checks it is one)
+    if g.m != sum(p.m for p in pieces) - (len(parts) - 1) * len(cut) * (len(cut) - 1) // 2:
+        return "edge crosses between parts"
+    if [_graph_of(kid, memo) for kid in cert.children] != pieces:
+        return "children do not certify the parts, one each"
+    lemma = str(cert.evidence.get("lemma"))
+    sides = [(piece, tuple(part.index(v) for v in cut)) for part, piece in zip(parts, pieces)]
+    conclusion, reason = lemma_conclusion(lemma, sides, [c.verdict for c in cert.children], lib)
+    if conclusion is None:
+        return reason
+    if cert.verdict not in LEMMAS[lemma].needs or _STRENGTH[cert.verdict] > _STRENGTH[conclusion]:
+        return f"lemma {lemma} concludes {conclusion} here, not {cert.verdict}"
+
+
+RULES: dict[str, Rule] = {
+    # a registered IK pattern as a minor
+    "minor-of": Rule({VERDICT_IK}, {"branch_sets": SETS}, replay=_replay_minor),
+    # Mader: from order 7 on, 5n-14 edges force a K7 minor (below, nothing)
+    "size-bound": Rule({VERDICT_IK}, replay=lambda c, g, lib, memo: (
+        None if g.n >= 7 and g.m >= 5 * g.n - 14 else "size bound does not hold")),
+    "no-ik-evidence": Rule({VERDICT_UNKNOWN}),
+    # deleting at most two vertices leaves a planar graph, so it is nIK
+    "apex-pair": Rule({VERDICT_NIK}, {"witness": SET}, replay=lambda c, g, lib, memo: (
+        None if len(w := c.evidence["witness"]) <= 2 and is_planar(g.delete_vertices(w))
+        else "apex witness is not at most two vertices leaving a planar graph")),
+    # E9 and G9,29 are nIK by trusted published embeddings
+    "axiom": Rule({VERDICT_NIK}, replay=_replay_axiom),
+    # published equivalence: below order 9, nIK graphs are 2-apex
+    "not-2apex-small-order": Rule({VERDICT_IK}, replay=lambda c, g, lib, memo: (
+        "small-order rule misapplied" if g.n > 8 or is_k_apex(g, 2).found else None)),
+    "no-nik-evidence": Rule({VERDICT_UNKNOWN}),
+    # a clique sum under one of LEMMAS, one child per part
+    "construction": Rule({VERDICT_NIK, VERDICT_MAXNIK}, {"cutset": TUPLE, "parts": SETS},
+                         replay=_replay_construction),
+    "is-ik": Rule({VERDICT_NOT_MAXNIK}, first_child=VERDICT_IK),
+    # a complete nIK graph has no edge left to add
+    "complete-nik": Rule({VERDICT_MAXNIK}, {}, VERDICT_NIK, lambda c, g, lib, memo: (
+        None if g.is_complete() else "graph is not complete")),
+    # nIK, and adding one non-edge from every orbit gives IK
+    "per-non-edge": Rule({VERDICT_MAXNIK}, {"orbit_representatives": SETS}, VERDICT_NIK,
+                         _replay_per_non_edge),
+    # adding the edge leaves an nIK graph
+    "augmentation-nik": Rule({VERDICT_NOT_MAXNIK}, {"edge": SET}, replay=_replay_augmentation),
+    "augmentation-undecided": Rule({VERDICT_UNKNOWN}, {"edges": SETS}),
+    "nik-undecided": Rule({VERDICT_UNKNOWN}),
+}
+
+
+def validate_certificate(cert: Certificate, lib: ObstructionLibrary | None = None) -> list[str]:
+    """Re-check every node of an evidence tree; returns human-readable problems."""
+    return list(_problems(cert, lib or mmik_library(), "root", {}))
+
+
+def _vertices_ok(value, shape: str, n: int) -> bool:
+    """Is ``value`` a ``shape`` of vertices of an n-vertex graph?"""
+    try:
+        vs = set().union(*value) if shape == SETS else set(value)
+    except TypeError:
+        return False
+    return set(map(type, vs)) <= {int} and (not vs or 0 <= min(vs) and max(vs) < n)
+
+
+def _problems(cert: Certificate, lib: ObstructionLibrary, path: str, memo: dict):
     g = _graph_of(cert, memo)
-    rule = cert.rule
-    ev = cert.evidence
-
-    def bad(msg: str) -> None:
-        problems.append(f"{path}: {msg}")
-
-    if rule == "minor-of":
-        try:
-            pattern = lib.pattern_by_name(ev["pattern"]).graph
-        except KeyError:
-            bad(f"pattern {ev['pattern']!r} not in library")
-            return
-        witness = MinorWitness(tuple(tuple(b) for b in ev["branch_sets"]))
-        if not witness.validate(g, pattern):
-            bad("minor witness fails re-validation")
-    elif rule == "size-bound":
-        if not (g.n >= 7 and g.m >= 5 * g.n - 14):
-            bad("size bound does not hold")
-    elif rule == "apex-pair":
-        witness = tuple(ev["witness"])
-        rest = g.delete_vertices(witness) if witness else g
-        if not is_planar(rest):
-            bad("apex witness does not leave a planar graph")
-    elif rule == "axiom":
-        axiom = _memo(memo, "axiom", ev["graph"], lambda: lib.axiom_for(g))
-        if axiom is None or axiom.name != ev["name"]:
-            bad("axiom lookup fails")
-    elif rule == "not-2apex-small-order":
-        if g.n > 8 or is_k_apex(g, 2).found:
-            bad("small-order rule misapplied")
-    elif rule == "complete-nik":
-        if not g.is_complete():
-            bad("graph is not complete")
-        if not (cert.children and cert.children[0].verdict == VERDICT_NIK):
-            bad("missing nIK child")
-    elif rule == "construction":
-        _validate_construction(cert, lib, problems, path, memo)
-    elif rule == "per-non-edge":
-        reps = [tuple(r) for r in ev["orbit_representatives"]]
-        orbit_list = _memo(memo, "non-edge orbits", ev["graph"],
-                           lambda: orbits(g, "non-edge").orbits)
-        if len(reps) != len(orbit_list):
-            bad("representative count differs from orbit count")
-        elif not all(any(tuple(r) in orbit for r in reps) for orbit in orbit_list):
-            bad("orbit representatives do not cover every non-edge orbit")
-        ik_children = [c for c in cert.children if c.verdict == VERDICT_IK]
-        if len(ik_children) != len(reps):
-            bad("per-non-edge children do not match representatives")
-        for rep, child in zip(reps, ik_children):
-            if _graph_of(child, memo) != g.with_edge(*rep):
-                bad(f"child for edge {rep} certifies a different graph")
-    elif rule == "is-ik":
-        if not (cert.children and cert.children[0].verdict == VERDICT_IK):
-            bad("missing IK child")
-    elif rule == "augmentation-nik":
-        u, v = ev["edge"]
-        if g.has_edge(u, v):
-            bad("augmentation edge already present")
-        kids = [c for c in cert.children
-                if c.verdict == VERDICT_NIK and _graph_of(c, memo) == g.with_edge(u, v)]
-        if not kids:
-            bad("missing nIK child for the augmented graph")
-    elif rule in ("no-ik-evidence", "no-nik-evidence", "nik-undecided",
-                  "augmentation-undecided"):
-        pass
+    rule = RULES.get(cert.rule)
+    if rule is None:
+        found = [f"unknown rule {cert.rule!r}"]
     else:
-        bad(f"unknown rule {rule!r}")
+        found = [f"evidence {name!r} is missing or not a {shape} in range({g.n})"
+                 for name, shape in rule.fields.items()
+                 if not _vertices_ok(cert.evidence.get(name), shape, g.n)]
+        if cert.verdict not in rule.concludes:
+            found.append(f"rule {cert.rule} does not conclude {cert.verdict}")
+        first = cert.children[0] if cert.children else None
+        if rule.first_child and (first is None or first.verdict != rule.first_child
+                                 or _graph_of(first, memo) != g):
+            found.append(f"first child is not a {rule.first_child} certificate of this graph")
+        if rule.replay and not found and (problem := rule.replay(cert, g, lib, memo)):
+            found.append(problem)
+    yield from (f"{path}: {p}" for p in found)
     for i, child in enumerate(cert.children):
-        _validate(child, lib, problems, f"{path}.{i}", memo)
-
-
-def _validate_construction(cert: Certificate, lib: ObstructionLibrary,
-                           problems: list[str], path: str,
-                           memo: dict) -> None:
-    g = _graph_of(cert, memo)
-    ev = cert.evidence
-
-    def bad(msg: str) -> None:
-        problems.append(f"{path}: {msg}")
-
-    lemma = ev["lemma"]
-    cut = tuple(ev["cutset"])
-    parts = [list(p) for p in ev["parts"]]
-    for i, u in enumerate(cut):
-        for v in cut[i + 1:]:
-            if not g.has_edge(u, v):
-                bad("cutset is not a clique")
-                return
-    seen: set[int] = set(cut)
-    for verts in parts:
-        body = [v for v in verts if v not in cut]
-        if not body:
-            bad("empty part")
-            return
-        if seen.intersection(body):
-            bad("parts overlap")
-            return
-        seen.update(body)
-    if seen != set(range(g.n)):
-        bad("parts plus cutset do not cover the graph")
-        return
-    body_masks = []
-    for verts in parts:
-        mask = 0
-        for v in verts:
-            if v not in cut:
-                mask |= 1 << v
-        body_masks.append(mask)
-    for i, mi in enumerate(body_masks):
-        reach = 0
-        for v in _bits(mi):
-            reach |= g.rows[v]
-        for j, mj in enumerate(body_masks):
-            if i != j and reach & mj:
-                bad("edge crosses between parts")
-                return
-    pieces = [g.subgraph(verts) for verts in parts]
-    kids = list(cert.children)
-    if len(kids) != len(pieces):
-        bad("child count differs from part count")
-        return
-    want = cert.verdict
-    for verts, piece, kid in zip(parts, pieces, kids):
-        if _graph_of(kid, memo) != piece:
-            bad("child certifies something other than its part")
-        if kid.verdict not in (want, VERDICT_MAXNIK):
-            bad(f"child verdict {kid.verdict} does not support {want}")
-    svparts = [sorted(p) for p in parts]
-    if lemma in (LEMMA_EDGE_SUM, LEMMA_EDGE_SUM_MAXNIK):
-        if len(cut) != 2:
-            bad("edge-sum lemma needs a 2-clique")
-        flags = [_edge_triangular_in(piece, verts, cut)
-                 for verts, piece in zip(svparts, pieces)]
-        if want == VERDICT_MAXNIK and sum(flags) > 1:
-            bad("glue edge triangular on more than one side")
-    elif lemma == LEMMA_TRIANGLE_SUM:
-        if len(cut) != 3 or len(pieces) != 2:
-            bad("triangle sum needs a 3-clique and exactly two parts")
-            return
-        for verts, piece in zip(svparts, pieces):
-            tri = tuple(verts.index(v) for v in cut)
-            if not disk_axiom_covers(lib, piece, tri):
-                bad("triangle not covered by a disk axiom")
-        if want == VERDICT_MAXNIK and all(
-                _triangle_in_k4(piece, verts, cut)
-                for verts, piece in zip(svparts, pieces)):
-            bad("triangle lies in a K4 on every side")
-    elif lemma == LEMMA_VERTEX_SUM:
-        if len(cut) != 1:
-            bad("vertex-sum lemma needs a single vertex")
-        if want == VERDICT_MAXNIK:
-            bad("vertex sums cannot certify maximality")
-    else:
-        bad(f"unknown lemma {lemma!r}")
+        yield from _problems(child, lib, f"{path}.{i}", memo)

@@ -13,20 +13,15 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .catalog import mmik_library, named_graph
-from .certify import (LEMMA_EDGE_SUM, LEMMA_EDGE_SUM_MAXNIK,
-                      LEMMA_TRIANGLE_SUM, LEMMA_VERTEX_SUM, VERDICT_MAXNIK,
-                      VERDICT_NIK, Certificate, certify_maxnik,
-                      relabel_certificate)
-from .catalog import disk_axiom_covers
+from .certify import (LEMMA_EDGE_SUM_MAXNIK, LEMMA_TRIANGLE_SUM,
+                      VERDICT_MAXNIK, Certificate, certify_maxnik,
+                      lemma_conclusion, relabel_certificate)
 from .errors import (ConstructionInvariantError, PreconditionError,
                      SizeOutOfRangeError, UnrepresentableSizeError)
 from .graphs import (MAX_ORDER, Graph, complete_graph, complete_multipartite,
                      graph6_encode, identified_union, is_k_connected, join,
                      clique_number, non_triangular_edges)
 from .planarity import is_maximal_2apex, is_maximal_planar
-
-GLUE_LEMMAS = (LEMMA_VERTEX_SUM, LEMMA_EDGE_SUM, LEMMA_EDGE_SUM_MAXNIK,
-               LEMMA_TRIANGLE_SUM)
 
 
 @dataclass(frozen=True)
@@ -42,62 +37,14 @@ class GluingSpec:
     right_cert: Certificate
 
 
-def _require_clique(g: Graph, verts: tuple[int, ...], side: str) -> None:
-    for i, u in enumerate(verts):
-        for v in verts[i + 1:]:
-            if not g.has_edge(u, v):
-                raise PreconditionError(f"{side} clique {verts} is not a clique")
-
-
 def clique_sum(spec: GluingSpec) -> tuple[Graph, Certificate]:
     """Identified union along a clique, certified by the matching lemma."""
     t = len(spec.left_clique)
-    if spec.lemma not in GLUE_LEMMAS:
-        raise PreconditionError(f"unknown lemma {spec.lemma!r}")
-    want_t = {LEMMA_VERTEX_SUM: 1, LEMMA_EDGE_SUM: 2,
-              LEMMA_EDGE_SUM_MAXNIK: 2, LEMMA_TRIANGLE_SUM: 3}[spec.lemma]
-    if t != want_t or len(spec.right_clique) != want_t:
-        raise PreconditionError(
-            f"lemma {spec.lemma} glues over a {want_t}-clique, got {t}")
-    _require_clique(spec.left, spec.left_clique, "left")
-    _require_clique(spec.right, spec.right_clique, "right")
-
-    nik_enough = (VERDICT_NIK, VERDICT_MAXNIK)
-    if spec.lemma in (LEMMA_VERTEX_SUM, LEMMA_EDGE_SUM):
-        for side, cert in (("left", spec.left_cert), ("right", spec.right_cert)):
-            if cert.verdict not in nik_enough:
-                raise PreconditionError(
-                    f"{side} operand is not certified knotless for {spec.lemma}")
-        verdict = VERDICT_NIK
-    elif spec.lemma == LEMMA_EDGE_SUM_MAXNIK:
-        for side, cert in (("left", spec.left_cert), ("right", spec.right_cert)):
-            if cert.verdict != VERDICT_MAXNIK:
-                raise PreconditionError(
-                    f"{side} operand is not certified maximal for {spec.lemma}")
-        lx, ly = spec.left_clique
-        rx, ry = spec.right_clique
-        left_tri = bool(spec.left.rows[lx] & spec.left.rows[ly])
-        right_tri = bool(spec.right.rows[rx] & spec.right.rows[ry])
-        if left_tri and right_tri:
-            raise PreconditionError(
-                "glue edge is triangular in both operands")
-        verdict = VERDICT_MAXNIK
-    else:  # triangle sum
-        lib = mmik_library()
-        for side, cert in (("left", spec.left_cert), ("right", spec.right_cert)):
-            if cert.verdict != VERDICT_MAXNIK:
-                raise PreconditionError(
-                    f"{side} operand is not certified maximal for {spec.lemma}")
-        for side, g, tri in (("left", spec.left, spec.left_clique),
-                             ("right", spec.right, spec.right_clique)):
-            if not disk_axiom_covers(lib, g, tri):
-                raise PreconditionError(
-                    f"{side} triangle {tri} has no registered disk-bounding embedding")
-        la, lb, lc = spec.left_clique
-        ra, rb, rc = spec.right_clique
-        left_k4 = bool(spec.left.rows[la] & spec.left.rows[lb] & spec.left.rows[lc])
-        right_k4 = bool(spec.right.rows[ra] & spec.right.rows[rb] & spec.right.rows[rc])
-        verdict = VERDICT_NIK if (left_k4 and right_k4) else VERDICT_MAXNIK
+    verdict, reason = lemma_conclusion(
+        spec.lemma, [(spec.left, spec.left_clique), (spec.right, spec.right_clique)],
+        [spec.left_cert.verdict, spec.right_cert.verdict], mmik_library())
+    if verdict is None:
+        raise PreconditionError(reason)
 
     glued = identified_union(spec.left, spec.left_clique,
                              spec.right, spec.right_clique)
@@ -107,12 +54,9 @@ def clique_sum(spec: GluingSpec) -> tuple[Graph, Certificate]:
             f"clique sum size {glued.m}, expected {expect}")
 
     # the right operand's certificate, rewritten onto its labels in the sum
-    final = {rc: lc for rc, lc in zip(spec.right_clique, spec.left_clique)}
-    nxt = spec.left.n
-    for v in range(spec.right.n):
-        if v not in final:
-            final[v] = nxt
-            nxt += 1
+    rest = [v for v in range(spec.right.n) if v not in spec.right_clique]
+    final = dict(zip(spec.right_clique, spec.left_clique))
+    final.update((v, spec.left.n + i) for i, v in enumerate(rest))
     part_verts = sorted(final.values())
     right_perm = tuple(part_verts.index(final[v]) for v in range(spec.right.n))
     right_cert = relabel_certificate(spec.right_cert, right_perm)

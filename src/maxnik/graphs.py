@@ -135,7 +135,7 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return sum(r.bit_count() for r in self.rows) // 2
+        return sum(map(int.bit_count, self.rows)) // 2
 
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()

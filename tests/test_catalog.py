@@ -11,7 +11,6 @@ import pytest
 
 import maxnik
 import maxnik.certify as certify_module
-import maxnik.construct as construct_module
 from maxnik import canon
 from maxnik.canon import are_isomorphic, orbits
 from maxnik.catalog import (disk_axiom_covers, heawood_family, k3311_family,
@@ -276,8 +275,8 @@ class TestLibraryBuildWork:
             asked.append((g, tri))
             return real(lib_, g, tri)
 
+        # clique_sum reaches it through certify.lemma_conclusion
         monkeypatch.setattr(certify_module, "disk_axiom_covers", recorded)
-        monkeypatch.setattr(construct_module, "disk_axiom_covers", recorded)
         for n in range(20, 178):
             if n != 22:
                 assert validate_certificate(size_construct(n)[2], lib) == []

@@ -10,8 +10,8 @@ from maxnik.canon import are_isomorphic
 from maxnik.catalog import named_graph
 from maxnik.certify import (LEMMA_EDGE_SUM, LEMMA_EDGE_SUM_MAXNIK,
                             LEMMA_TRIANGLE_SUM, VERDICT_MAXNIK, VERDICT_NIK,
-                            certify_maxnik, check_necessary,
-                            validate_certificate)
+                            Certificate, certify_maxnik, certify_nik,
+                            check_necessary, validate_certificate)
 from maxnik.construct import (GluingSpec, _least_non_triangular_edge,
                               chain_graphs, clique_sum, npp5_family,
                               prime_family, size_construct,
@@ -52,6 +52,20 @@ class TestCliqueSum:
         assert (g.n, g.m) == (10, 24)
         assert out.verdict == VERDICT_MAXNIK
         assert validate_certificate(out, lib) == []
+
+    def test_triangle_sum_of_nik_operands_is_nik(self, lib):
+        e9 = named_graph("E9").graph
+        tri = lib.triangle_disk_axioms[0].triangle_orbit[0]
+        k4 = complete_graph(4)
+        e9_nik, k4_nik = certify_nik(e9, lib), certify_nik(k4, lib)
+        assert (e9_nik.verdict, k4_nik.verdict) == (VERDICT_NIK, VERDICT_NIK)
+        g, out = clique_sum(GluingSpec(LEMMA_TRIANGLE_SUM,
+                                       e9, tri, e9_nik, k4, (0, 1, 2), k4_nik))
+        assert (g.n, g.m) == (10, 24)
+        assert (out.verdict, out.evidence["lemma"]) == (VERDICT_NIK, LEMMA_TRIANGLE_SUM)
+        assert validate_certificate(out, lib) == []
+        forged = Certificate(VERDICT_MAXNIK, out.rule, out.evidence, out.children)
+        assert validate_certificate(forged, lib) != []
 
     def test_size_formula_every_gluing(self, lib, e9_pair):
         e9, cert = e9_pair

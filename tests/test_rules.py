@@ -2,14 +2,27 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import inspect
 import random
+import re
 
 import pytest
 
-from maxnik.certify import certify_maxnik, relabel_certificate, validate_certificate
+import maxnik.certify as certify_module
+import maxnik.construct as construct_module
+from maxnik.catalog import named_graph
+from maxnik.certify import (LEMMA_EDGE_SUM, RULES, SETS, VERDICT_IK, VERDICT_MAXNIK,
+                            VERDICT_NIK, VERDICT_NOT_MAXNIK, VERDICT_UNKNOWN,
+                            Certificate, certify_ik, certify_maxnik,
+                            certify_nik, relabel_certificate,
+                            validate_certificate)
 from maxnik.construct import chain_graphs, npp5_family, size_construct
+from maxnik.graphs import complete_graph, cycle_graph, graph6_decode, graph6_encode
 from maxnik.survey import classified_maxnik
+
+VERDICTS = (VERDICT_IK, VERDICT_NIK, VERDICT_MAXNIK, VERDICT_NOT_MAXNIK, VERDICT_UNKNOWN)
 
 
 def _golden_trees(lib):
@@ -61,3 +74,136 @@ class TestGoldenTrees:
         trees, moved = golden
         for cert in trees + moved:
             assert validate_certificate(cert, lib) == []
+
+
+def _with(cert: Certificate, verdict: str | None = None, **evidence) -> Certificate:
+    """``cert`` with its verdict and some evidence fields replaced."""
+    return Certificate(verdict or cert.verdict, cert.rule, {**cert.evidence, **evidence},
+                       cert.children)
+
+
+def _k(n: int) -> str:
+    return graph6_encode(complete_graph(n))
+
+
+class TestForgedCertificates:
+    """Certificates whose evidence replays but whose verdict does not follow."""
+
+    def test_maxnik_from_nik_undecided(self, lib):
+        forged = Certificate(VERDICT_MAXNIK, "nik-undecided", {"graph": _k(8)})
+        assert validate_certificate(forged, lib) != []
+
+    def test_per_non_edge_without_an_nik_child(self, lib):
+        forged = Certificate(VERDICT_MAXNIK, "per-non-edge",
+                             {"graph": _k(8), "orbit_representatives": []})
+        assert validate_certificate(forged, lib) != []
+
+    def test_complete_nik_with_the_child_of_another_graph(self, lib):
+        k3 = certify_nik(complete_graph(3), lib)
+        forged = Certificate(VERDICT_MAXNIK, "complete-nik", {"graph": _k(8), "n": 8}, (k3,))
+        assert validate_certificate(forged, lib) != []
+
+    def test_is_ik_with_the_child_of_another_graph(self, lib):
+        k7 = certify_ik(complete_graph(7), lib)
+        forged = Certificate(VERDICT_NOT_MAXNIK, "is-ik",
+                             {"graph": graph6_encode(named_graph("E9").graph)}, (k7,))
+        assert validate_certificate(forged, lib) != []
+
+    @pytest.mark.parametrize("verdict", [VERDICT_MAXNIK, VERDICT_IK])
+    def test_apex_pair_with_another_verdict(self, lib, verdict):
+        cert = certify_nik(complete_graph(6), lib)
+        assert cert.rule == "apex-pair"
+        assert validate_certificate(_with(cert, verdict), lib) != []
+
+    @pytest.mark.parametrize("verdict", [VERDICT_IK, VERDICT_NIK, VERDICT_NOT_MAXNIK])
+    def test_edge_sum_of_maxnik_graphs_with_another_verdict(self, lib, verdict):
+        cert = chain_graphs(2)[1]
+        assert validate_certificate(cert, lib) == []
+        assert validate_certificate(_with(cert, verdict), lib) != []
+
+    def test_maxnik_from_the_nik_edge_sum_lemma(self, lib):
+        cert = chain_graphs(2)[1]
+        assert validate_certificate(_with(cert, lemma=LEMMA_EDGE_SUM), lib) != []
+
+    def test_apex_witness_of_three_vertices(self, lib):
+        forged = Certificate(VERDICT_NIK, "apex-pair", {"graph": _k(7), "witness": [0, 1, 2]})
+        assert validate_certificate(forged, lib) != []
+
+
+class TestMalformedEvidence:
+    def test_apex_pair_without_witness(self, lib):
+        problems = validate_certificate(
+            Certificate(VERDICT_NIK, "apex-pair", {"graph": _k(6)}), lib)
+        assert problems == ["root: evidence 'witness' is missing or not a vertex set in range(6)"]
+
+    def test_augmentation_edge_outside_the_graph(self, lib):
+        cert = certify_maxnik(cycle_graph(7), lib)
+        assert cert.rule == "augmentation-nik"
+        problems = validate_certificate(_with(cert, edge=[0, 99]), lib)
+        assert problems == ["root: evidence 'edge' is missing or not a vertex set in range(7)"]
+
+
+def _nodes(cert: Certificate):
+    yield cert
+    for child in cert.children:
+        yield from _nodes(child)
+
+
+@pytest.fixture(scope="module")
+def examples(lib, golden):
+    """One certificate per rule, the first in the golden trees or one built here."""
+    found = {}
+    for tree in golden[0]:
+        for node in _nodes(tree):
+            found.setdefault(node.rule, node)
+    no_patterns = dataclasses.replace(lib, mmik_patterns=())
+    found["size-bound"] = certify_ik(complete_graph(8), no_patterns)
+    found["no-ik-evidence"] = certify_ik(cycle_graph(5), lib)
+    found["not-2apex-small-order"] = certify_nik(complete_graph(8), lib)
+    found["no-nik-evidence"] = certify_nik(complete_graph(9), lib)
+    found["is-ik"] = certify_maxnik(complete_graph(7), lib)
+    found["augmentation-nik"] = certify_maxnik(cycle_graph(7), lib)
+    # an order-9 graph that is not 2-apex and has no library minor or axiom
+    found["nik-undecided"] = certify_maxnik(graph6_decode("HLvnf~}"), lib)
+    with pytest.MonkeyPatch.context() as mp:
+        # with the IK search silenced, K7^-'s one added edge stays undecided
+        mp.setattr(certify_module, "certify_ik",
+                   lambda g, lib_: Certificate(VERDICT_UNKNOWN, "no-ik-evidence",
+                                              {"graph": graph6_encode(g)}))
+        found["augmentation-undecided"] = certify_maxnik(named_graph("K7^-").graph, lib)
+    return found
+
+
+class TestRuleTable:
+    def test_every_prover_rule_has_an_entry(self):
+        emitted = set()
+        for module in (certify_module, construct_module):
+            source = inspect.getsource(module)
+            emitted.update(re.findall(r'_cert\(VERDICT_\w+, "([\w-]+)"', source))
+            emitted.update(re.findall(r'Certificate\(\s*\w+, "([\w-]+)"', source))
+        assert len(RULES) == 14
+        assert emitted == set(RULES)
+
+    @pytest.mark.parametrize("name", sorted(RULES))
+    def test_rule(self, lib, examples, name):
+        cert = examples[name]
+        rule = RULES[name]
+        assert cert.rule == name and cert.verdict in rule.concludes
+        assert validate_certificate(cert, lib) == []
+        g = cert.graph
+        perm = list(range(g.n))
+        random.Random(name).shuffle(perm)
+        moved = relabel_certificate(cert, tuple(perm))
+        assert moved.graph == g.relabel(perm)
+        assert validate_certificate(moved, lib) == []
+        for verdict in VERDICTS:
+            if verdict not in rule.concludes:
+                assert validate_certificate(_with(cert, verdict), lib) != [], verdict
+        for field, shape in rule.fields.items():
+            value = cert.evidence[field]
+            tampered = ([[g.n] + value[0][1:]] + value[1:] if shape == SETS
+                        else [g.n] + value[1:])
+            assert validate_certificate(_with(cert, **{field: tampered}), lib) != [], field
+            missing = {k: v for k, v in cert.evidence.items() if k != field}
+            assert validate_certificate(
+                Certificate(cert.verdict, name, missing, cert.children), lib) != [], field
