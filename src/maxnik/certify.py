@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .canon import _generator_memo, orbits
 from .catalog import ObstructionLibrary, disk_axiom_covers, mmik_library
@@ -99,8 +99,7 @@ Sides = list[tuple[Graph, tuple[int, ...]]]  # each piece, with the glued clique
 _STRENGTH = {VERDICT_NIK: 1, VERDICT_MAXNIK: 2}  # a maxnik certificate also certifies nIK
 
 
-@dataclass(frozen=True)
-class Lemma:
+class Lemma(NamedTuple):
     """Gluing over a ``clique``-clique gives each result in ``needs``.
 
     Results come strongest first, each when every operand certifies at least
@@ -457,8 +456,7 @@ def check_necessary(g: Graph) -> NecessaryReport:
 SET, SETS, TUPLE = "vertex set", "list of vertex sets", "vertex tuple"  # evidence shapes
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """A node citing the rule may carry a verdict in ``concludes``.
 
     ``fields`` maps each vertex-valued evidence field to its shape: a sorted
@@ -468,7 +466,7 @@ class Rule:
     """
 
     concludes: set[str]
-    fields: dict[str, str] = field(default_factory=dict)
+    fields: dict[str, str] = {}
     first_child: str | None = None
     replay: Callable[[Certificate, Graph, ObstructionLibrary, dict], str | None] | None = None
 
