@@ -28,11 +28,11 @@ from .graphs import (DegreeStats, Graph, complement, complete_graph,
                      complete_multipartite, contract_edge, cycle_graph,
                      degree_stats, disjoint_union, empty_graph, from_edges,
                      graph6_decode, graph6_encode, join, non_triangular_edges,
-                     path_graph, triangles, vertex_connectivity)
+                     path_graph, triangles)
 from .minors import (ClosureResult, MinorWitness, closure, delta_y,
                      has_minor, y_delta)
 from .planarity import (is_k_apex, is_maximal_2apex, is_maximal_planar,
-                        is_planar, is_planar_wagner)
+                        is_planar)
 from .primality import (Decomposition, check_lemma_complement_k2,
                         check_lemma_two_cut, clique_cutsets, decompose,
                         is_prime)

@@ -40,6 +40,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .canon import _generator_memo, orbits
 from .catalog import ObstructionLibrary, disk_axiom_covers, mmik_library
+from .errors import ParseError, ValidationError
 from .graphs import Graph, _bits, graph6_decode, graph6_encode
 from .minors import MinorWitness, has_minor
 from .planarity import _blocks, is_k_apex, is_planar
@@ -80,6 +81,11 @@ class Certificate:
 
     @staticmethod
     def from_json(data: dict) -> "Certificate":
+        """Rebuild ``to_json`` output; a node without one of its four keys
+        raises ``ValidationError`` naming the key."""
+        for key in ("verdict", "rule", "evidence", "children"):
+            if key not in data:
+                raise ValidationError(f"certificate node has no {key!r}")
         return Certificate(
             data["verdict"], data["rule"], data["evidence"],
             tuple(Certificate.from_json(c) for c in data["children"]))
@@ -479,10 +485,14 @@ def _memo(memo: dict, what: str, g6: str, compute: Callable[[], object]):
     return memo[key]
 
 
-def _graph_of(cert: Certificate, memo: dict) -> Graph:
-    """``cert.graph``, decoded once per graph6 string in ``memo``."""
-    g6 = cert.evidence["graph"]
-    return _memo(memo, "graph", g6, lambda: graph6_decode(g6))
+def _graph_of(cert: Certificate, memo: dict) -> Graph | None:
+    """``cert.graph``, decoded once per graph6 string in ``memo``, or None
+    when the node's evidence holds no valid graph6 string."""
+    g6 = cert.evidence.get("graph") if isinstance(cert.evidence, dict) else None
+    try:
+        return _memo(memo, "graph", g6, lambda: graph6_decode(g6)) if isinstance(g6, str) else None
+    except ParseError:
+        return None
 
 
 def _replay_minor(cert, g, lib, memo):
@@ -537,7 +547,8 @@ def _replay_construction(cert, g, lib, memo):
         return "children do not certify the parts, one each"
     lemma = str(cert.evidence.get("lemma"))
     sides = [(piece, tuple(part.index(v) for v in cut)) for part, piece in zip(parts, pieces)]
-    conclusion, reason = lemma_conclusion(lemma, sides, [c.verdict for c in cert.children], lib)
+    verdicts = [str(c.verdict) for c in cert.children]  # a malformed verdict certifies nothing
+    conclusion, reason = lemma_conclusion(lemma, sides, verdicts, lib)
     if conclusion is None:
         return reason
     if cert.verdict not in LEMMAS[lemma].needs or _STRENGTH[cert.verdict] > _STRENGTH[conclusion]:
@@ -594,14 +605,16 @@ def _vertices_ok(value, shape: str, n: int) -> bool:
 
 def _problems(cert: Certificate, lib: ObstructionLibrary, path: str, memo: dict):
     g = _graph_of(cert, memo)
-    rule = RULES.get(cert.rule)
-    if rule is None:
+    rule = RULES.get(cert.rule) if isinstance(cert.rule, str) else None
+    if g is None:
+        found = ["evidence 'graph' is missing or not a graph6 string"]
+    elif rule is None:
         found = [f"unknown rule {cert.rule!r}"]
     else:
         found = [f"evidence {name!r} is missing or not a {shape} in range({g.n})"
                  for name, shape in rule.fields.items()
                  if not _vertices_ok(cert.evidence.get(name), shape, g.n)]
-        if cert.verdict not in rule.concludes:
+        if not isinstance(cert.verdict, str) or cert.verdict not in rule.concludes:
             found.append(f"rule {cert.rule} does not conclude {cert.verdict}")
         first = cert.children[0] if cert.children else None
         if rule.first_child and (first is None or first.verdict != rule.first_child

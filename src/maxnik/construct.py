@@ -19,9 +19,10 @@ from .certify import (LEMMA_EDGE_SUM_MAXNIK, LEMMA_TRIANGLE_SUM,
 from .errors import (ConstructionInvariantError, PreconditionError,
                      SizeOutOfRangeError, UnrepresentableSizeError)
 from .graphs import (MAX_ORDER, Graph, complete_graph, complete_multipartite,
-                     graph6_encode, identified_union, is_k_connected, join,
-                     clique_number, non_triangular_edges)
+                     graph6_encode, identified_union, join, clique_number,
+                     non_triangular_edges)
 from .planarity import is_maximal_2apex, is_maximal_planar
+from .primality import is_prime
 
 
 @dataclass(frozen=True)
@@ -272,7 +273,8 @@ def prime_family(order: int) -> Graph:
 
     Joins K2 with a triangulation grown from the octahedron by repeated
     subdivision of a single designated edge; per instance the triangulation
-    is checked maximal planar, 4-connected, and free of 4-cliques.
+    is checked maximal planar, 4-connected (as "no clique cutset"), and free
+    of 4-cliques.
     """
     if not 8 <= order <= 64:
         raise ValueError("order must lie in 8..64")
@@ -282,7 +284,10 @@ def prime_family(order: int) -> Graph:
     for _ in range(order - 8):
         t = subdivide_retriangulate(t, edge)
         edge = (designated, t.n - 1)
-        if not is_k_connected(t, 4):
+        # A triangulation is 3-connected and each of its minimal separators
+        # induces a cycle, so its clique cutsets are its separating
+        # triangles: it is prime exactly when it is 4-connected.
+        if not is_prime(t):
             raise ConstructionInvariantError("triangulation lost 4-connectivity")
         if clique_number(t) >= 4:
             raise ConstructionInvariantError("triangulation gained a 4-clique")

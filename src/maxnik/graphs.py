@@ -18,8 +18,9 @@ constructor validate.
 Also holds the graph6 codec (byte = 63 + value, upper-triangle
 column-major bit order, zero padding), which converts six bits at a time
 through two 64-entry tables and reads or writes each column of the upper
-triangle as one binary string, and the elementary operations: complement,
-join, edge contraction, degree statistics, exact vertex connectivity, and
+triangle as one binary string, the one bitmask flood fill (``_reach``) that
+every component and connectivity test runs, and the elementary operations:
+complement, join, edge contraction, degree statistics, k-connectivity, and
 non-triangular edge detection.
 """
 
@@ -40,6 +41,32 @@ def _bits(mask: int) -> Iterator[int]:
         b = mask & -mask
         yield b.bit_length() - 1
         mask ^= b
+
+
+def _reach(rows: Sequence[int], start: int, within: int) -> int:
+    """Mask of the vertices in ``within`` joined to ``start`` by paths inside it.
+
+    ``start`` is a vertex mask inside ``within``; each reached vertex is
+    expanded once, by one row lookup and mask.
+    """
+    reach = frontier = start
+    while frontier:
+        b = frontier & -frontier
+        frontier ^= b
+        new = rows[b.bit_length() - 1] & within & ~reach
+        reach |= new
+        frontier |= new
+    return reach
+
+
+def _components(rows: Sequence[int], within: int) -> list[int]:
+    """Vertex masks of the components induced on ``within``, by least vertex."""
+    out = []
+    while within:
+        comp = _reach(rows, within & -within, within)
+        out.append(comp)
+        within ^= comp
+    return out
 
 
 def _permuted_rows(rows: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
@@ -231,22 +258,7 @@ class Graph:
 
     def components(self) -> list[int]:
         """Connected components as vertex bitmasks, sorted by lowest vertex."""
-        seen = 0
-        comps = []
-        full = (1 << self.n) - 1
-        while seen != full:
-            start = (~seen & full) & -(~seen & full)
-            comp = start
-            frontier = start
-            while frontier:
-                grow = 0
-                for v in _bits(frontier):
-                    grow |= self.rows[v]
-                frontier = grow & ~comp
-                comp |= grow
-            comps.append(comp)
-            seen |= comp
-        return comps
+        return _components(self.rows, (1 << self.n) - 1)
 
     def is_connected(self) -> bool:
         return len(self.components()) == 1
@@ -405,75 +417,21 @@ def triangles(g: Graph) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
-def _local_connectivity(g: Graph, s: int, t: int, stop_at: int | None = None) -> int:
-    """Max number of internally vertex-disjoint s-t paths for non-adjacent s,t.
-
-    Unit-capacity max flow on the split digraph; each vertex other than s,t
-    becomes an arc of capacity one. ``stop_at`` truncates the count early,
-    which keeps k-connectivity checks cheap on large triangulations.
-    """
-    n = g.n
-    # node 2v = "in", 2v+1 = "out"; arcs stored as adjacency with residuals
-    cap: dict[tuple[int, int], int] = {}
-
-    def add(a: int, b: int, c: int) -> None:
-        cap[(a, b)] = cap.get((a, b), 0) + c
-        cap.setdefault((b, a), 0)
-
-    for v in range(n):
-        add(2 * v, 2 * v + 1, 1 if v not in (s, t) else n)
-    for u, v in g.edges():
-        add(2 * u + 1, 2 * v, n)
-        add(2 * v + 1, 2 * u, n)
-    out: dict[int, list[int]] = {}
-    for a, b in cap:
-        out.setdefault(a, []).append(b)
-    src, snk = 2 * s + 1, 2 * t
-    flow = 0
-    while stop_at is None or flow < stop_at:
-        # BFS augmenting path
-        prev = {src: -1}
-        queue = [src]
-        while queue and snk not in prev:
-            nxt = []
-            for a in queue:
-                for b in out.get(a, ()):
-                    if b not in prev and cap[(a, b)] > 0:
-                        prev[b] = a
-                        nxt.append(b)
-            queue = nxt
-        if snk not in prev:
-            break
-        b = snk
-        while b != src:
-            a = prev[b]
-            cap[(a, b)] -= 1
-            cap[(b, a)] += 1
-            b = a
-        flow += 1
-    return flow
-
-
-def vertex_connectivity(g: Graph) -> int:
-    """Exact vertex connectivity; n-1 for complete graphs."""
-    if g.n < 2:
-        raise ValueError("connectivity needs at least 2 vertices")
-    if g.is_complete():
-        return g.n - 1
-    best = g.n - 1
-    for s, t in g.non_edges():
-        best = min(best, _local_connectivity(g, s, t, stop_at=best))
-        if best == 0:
-            return 0
-    return best
-
-
 def is_k_connected(g: Graph, k: int) -> bool:
+    """More than k vertices, and connected after deleting any fewer than k.
+
+    Brute force: one flood fill per vertex set of size below k, which is
+    cheap at the orders it is asked about (E9 at k = 4 takes 130).
+    """
     if g.n <= k:
         return False
-    if g.is_complete():
-        return True
-    return all(_local_connectivity(g, s, t, stop_at=k) >= k for s, t in g.non_edges())
+    full = (1 << g.n) - 1
+    for size in range(k):
+        for cut in combinations(range(g.n), size):
+            rest = full & ~sum(1 << v for v in cut)
+            if _reach(g.rows, rest & -rest, rest) != rest:
+                return False
+    return True
 
 
 def clique_number(g: Graph) -> int:

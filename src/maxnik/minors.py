@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import canon
-from .graphs import Graph, _bits, _permuted_rows, triangles
+from .graphs import Graph, _bits, _permuted_rows, _reach, triangles
 
 
 @dataclass(frozen=True)
@@ -60,14 +60,7 @@ class MinorWitness:
             if m & seen:
                 return False
             seen |= m
-            reach = frontier = m & -m
-            while frontier:  # flood fill inside the branch set
-                b = frontier & -frontier
-                frontier ^= b
-                grow = host.rows[b.bit_length() - 1] & m & ~reach
-                reach |= grow
-                frontier |= grow
-            if reach != m:
+            if _reach(host.rows, m & -m, m) != m:
                 return False
             masks.append(m)
         for a, b in pattern.edges():

@@ -6,8 +6,8 @@ planar subgraph H with its face list, and repeatedly embed a path of a
 bridge fragment into a face containing all of the fragment's attachment
 vertices. A fragment admitting no such face proves non-planarity, and
 always embedding a fragment with the fewest admissible faces first makes
-the greedy choice safe. An independent Wagner oracle (no K5 minor and no
-K3,3 minor) is exposed alongside for cross-validation.
+the greedy choice safe. The tests check it against an independent Wagner
+oracle (no K5 minor and no K3,3 minor).
 
 The core runs on one host's bit rows plus a vertex mask: the components,
 the blocks and the DMP run all read ``rows[v] & mask``, so ``is_k_apex``
@@ -38,9 +38,7 @@ from itertools import combinations
 from typing import NamedTuple, Sequence
 
 from .canon import automorphism_generators
-from .graphs import (Graph, _bits, _permuted_rows, complete_graph,
-                     complete_multipartite)
-from .minors import has_minor
+from .graphs import Graph, _bits, _components, _permuted_rows
 
 
 def _dfs_cycle(rows: Sequence[int], mask: int) -> list[int]:
@@ -134,19 +132,7 @@ def _dmp_biconnected(rows: Sequence[int], mask: int) -> bool:
             for u in _bits(rows[v] & in_h & ~emb[v]):
                 if u > v:
                     frags.append(((1 << v) | (1 << u), ("chord", v, u)))
-        rest = mask & ~in_h
-        seen = 0
-        while rest & ~seen:
-            start = (rest & ~seen) & -(rest & ~seen)
-            comp = start
-            frontier = start
-            while frontier:
-                grow = 0
-                for v in _bits(frontier):
-                    grow |= rows[v]
-                frontier = grow & rest & ~comp
-                comp |= grow & rest
-            seen |= comp
+        for comp in _components(rows, mask & ~in_h):
             attach = 0
             for v in _bits(comp):
                 attach |= rows[v] & in_h
@@ -236,16 +222,7 @@ def _planar_within(rows: Sequence[int], keep: int) -> bool:
     """Planarity of the subgraph induced on ``keep`` (DMP per block)."""
     if keep.bit_count() <= 4:
         return True
-    rest = keep
-    while rest:
-        comp = frontier = rest & -rest
-        while frontier:
-            grow = 0
-            for v in _bits(frontier):
-                grow |= rows[v]
-            frontier = grow & keep & ~comp
-            comp |= frontier
-        rest &= ~comp
+    for comp in _components(rows, keep):
         n = comp.bit_count()
         if n <= 4:
             continue
@@ -260,15 +237,6 @@ def _planar_within(rows: Sequence[int], keep: int) -> bool:
 def is_planar(g: Graph) -> bool:
     """Deterministic combinatorial planarity test (DMP per block)."""
     return _planar_within(g.rows, (1 << g.n) - 1)
-
-
-_K5 = complete_graph(5)
-_K33 = complete_multipartite(3, 3)
-
-
-def is_planar_wagner(g: Graph) -> bool:
-    """Independent oracle: planar iff no K5 minor and no K3,3 minor."""
-    return not has_minor(g, _K5).found and not has_minor(g, _K33).found
 
 
 class KApexResult(NamedTuple):

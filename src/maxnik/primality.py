@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .graphs import Graph, _bits, identified_union
+from .graphs import Graph, _bits, _components, _reach, identified_union
 
 
 def _minimal_clique_cutsets(g: Graph) -> Iterator[tuple[int, ...]]:
@@ -40,14 +40,7 @@ def _minimal_clique_cutsets(g: Graph) -> Iterator[tuple[int, ...]]:
             if any(fm & cmask == fm for fm in found):
                 continue
             rest = full & ~cmask
-            reach = frontier = rest & -rest
-            while frontier:  # flood fill of g minus the clique
-                b = frontier & -frontier
-                frontier ^= b
-                new = rows[b.bit_length() - 1] & rest & ~reach
-                reach |= new
-                frontier |= new
-            if reach != rest:
+            if _reach(rows, rest & -rest, rest) != rest:
                 found.append(cmask)
                 yield clique
                 continue
@@ -62,26 +55,12 @@ def _minimal_clique_cutsets(g: Graph) -> Iterator[tuple[int, ...]]:
 def _pieces(g: Graph, cut: Iterable[int]) -> list[int]:
     """Vertex masks of the pieces of g at ``cut``, ordered by least vertex.
 
-    One piece per component of g minus the cut, with the cut added back;
-    the components come from a flood fill of the mask outside the cut.
+    One piece per component of g minus the cut, with the cut added back.
     """
-    rows = g.rows
     cmask = 0
     for v in cut:
         cmask |= 1 << v
-    rest = ((1 << g.n) - 1) & ~cmask
-    out = []
-    while rest:
-        comp = frontier = rest & -rest
-        while frontier:
-            b = frontier & -frontier
-            frontier ^= b
-            new = rows[b.bit_length() - 1] & rest & ~comp
-            comp |= new
-            frontier |= new
-        rest ^= comp
-        out.append(comp | cmask)
-    return out
+    return [comp | cmask for comp in _components(g.rows, ((1 << g.n) - 1) & ~cmask)]
 
 
 def clique_cutsets(g: Graph) -> list[tuple[int, ...]]:

@@ -12,10 +12,11 @@ from maxnik.canon import (CanonicalForm, _relabel_canonically, canonical_form,
 from maxnik.catalog import ObstructionLibrary, mmik_library, named_graph
 from maxnik.certify import check_necessary
 from maxnik.errors import OrderOverflowError, ParseError
-from maxnik.graphs import (MAX_ORDER, Graph, _bits, contract_edge, from_edges,
+from maxnik.graphs import (MAX_ORDER, Graph, _bits, complete_graph,
+                           complete_multipartite, contract_edge, from_edges,
                            graph6_encode, triangles)
 from maxnik.minors import (DELTA_Y, Y_DELTA, ClosureResult, MinorSearch,
-                           MinorWitness, delta_y, y_delta)
+                           MinorWitness, delta_y, has_minor, y_delta)
 from maxnik.planarity import KApexResult
 from maxnik.survey import classified_maxnik
 
@@ -52,6 +53,41 @@ def brute_force_minor(host: Graph, pattern: Graph) -> bool:
                         break
     _minor_memo[(hkey, pkey)] = result
     return result
+
+
+def reference_components(g: Graph, gone=()) -> list[set[int]]:
+    """Oracle: components of g minus ``gone``, by a stack search over neighbour tuples."""
+    left = set(range(g.n)) - set(gone)
+    comps = []
+    while left:
+        stack = [min(left)]
+        comp = set(stack)
+        while stack:
+            for u in g.neighbors(stack.pop()):
+                if u in left and u not in comp:
+                    comp.add(u)
+                    stack.append(u)
+        comps.append(comp)
+        left -= comp
+    return comps
+
+
+def brute_connectivity(g: Graph, cap: int = MAX_ORDER) -> int:
+    """Oracle: smallest vertex set whose removal disconnects (or n-1), capped at ``cap``."""
+    for size in range(min(g.n - 1, cap)):
+        for cut in combinations(range(g.n), size):
+            if len(reference_components(g, cut)) >= 2:
+                return size
+    return min(g.n - 1, cap)
+
+
+_K5 = complete_graph(5)
+_K33 = complete_multipartite(3, 3)
+
+
+def is_planar_wagner(g: Graph) -> bool:
+    """Independent oracle: planar iff no K5 minor and no K3,3 minor."""
+    return not has_minor(g, _K5).found and not has_minor(g, _K33).found
 
 
 def brute_force_isomorphic(g: Graph, h: Graph) -> bool:

@@ -24,13 +24,13 @@ from maxnik.errors import UnrepresentableSizeError
 from maxnik.graphs import (Graph, graph6_decode, graph6_encode,
                            non_triangular_edges)
 from maxnik.minors import has_minor
-from maxnik.planarity import is_planar, is_planar_wagner
+from maxnik.planarity import is_planar
 from maxnik.primality import decompose, is_prime
 from maxnik.smallgraphs import enumerate_graphs
 from maxnik.survey import (classified_maxnik, enumerate_maxnik, table_deg,
                            table_ve, verify_order9)
 
-from conftest import brute_force_minor, random_graph
+from conftest import brute_force_minor, is_planar_wagner, random_graph
 
 _touched: list[Graph] = []
 

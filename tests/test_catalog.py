@@ -17,12 +17,11 @@ from maxnik.catalog import (disk_axiom_covers, heawood_family, k3311_family,
                             k7_dy_family, named_graph)
 from maxnik.graphs import (clique_number, complement, complete_graph,
                            complete_multipartite, cycle_graph, disjoint_union,
-                           join, non_triangular_edges, triangles,
-                           vertex_connectivity)
+                           join, non_triangular_edges, triangles)
 from maxnik.minors import has_minor
 from maxnik.planarity import is_k_apex, is_maximal_2apex
 
-from conftest import reference_disk_axiom_covers
+from conftest import brute_connectivity, reference_disk_axiom_covers
 
 
 class TestE9:
@@ -43,7 +42,7 @@ class TestE9:
             assert sorted((e9.degree(u), e9.degree(v))) == [4, 5]
 
     def test_four_connected(self):
-        assert vertex_connectivity(named_graph("E9").graph) == 4
+        assert brute_connectivity(named_graph("E9").graph) == 4
 
     def test_largest_clique_is_triangle(self):
         assert clique_number(named_graph("E9").graph) == 3

@@ -104,6 +104,13 @@ def test_construct_prime_order(capsys):
     assert json.loads(out)["size"] == 30
 
 
+def test_construct_prime_order_64(capsys):
+    code, out, _ = run_cli(capsys, ["construct", "--prime-order", "64",
+                                    "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["size"] == 5 * 64 - 15
+
+
 def test_minor_query(capsys):
     code, out, _ = run_cli(capsys, ["minor", "--host", "D~{", "--pattern", "C~"])
     assert code == 0

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import maxnik.construct as construct_module
 from maxnik.canon import are_isomorphic
 from maxnik.catalog import named_graph
 from maxnik.certify import (LEMMA_EDGE_SUM, LEMMA_EDGE_SUM_MAXNIK,
@@ -22,8 +23,10 @@ from maxnik.graphs import (clique_number, complete_graph,
                            complete_multipartite, is_k_connected,
                            non_triangular_edges)
 from maxnik.planarity import is_maximal_2apex, is_maximal_planar
+from maxnik.primality import is_prime
+from maxnik.smallgraphs import enumerate_triangulations
 
-from conftest import random_graph
+from conftest import brute_connectivity, random_graph
 
 
 @pytest.fixture(scope="module")
@@ -236,9 +239,40 @@ class TestPrimeFamily:
         assert is_maximal_2apex(g)
 
     def test_prime_outputs_are_prime(self):
-        from maxnik.primality import is_prime
         for order in (8, 9, 11):
             assert is_prime(prime_family(order)).prime
+
+    def test_order64(self):
+        g = prime_family(64)
+        assert (g.n, g.m) == (64, 5 * 64 - 15)
+        assert is_prime(g).prime
+        assert is_maximal_2apex(g)
+
+    def test_every_checked_triangulation_is_four_connected(self, monkeypatch):
+        checked = []
+
+        def recording_is_prime(t):
+            checked.append(t)
+            return is_prime(t)
+
+        monkeypatch.setattr(construct_module, "is_prime", recording_is_prime)
+        prime_family(18)
+        assert [t.n for t in checked] == list(range(7, 17))
+        for t in checked:
+            assert is_prime(t).prime and brute_connectivity(t) >= 4
+
+
+class TestTriangulationPrimality:
+    """A triangulation is prime exactly when it is 4-connected (prime_family relies on it)."""
+
+    def test_prime_iff_four_connected(self):
+        triangulations = [t for order in (6, 7, 8) for t in enumerate_triangulations(order)]
+        primes = [is_prime(t).prime for t in triangulations]
+        assert len(triangulations) == 21 and 0 < sum(primes) < 21
+        for t, prime in zip(triangulations, primes):
+            assert prime == (brute_connectivity(t) >= 4), t
+            if prime:
+                assert clique_number(t) == 3
 
 
 class TestSubdivide:

@@ -8,25 +8,20 @@ from itertools import combinations
 import pytest
 
 from maxnik.canon import are_isomorphic
-from maxnik.graphs import (Graph, complement, complete_graph,
+from maxnik.graphs import (Graph, _bits, complement, complete_graph,
                            complete_multipartite, contract_edge, cycle_graph,
                            degree_stats, disjoint_union, empty_graph,
-                           from_edges, identified_union, join,
-                           non_triangular_edges, path_graph, triangles,
-                           vertex_connectivity)
+                           from_edges, identified_union, is_k_connected, join,
+                           non_triangular_edges, path_graph, triangles)
 
-from conftest import all_labeled_graphs, random_graph
+from conftest import (all_labeled_graphs, brute_connectivity,
+                      reference_components, random_graph)
 
 
-def brute_connectivity(g: Graph) -> int:
-    """Oracle: smallest vertex set whose removal disconnects (or n-1)."""
-    if g.is_complete():
-        return g.n - 1
-    for size in range(g.n - 1):
-        for cut in combinations(range(g.n), size):
-            if len(g.delete_vertices(cut).components()) >= 2:
-                return size
-    return g.n - 1
+def assert_k_connected_matches_brute_force(g: Graph) -> None:
+    kappa = brute_connectivity(g)
+    for k in range(5):
+        assert is_k_connected(g, k) == (g.n > k and kappa >= k), (g, k)
 
 
 class TestComplement:
@@ -113,28 +108,30 @@ class TestDegreeStats:
 class TestConnectivity:
     def test_complete(self):
         for n in (2, 5, 9):
-            assert vertex_connectivity(complete_graph(n)) == n - 1
+            assert_k_connected_matches_brute_force(complete_graph(n))
 
     def test_path3(self):
-        assert vertex_connectivity(path_graph(3)) == 1
+        assert_k_connected_matches_brute_force(path_graph(3))
 
     def test_disconnected(self):
-        assert vertex_connectivity(disjoint_union(complete_graph(2), complete_graph(3))) == 0
+        assert_k_connected_matches_brute_force(
+            disjoint_union(complete_graph(2), complete_graph(3)))
 
     def test_octahedron(self):
-        assert vertex_connectivity(complete_multipartite(2, 2, 2)) == 4
+        assert brute_connectivity(complete_multipartite(2, 2, 2)) == 4
+        assert_k_connected_matches_brute_force(complete_multipartite(2, 2, 2))
 
     def test_against_brute_force(self):
         rng = random.Random(9)
-        for _ in range(60):
-            g = random_graph(rng, rng.randint(2, 7), rng.choice([0.3, 0.5, 0.8]))
-            assert vertex_connectivity(g) == brute_connectivity(g)
+        for _ in range(120):
+            g = random_graph(rng, rng.randint(2, 9), rng.choice([0.3, 0.5, 0.8]))
+            assert_k_connected_matches_brute_force(g)
 
     def test_at_most_min_degree(self):
         rng = random.Random(10)
         for _ in range(40):
             g = random_graph(rng, rng.randint(2, 10), 0.5)
-            assert vertex_connectivity(g) <= min(g.degrees())
+            assert not is_k_connected(g, min(g.degrees()) + 1)
 
 
 class TestNonTriangular:
@@ -179,13 +176,18 @@ def test_graph_validation_rejects_bad_rows():
 
 
 def test_components_partition_vertices():
-    for g in all_labeled_graphs(4):
+    rng = random.Random(12)
+    graphs = list(all_labeled_graphs(4))
+    graphs += [random_graph(rng, rng.randint(1, 16), rng.choice([0.1, 0.2, 0.4]))
+               for _ in range(200)]
+    for g in graphs:
         comps = g.components()
         whole = 0
         for c in comps:
             assert not whole & c
             whole |= c
         assert whole == (1 << g.n) - 1
+        assert [set(_bits(c)) for c in comps] == reference_components(g)
 
 
 def test_public_constructors_validate_beside_the_trusted_one():

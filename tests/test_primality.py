@@ -11,12 +11,11 @@ from maxnik.canon import are_isomorphic, canonical_form
 from maxnik.catalog import named_graph
 from maxnik.certify import _cutset_decomposition, certify_maxnik
 from maxnik.construct import chain_graphs, npp5_family, size_construct
-from maxnik.graphs import (complete_graph, cycle_graph, path_graph,
-                           vertex_connectivity)
+from maxnik.graphs import complete_graph, cycle_graph, path_graph
 from maxnik.primality import (check_lemma_complement_k2, check_lemma_two_cut,
                               clique_cutsets, decompose, is_prime)
 
-from conftest import random_graph, reference_clique_cutsets
+from conftest import brute_connectivity, random_graph, reference_clique_cutsets
 
 PRIME_NAMES = ["K8-3K2", "Pentagon-bar", "E9", "G9,29"]
 COMPOSITE_NAMES = ["K7^-", "K8-P3", "Big-Y", "Long-Y", "Hat", "House"]
@@ -34,7 +33,7 @@ class TestCutsets:
     def test_e9_has_no_small_cutsets(self):
         e9 = named_graph("E9").graph
         assert clique_cutsets(e9) == []
-        assert vertex_connectivity(e9) == 4  # cutsets would need 4+ mutual edges
+        assert brute_connectivity(e9) == 4  # cutsets would need 4+ mutual edges
 
     def test_cut_vertex_found(self):
         g = path_graph(4)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import inspect
@@ -19,6 +20,7 @@ from maxnik.certify import (LEMMA_EDGE_SUM, RULES, SETS, VERDICT_IK, VERDICT_MAX
                             certify_nik, relabel_certificate,
                             validate_certificate)
 from maxnik.construct import chain_graphs, npp5_family, size_construct
+from maxnik.errors import ValidationError
 from maxnik.graphs import complete_graph, cycle_graph, graph6_decode, graph6_encode
 from maxnik.survey import classified_maxnik
 
@@ -130,7 +132,33 @@ class TestForgedCertificates:
         assert validate_certificate(forged, lib) != []
 
 
+_NO_GRAPH = "evidence 'graph' is missing or not a graph6 string"
+
+# a change to K5's certificate JSON, and the problems it gives or the error it raises
+_MALFORMED = {
+    "child-without-graph": (lambda d: d["children"][0]["evidence"].pop("graph"),
+                            ["root: first child is not a NIK certificate of this graph",
+                             f"root.0: {_NO_GRAPH}"]),
+    "bad-graph6": (lambda d: d["evidence"].update(graph="!!"), [f"root: {_NO_GRAPH}"]),
+    "list-verdict": (lambda d: d.update(verdict=[VERDICT_MAXNIK]),
+                     ["root: rule complete-nik does not conclude ['MAXNIK']"]),
+    "node-without-children": (lambda d: d["children"][0].pop("children"),
+                              ValidationError("certificate node has no 'children'")),
+}
+
+
 class TestMalformedEvidence:
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_hand_made_certificate(self, lib, case):
+        spoil, want = _MALFORMED[case]
+        data = copy.deepcopy(certify_maxnik(complete_graph(5), lib).to_json())
+        spoil(data)
+        if isinstance(want, Exception):
+            with pytest.raises(type(want), match=str(want)):
+                Certificate.from_json(data)
+        else:
+            assert validate_certificate(Certificate.from_json(data), lib) == want
+
     def test_apex_pair_without_witness(self, lib):
         problems = validate_certificate(
             Certificate(VERDICT_NIK, "apex-pair", {"graph": _k(6)}), lib)
