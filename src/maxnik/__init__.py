@@ -33,9 +33,7 @@ from .minors import (ClosureResult, MinorWitness, closure, delta_y,
                      has_minor, y_delta)
 from .planarity import (is_k_apex, is_maximal_2apex, is_maximal_planar,
                         is_planar)
-from .primality import (Decomposition, check_lemma_complement_k2,
-                        check_lemma_two_cut, clique_cutsets, decompose,
-                        is_prime)
+from .primality import Decomposition, clique_cutsets, decompose, is_prime
 from .survey import (classified_maxnik, enumerate_graphs, enumerate_maxnik,
                      enumerate_triangulations, table_deg, table_ve,
                      verify_order9, verify_size20)

@@ -19,6 +19,13 @@ of one. In the first round the count in the rest of v's old cell is the
 (constant) count in the old cell minus the count in (v,), so it adds
 nothing either. The forms, labelings and generator lists are the same as
 those of the plain refinement, which the tests keep as a reference.
+
+Generators are checked, and act on vertex sets, only here: orbit pruning is
+sound only under true automorphisms. ``_checked`` raises naming a generator
+that does not preserve the rows; ``automorphism_generators`` and
+``minors.closure`` pass theirs through it. ``_set_orbit`` flood-fills the
+orbit of a vertex-set mask for ``orbits``, ``is_k_apex`` and ``closure``;
+``_reaches`` and ``_subset_orbit_minima`` are hot-path versions of it.
 """
 
 from __future__ import annotations
@@ -26,9 +33,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .graphs import Graph, _permuted_rows, triangles
+from .graphs import Graph, _bits, _permuted_rows, triangles
 
 
 @dataclass(frozen=True, order=True)
@@ -261,59 +268,100 @@ def _generator_memo() -> Iterator[None]:
 
 
 def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
-    """Permutations generating the full automorphism group."""
+    """Permutations generating the full automorphism group, each checked."""
     memo = _MEMO.get()
     if memo is None:
-        return _canonical_search(g)[2]
+        return _checked(g.rows, _canonical_search(g)[2])
     gens = memo.get(g)
     if gens is None:
-        gens = memo[g] = _canonical_search(g)[2]
+        gens = memo[g] = _checked(g.rows, _canonical_search(g)[2])
     return list(gens)
 
 
-def _object_orbits(objects: list, gens: list[tuple[int, ...]], image) -> tuple[tuple, ...]:
-    index = {ob: i for i, ob in enumerate(objects)}
-    parent = list(range(len(objects)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+def _checked(rows: tuple[int, ...], gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """``gens``, each verified to preserve ``rows``; a wrong one raises."""
     for a in gens:
-        for ob in objects:
-            i, j = find(index[ob]), find(index[image(ob, a)])
-            if i != j:
-                parent[i] = j
-    groups: dict[int, list] = {}
-    for ob in objects:
-        groups.setdefault(find(index[ob]), []).append(ob)
-    return tuple(sorted(tuple(sorted(v)) for v in groups.values()))
+        if _permuted_rows(rows, a) != rows:
+            raise AssertionError(f"generator {a} is not an automorphism")
+    return gens
 
 
-def _vertex_image(v: int, a: tuple[int, ...]) -> int:
-    return a[v]
+def _set_orbit(mask: int, gens: list[tuple[int, ...]]) -> set[int]:
+    """The orbit of the vertex set ``mask`` under ``gens``, as masks."""
+    orbit = {mask}
+    stack = [mask]
+    while stack:
+        x = stack.pop()
+        for a in gens:
+            y = 0
+            rest = x
+            while rest:
+                low = rest & -rest
+                y |= 1 << a[low.bit_length() - 1]
+                rest ^= low
+            if y not in orbit:
+                orbit.add(y)
+                stack.append(y)
+    return orbit
 
 
-def _pair_image(e: tuple[int, int], a: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted((a[e[0]], a[e[1]])))
+def _set_orbits(sets: Iterable[tuple[int, ...]], gens: list[tuple[int, ...]]) -> tuple[tuple, ...]:
+    """Sorted orbits of the vertex tuples ``sets``, which ``gens`` permute."""
+    found = []
+    seen: set[int] = set()
+    for s in sets:
+        mask = sum(1 << v for v in s)
+        if mask not in seen:
+            orbit = _set_orbit(mask, gens)
+            seen |= orbit
+            found.append(tuple(sorted(tuple(_bits(m)) for m in orbit)))
+    return tuple(sorted(found))
 
 
-def _triangle_image(t: tuple[int, int, int], a: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted((a[t[0]], a[t[1]], a[t[2]])))
+def _subset_orbit_minima(n: int, gens: list[tuple[int, ...]]) -> list[int]:
+    """The least mask of each orbit of <gens> on subsets of 0..n-1, increasing.
+
+    Each generator gets a table of its images of all 2**n masks, filled by
+    adding one bit at a time; each mask not yet seen starts a new orbit,
+    which a flood fill through the tables marks.
+    """
+    size = 1 << n
+    tables = []
+    for a in gens:
+        img = [0] * size
+        for m in range(1, size):
+            low = m & -m
+            img[m] = img[m ^ low] | 1 << a[low.bit_length() - 1]
+        tables.append(img)
+    seen = bytearray(size)
+    minima = []
+    for m in range(size):
+        if seen[m]:
+            continue
+        minima.append(m)
+        seen[m] = 1
+        stack = [m]
+        while stack:
+            x = stack.pop()
+            for img in tables:
+                y = img[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    stack.append(y)
+    return minima
 
 
 def orbits(g: Graph, kind: str) -> OrbitPartition:
     """Automorphism orbits of vertices, edges, non-edges, or triangles."""
-    gens = automorphism_generators(g)
     if kind == "vertex":
-        objects, image = list(range(g.n)), _vertex_image
+        sets = [(v,) for v in range(g.n)]
     elif kind in ("edge", "non-edge"):
-        pairs = g.edges() if kind == "edge" else g.non_edges()
-        objects, image = [tuple(p) for p in pairs], _pair_image
+        sets = g.edges() if kind == "edge" else g.non_edges()
     elif kind == "triangle":
-        objects, image = [tuple(t) for t in triangles(g)], _triangle_image
+        sets = triangles(g)
     else:
         raise ValueError(f"unknown orbit kind {kind!r}")
-    return OrbitPartition(kind, _object_orbits(objects, gens, image))
+    found = _set_orbits(sets, automorphism_generators(g))
+    if kind == "vertex":
+        found = tuple(tuple(v for (v,) in orbit) for orbit in found)
+    return OrbitPartition(kind, found)

@@ -81,11 +81,15 @@ class Certificate:
 
     @staticmethod
     def from_json(data: dict) -> "Certificate":
-        """Rebuild ``to_json`` output; a node without one of its four keys
-        raises ``ValidationError`` naming the key."""
+        """Rebuild ``to_json`` output; a node that is not an object with the
+        four keys and a ``children`` list raises ``ValidationError``."""
+        if not isinstance(data, dict):
+            raise ValidationError(f"certificate node {data!r} is not an object")
         for key in ("verdict", "rule", "evidence", "children"):
             if key not in data:
                 raise ValidationError(f"certificate node has no {key!r}")
+        if not isinstance(data["children"], (list, tuple)):
+            raise ValidationError("certificate node's 'children' is not a list")
         return Certificate(
             data["verdict"], data["rule"], data["evidence"],
             tuple(Certificate.from_json(c) for c in data["children"]))
@@ -512,8 +516,11 @@ def _replay_axiom(cert, g, lib, memo):
 
 def _replay_per_non_edge(cert, g, lib, memo):
     reps = [tuple(r) for r in cert.evidence["orbit_representatives"]]
-    orbit_list = _memo(memo, "non-edge orbits", cert.evidence["graph"],
-                       lambda: orbits(g, "non-edge").orbits)
+    try:
+        orbit_list = _memo(memo, "non-edge orbits", cert.evidence["graph"],
+                           lambda: orbits(g, "non-edge").orbits)
+    except AssertionError as exc:  # a generator that is no automorphism
+        return str(exc)
     if len(reps) != len(orbit_list):
         return "representative count differs from orbit count"
     if not all(any(r in orbit for r in reps) for orbit in orbit_list):

@@ -18,9 +18,9 @@ from .certify import (LEMMA_EDGE_SUM_MAXNIK, LEMMA_TRIANGLE_SUM,
                       lemma_conclusion, relabel_certificate)
 from .errors import (ConstructionInvariantError, PreconditionError,
                      SizeOutOfRangeError, UnrepresentableSizeError)
-from .graphs import (MAX_ORDER, Graph, complete_graph, complete_multipartite,
-                     graph6_encode, identified_union, join, clique_number,
-                     non_triangular_edges)
+from .graphs import (MAX_ORDER, Graph, _bits, complete_graph,
+                     complete_multipartite, graph6_encode, identified_union,
+                     join, clique_number, non_triangular_edges)
 from .planarity import is_maximal_2apex, is_maximal_planar
 from .primality import is_prime
 
@@ -88,10 +88,12 @@ def _certified(name: str) -> tuple[Graph, Certificate]:
 
 
 def _least_non_triangular_edge(g: Graph) -> tuple[int, int]:
+    """The least edge uv in lex order whose ends have no common neighbour."""
     rows = g.rows
-    for u, v in g.edges():
-        if not rows[u] & rows[v]:
-            return u, v
+    for u, r in enumerate(rows):
+        for v in _bits(r >> (u + 1) << (u + 1)):
+            if not r & rows[v]:
+                return u, v
     raise PreconditionError("no non-triangular edge available")
 
 

@@ -25,6 +25,7 @@ first witness of the restricted one.
 of its parent, as ``enumerate_graphs`` builds each class once (McKay
 1998). An automorphism moving one triangle or degree-3 vertex onto another
 makes the two children isomorphic, so a skipped child never founds a class.
+The generators are checked and the orbits filled in ``canon``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import canon
-from .graphs import Graph, _bits, _permuted_rows, _reach, triangles
+from .graphs import Graph, _bits, _reach, triangles
 
 
 @dataclass(frozen=True)
@@ -271,10 +272,7 @@ def closure(seeds: list[Graph], moves) -> ClosureResult:
         pos = [0] * g.n
         for i, v in enumerate(lab):
             pos[v] = i
-        gens[key] = [tuple([pos[a[v]] for v in lab]) for a in autos]
-        for b in gens[key]:
-            if _permuted_rows(rep.rows, b) != rep.rows:
-                raise AssertionError(f"generator {b} is not an automorphism")
+        gens[key] = canon._checked(rep.rows, [tuple([pos[a[v]] for v in lab]) for a in autos])
         genealogy[key] = origin
         heapq.heappush(heap, key)
 
@@ -285,12 +283,12 @@ def closure(seeds: list[Graph], moves) -> ClosureResult:
         g = members[key]
         children: list[tuple[str, Graph]] = []
         if DELTA_Y in moves:
-            orbs = canon._object_orbits(list(triangles(g)), gens[key], canon._triangle_image)
+            orbs = canon._set_orbits(triangles(g), gens[key])
             children.extend((DELTA_Y, delta_y(g, orbit[0])) for orbit in orbs)
         if Y_DELTA in moves:
-            cubic = [v for v in range(g.n) if g.degree(v) == 3]
-            orbs = canon._object_orbits(cubic, gens[key], canon._vertex_image)
-            children.extend((Y_DELTA, y_delta(g, orbit[0])) for orbit in orbs)
+            cubic = [(v,) for v in range(g.n) if g.degree(v) == 3]
+            orbs = canon._set_orbits(cubic, gens[key])
+            children.extend((Y_DELTA, y_delta(g, orbit[0][0])) for orbit in orbs)
         for move, child in children:
             label(child, (move, key))
     keys = tuple(sorted(members))

@@ -28,8 +28,8 @@ failed. Most queries that find a witness end before then and pay nothing; a
 query without one prunes the rest of its C(n, k) subsets. (Fetching
 at the first subset without vertex 0 instead made the order-9, size-20
 sweep 14% slower: there every query finds a witness, most of them soon
-after that point.) Each generator is checked to preserve the rows before it
-is used, so a wrong one fails loudly instead of skipping a subset.
+after that point.) ``canon`` checks the generators and fills the orbits, so a
+wrong generator fails loudly instead of skipping a subset.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
-from .canon import automorphism_generators
-from .graphs import Graph, _bits, _components, _permuted_rows
+from .canon import _set_orbit, automorphism_generators
+from .graphs import Graph, _bits, _components
 
 
 def _dfs_cycle(rows: Sequence[int], mask: int) -> list[int]:
@@ -273,40 +273,15 @@ def is_k_apex(g: Graph, k: int) -> KApexResult:
         if _planar_within(rows, full & ~gone):
             return KApexResult(True, subset)
         if gens is not None:
-            _close_orbit(gone, gens, seen)
+            seen |= _set_orbit(gone, gens)
             continue
         failed.append(gone)
         if len(failed) == 2 * g.n:
-            gens = _checked_generators(g)
+            gens = automorphism_generators(g)
             for mask in failed:
-                _close_orbit(mask, gens, seen)
+                if mask not in seen:
+                    seen |= _set_orbit(mask, gens)
     return KApexResult(False, None)
-
-
-def _checked_generators(g: Graph) -> list[tuple[int, ...]]:
-    """``automorphism_generators(g)``, each verified to preserve g's rows."""
-    gens = automorphism_generators(g)
-    for a in gens:
-        if _permuted_rows(g.rows, a) != g.rows:
-            raise AssertionError(f"generator {a} is not an automorphism")
-    return gens
-
-
-def _close_orbit(mask: int, gens: list[tuple[int, ...]], seen: set[int]) -> None:
-    """Add the orbit of the vertex set ``mask`` under ``gens`` to ``seen``."""
-    if mask in seen:
-        return
-    seen.add(mask)
-    stack = [mask]
-    while stack:
-        x = stack.pop()
-        for a in gens:
-            y = 0
-            for v in _bits(x):
-                y |= 1 << a[v]
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
 
 
 def is_maximal_planar(g: Graph) -> bool:

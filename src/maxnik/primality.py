@@ -163,69 +163,3 @@ def decompose(g: Graph) -> Decomposition:
     if g.relabel(gmap) != rebuilt:
         raise AssertionError("decomposition does not re-glue to its input")
     return d
-
-
-# -- lemma verification reports ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class TwoCutCheck:
-    cut: tuple[int, int]
-    edge_present: bool
-    piece_verdicts: tuple[str, ...]
-    ok: bool
-
-
-@dataclass(frozen=True)
-class TwoCutReport:
-    """Conclusions forced at every 2-vertex cut of an edge-maximal graph."""
-
-    checks: tuple[TwoCutCheck, ...]
-    vacuous: bool
-    ok: bool
-
-
-def check_lemma_two_cut(g: Graph, certificate) -> TwoCutReport:
-    """At each 2-cut {x,y}: xy must be an edge and each side-plus-cut maximal.
-
-    Any failure invalidates the supplied MAXNIK certificate for g.
-    """
-    from .certify import VERDICT_MAXNIK, certify_maxnik
-
-    if certificate.verdict != VERDICT_MAXNIK:
-        raise ValueError("expected a MAXNIK certificate for the input graph")
-    checks = []
-    for x in range(g.n):
-        for y in range(x + 1, g.n):
-            pieces = _pieces(g, (x, y))
-            if len(pieces) < 2:
-                continue
-            edge_present = g.has_edge(x, y)
-            verdicts = []
-            ok = edge_present
-            for piece in pieces:
-                verdict = certify_maxnik(g._induced(piece)).verdict
-                verdicts.append(verdict)
-                ok = ok and verdict == VERDICT_MAXNIK
-            checks.append(TwoCutCheck((x, y), edge_present, tuple(verdicts), ok))
-    return TwoCutReport(tuple(checks), vacuous=not checks,
-                        ok=all(c.ok for c in checks))
-
-
-@dataclass(frozen=True)
-class ComplementK2Report:
-    prime: bool
-    is_complete_minus_edge: bool
-    ok: bool
-
-
-def check_lemma_complement_k2(g: Graph) -> ComplementK2Report:
-    """Complement has a K2 component: then prime, or K_n minus one edge."""
-    from .graphs import complement
-
-    comp_sizes = [c.bit_count() for c in complement(g).components()]
-    if 2 not in comp_sizes:
-        raise ValueError("complement has no K2 component")
-    prime = is_prime(g).prime
-    minus_edge = g.m == g.n * (g.n - 1) // 2 - 1
-    return ComplementK2Report(prime, minus_edge, prime or minus_edge)

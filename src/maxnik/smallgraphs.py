@@ -42,7 +42,7 @@ order, and the known class counts are checked on every build.
 from __future__ import annotations
 
 from .canon import (_canonical_search, _reaches, _relabel_canonically,
-                    automorphism_generators)
+                    _subset_orbit_minima, automorphism_generators)
 from .graphs import Graph, _bits
 from .planarity import is_planar
 
@@ -50,39 +50,6 @@ _CLASS_CACHE: dict[int, tuple[Graph, ...]] = {}
 
 # number of graphs on n unlabeled vertices, used as a generation self-check
 KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
-
-
-def _subset_orbit_minima(n: int, gens: list[tuple[int, ...]]) -> list[int]:
-    """The least mask of each orbit of <gens> on subsets of 0..n-1, increasing.
-
-    Each generator gets a table of its images of all 2**n masks, filled by
-    adding one bit at a time; each mask not yet seen starts a new orbit,
-    which a flood fill through the tables marks.
-    """
-    size = 1 << n
-    tables = []
-    for a in gens:
-        img = [0] * size
-        for m in range(1, size):
-            low = m & -m
-            img[m] = img[m ^ low] | 1 << a[low.bit_length() - 1]
-        tables.append(img)
-    seen = bytearray(size)
-    minima = []
-    for m in range(size):
-        if seen[m]:
-            continue
-        minima.append(m)
-        seen[m] = 1
-        stack = [m]
-        while stack:
-            x = stack.pop()
-            for img in tables:
-                y = img[x]
-                if not seen[y]:
-                    seen[y] = 1
-                    stack.append(y)
-    return minima
 
 
 def enumerate_graphs(n: int) -> tuple[Graph, ...]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -10,14 +11,15 @@ import pytest
 from maxnik.canon import (CanonicalForm, _relabel_canonically, canonical_form,
                           canonical_key_graph, canonical_labeling, isomorphism)
 from maxnik.catalog import ObstructionLibrary, mmik_library, named_graph
-from maxnik.certify import check_necessary
+from maxnik.certify import VERDICT_MAXNIK, certify_maxnik, check_necessary
 from maxnik.errors import OrderOverflowError, ParseError
-from maxnik.graphs import (MAX_ORDER, Graph, _bits, complete_graph,
+from maxnik.graphs import (MAX_ORDER, Graph, _bits, complement, complete_graph,
                            complete_multipartite, contract_edge, from_edges,
                            graph6_encode, triangles)
 from maxnik.minors import (DELTA_Y, Y_DELTA, ClosureResult, MinorSearch,
                            MinorWitness, delta_y, has_minor, y_delta)
 from maxnik.planarity import KApexResult
+from maxnik.primality import _pieces, is_prime
 from maxnik.survey import classified_maxnik
 
 
@@ -140,6 +142,34 @@ def group_order(gens: list[tuple[int, ...]], n: int) -> int:
                 elements.add(composed)
                 frontier.append(composed)
     return len(elements)
+
+
+def reference_object_orbits(objects: list, gens: list[tuple[int, ...]],
+                            image) -> tuple[tuple, ...]:
+    """Oracle: orbits of ``gens`` on ``objects`` by union-find over the images.
+
+    ``image(ob, a)`` is the image of ``ob`` under the permutation ``a``; an
+    image outside ``objects`` raises ``KeyError``. Each orbit is sorted, and
+    the orbits are sorted.
+    """
+    index = {ob: i for i, ob in enumerate(objects)}
+    parent = list(range(len(objects)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a in gens:
+        for ob in objects:
+            i, j = find(index[ob]), find(index[image(ob, a)])
+            if i != j:
+                parent[i] = j
+    groups: dict[int, list] = {}
+    for ob in objects:
+        groups.setdefault(find(index[ob]), []).append(ob)
+    return tuple(sorted(tuple(sorted(v)) for v in groups.values()))
 
 
 @lru_cache(maxsize=None)
@@ -931,3 +961,67 @@ def reference_disk_axiom_covers(lib: ObstructionLibrary, g: Graph,
         if image in ax.triangle_orbit:
             return True
     return False
+
+
+# -- lemma verification reports ------------------------------------------------
+# Checks of two lemmas of the paper on certified graphs; only the tests call
+# them.
+
+
+@dataclass(frozen=True)
+class TwoCutCheck:
+    cut: tuple[int, int]
+    edge_present: bool
+    piece_verdicts: tuple[str, ...]
+    ok: bool
+
+
+@dataclass(frozen=True)
+class TwoCutReport:
+    """Conclusions forced at every 2-vertex cut of an edge-maximal graph."""
+
+    checks: tuple[TwoCutCheck, ...]
+    vacuous: bool
+    ok: bool
+
+
+def check_lemma_two_cut(g: Graph, certificate) -> TwoCutReport:
+    """At each 2-cut {x,y}: xy must be an edge and each side-plus-cut maximal.
+
+    Any failure invalidates the supplied MAXNIK certificate for g.
+    """
+    if certificate.verdict != VERDICT_MAXNIK:
+        raise ValueError("expected a MAXNIK certificate for the input graph")
+    checks = []
+    for x in range(g.n):
+        for y in range(x + 1, g.n):
+            pieces = _pieces(g, (x, y))
+            if len(pieces) < 2:
+                continue
+            edge_present = g.has_edge(x, y)
+            verdicts = []
+            ok = edge_present
+            for piece in pieces:
+                verdict = certify_maxnik(g._induced(piece)).verdict
+                verdicts.append(verdict)
+                ok = ok and verdict == VERDICT_MAXNIK
+            checks.append(TwoCutCheck((x, y), edge_present, tuple(verdicts), ok))
+    return TwoCutReport(tuple(checks), vacuous=not checks,
+                        ok=all(c.ok for c in checks))
+
+
+@dataclass(frozen=True)
+class ComplementK2Report:
+    prime: bool
+    is_complete_minus_edge: bool
+    ok: bool
+
+
+def check_lemma_complement_k2(g: Graph) -> ComplementK2Report:
+    """Complement has a K2 component: then prime, or K_n minus one edge."""
+    comp_sizes = [c.bit_count() for c in complement(g).components()]
+    if 2 not in comp_sizes:
+        raise ValueError("complement has no K2 component")
+    prime = is_prime(g).prime
+    minus_edge = g.m == g.n * (g.n - 1) // 2 - 1
+    return ComplementK2Report(prime, minus_edge, prime or minus_edge)

@@ -2,21 +2,29 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from itertools import permutations
 
-from maxnik.canon import (_canonical_search, _object_orbits,
-                          _relabel_canonically, are_isomorphic,
+import pytest
+
+from maxnik import canon
+from maxnik.canon import (_canonical_search, _relabel_canonically,
+                          _subset_orbit_minima, are_isomorphic,
                           automorphism_generators, canonical_form,
                           canonical_graph, isomorphism, orbits)
 from maxnik.graphs import (Graph, _bits, complement, complete_graph,
-                           complete_multipartite, cycle_graph, from_edges)
-from maxnik.smallgraphs import _subset_orbit_minima, enumerate_graphs
+                           complete_multipartite, cycle_graph, from_edges,
+                           graph6_encode, triangles)
+from maxnik.smallgraphs import enumerate_graphs
 
 from conftest import (all_labeled_graphs, brute_force_automorphisms,
                       brute_force_isomorphic, dedup_by_canonical_form,
-                      group_order, random_graph, reference_canonical_search)
+                      group_order, random_graph, reference_canonical_search,
+                      reference_object_orbits)
+
+KINDS = ("vertex", "edge", "non-edge", "triangle")
 
 
 def test_c5_self_complementary():
@@ -126,6 +134,52 @@ def test_orbit_counts_relabeling_invariant():
             assert len(orbits(h, kind)) == count
 
 
+def _brute_orbits(g: Graph, kind: str) -> tuple[tuple, ...]:
+    """The orbits of ``kind`` under every automorphism, from the full group."""
+    group = brute_force_automorphisms(g)
+    if kind == "vertex":
+        return tuple(sorted({tuple(sorted({a[v] for a in group})) for v in range(g.n)}))
+    sets = {"edge": g.edges, "non-edge": g.non_edges, "triangle": lambda: triangles(g)}[kind]()
+    return tuple(sorted({tuple(sorted({tuple(sorted(a[v] for v in s)) for a in group}))
+                         for s in sets}))
+
+
+def test_orbits_match_the_brute_force_group():
+    rng = random.Random(17)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(3, 7), rng.random())
+        for kind in KINDS:
+            assert orbits(g, kind).orbits == _brute_orbits(g, kind), (g, kind)
+
+
+# sha256 over (graph6, kind, orbits) of every class of order at most 7, measured
+# while the orbits came from a union-find over each kind's image function
+ORBITS_ORDER7_DIGEST = "8242424ad15d99d0807c1a2738deaed28f5469538a2dc8fb99ba5c90a84b7ab6"
+
+
+def test_orbits_of_every_class_through_order7_unchanged():
+    h = hashlib.sha256()
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            for kind in KINDS:
+                h.update(repr((graph6_encode(g), kind, orbits(g, kind).orbits)).encode())
+    assert h.hexdigest() == ORBITS_ORDER7_DIGEST
+
+
+def test_wrong_generator_is_never_used(monkeypatch):
+    real = _canonical_search
+
+    def corrupted(g):
+        form, lab, autos = real(g)
+        return form, lab, autos + [(1, 0) + tuple(range(2, g.n))]
+
+    monkeypatch.setattr(canon, "_canonical_search", corrupted)
+    g = complete_graph(6).without_edge(0, 5)  # swapping 0 and 1 moves the non-edge
+    for kind in KINDS:
+        with pytest.raises(AssertionError, match=r"generator \(1, 0, 2, 3, 4, 5\) is not"):
+            orbits(g, kind)
+
+
 def test_orbits_partition_objects():
     g = complete_multipartite(2, 2, 2)
     part = orbits(g, "edge")
@@ -220,5 +274,5 @@ def test_subset_orbit_minima_match_union_find():
     for n in range(1, 8):
         for parent in enumerate_graphs(n):
             gens = automorphism_generators(parent)
-            want = [o[0] for o in _object_orbits(list(range(1 << n)), gens, _mask_image)]
+            want = [o[0] for o in reference_object_orbits(list(range(1 << n)), gens, _mask_image)]
             assert _subset_orbit_minima(n, gens) == want, parent

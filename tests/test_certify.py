@@ -159,6 +159,24 @@ class TestOrbitReductionSoundness:
                     assert certify_ik(g.with_edge(u2, v2), lib).verdict == per_orbit[orbit]
             assert set(per_orbit.values()) == {VERDICT_IK}
 
+    def test_validator_reports_a_wrong_generator(self, monkeypatch, lib):
+        g = named_graph("K8-3K2").graph
+        cert = certify_maxnik(g, lib)
+        assert cert.rule == "per-non-edge" and validate_certificate(cert, lib) == []
+        deg = g.degrees()
+        v = next(w for w in range(g.n) if deg[w] != deg[0])
+        bad = list(range(g.n))
+        bad[0], bad[v] = v, 0  # swaps vertices of different degrees
+        real = canon_module._canonical_search
+
+        def corrupted(h):
+            form, lab, autos = real(h)
+            return form, lab, autos + [tuple(bad)]
+
+        monkeypatch.setattr(canon_module, "_canonical_search", corrupted)
+        assert validate_certificate(cert, lib) == [
+            f"root: generator {tuple(bad)} is not an automorphism"]
+
 
 # Forty G(n, p) hosts of order 9 and 10 (p from 0.4 to 0.7), one fixed draw.
 GOLDEN_HOSTS = (

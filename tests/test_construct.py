@@ -140,7 +140,9 @@ class TestLeastNonTriangularEdge:
     def test_first_of_the_full_list(self):
         rng = random.Random(3)
         graphs = [random_graph(rng, rng.randint(2, 14), rng.random()) for _ in range(300)]
-        graphs += [chain_graphs(2)[0], named_graph("E9").graph]
+        graphs += [chain_graphs(i)[0] for i in range(1, 7)]
+        graphs += [npp5_family(k)[0] for k in range(1, 5)]
+        graphs.append(named_graph("E9").graph)
         for g in graphs:
             edges = non_triangular_edges(g)
             if edges:

@@ -12,10 +12,10 @@ from maxnik.catalog import named_graph
 from maxnik.certify import _cutset_decomposition, certify_maxnik
 from maxnik.construct import chain_graphs, npp5_family, size_construct
 from maxnik.graphs import complete_graph, cycle_graph, path_graph
-from maxnik.primality import (check_lemma_complement_k2, check_lemma_two_cut,
-                              clique_cutsets, decompose, is_prime)
+from maxnik.primality import clique_cutsets, decompose, is_prime
 
-from conftest import brute_connectivity, random_graph, reference_clique_cutsets
+from conftest import (brute_connectivity, check_lemma_complement_k2, check_lemma_two_cut,
+                      random_graph, reference_clique_cutsets)
 
 PRIME_NAMES = ["K8-3K2", "Pentagon-bar", "E9", "G9,29"]
 COMPOSITE_NAMES = ["K7^-", "K8-P3", "Big-Y", "Long-Y", "Hat", "House"]

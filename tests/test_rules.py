@@ -144,6 +144,10 @@ _MALFORMED = {
                      ["root: rule complete-nik does not conclude ['MAXNIK']"]),
     "node-without-children": (lambda d: d["children"][0].pop("children"),
                               ValidationError("certificate node has no 'children'")),
+    "child-not-an-object": (lambda d: d.update(children=[3]),
+                            ValidationError("certificate node 3 is not an object")),
+    "children-not-a-list": (lambda d: d.update(children=5),
+                            ValidationError("certificate node's 'children' is not a list")),
 }
 
 
@@ -158,6 +162,10 @@ class TestMalformedEvidence:
                 Certificate.from_json(data)
         else:
             assert validate_certificate(Certificate.from_json(data), lib) == want
+
+    def test_node_not_an_object(self):
+        with pytest.raises(ValidationError, match="certificate node 7 is not an object"):
+            Certificate.from_json(7)
 
     def test_apex_pair_without_witness(self, lib):
         problems = validate_certificate(
