@@ -11,20 +11,30 @@ clique-sum lemma, each entry with the result it rests on. The provers,
 ``validate_certificate``, ``relabel_certificate`` and
 ``construct.clique_sum`` all read them.
 
-When the host is 2-apex through a pair P, an added edge that touches P or
-leaves the graph minus P planar keeps it 2-apex, so that addition goes
-straight to augmentation-nik without an IK search. The least non-edge is
-gated first, before the maxnik cutset construction and the orbit
-computation: it leads the first non-edge orbit, and a host it keeps 2-apex
-is not maxnik, so nothing before it could have certified the host and the
-orbit loop would return the same certificate.
+When the host is 2-apex through a pair P, each edge addition is asked for
+a 2-apex pair before any IK search. An added edge that touches P, or leaves
+the graph minus P planar, keeps it 2-apex; any other addition gets one full
+2-apex walk. A 2-apex addition goes straight to augmentation-nik with the
+certificate the IK-first order would build: a 2-apex graph is nIK, so no IK
+pattern is a minor of it, and from order 7 on it has at most 5n - 15 edges,
+below Mader's 5n - 14, so that order would find no IK evidence and then the
+same apex-pair child. A host that is not 2-apex has no 2-apex addition (a
+pair that works for g + e works for g), so only 2-apex hosts are asked. An
+addition with 5n - 14 edges is not 2-apex and is not walked; that covers
+every addition of a 2-apex maxnik host, which is maximal 2-apex with 5n - 15
+edges. The least non-edge is gated first, before the maxnik cutset
+construction and the orbit computation: it leads the first non-edge orbit,
+and a host with a 2-apex addition is not maxnik, so the sound cutset
+construction could not have certified it and the orbit loop would return
+the same certificate.
 
 Within one top-level ``certify_nik`` or ``certify_maxnik`` call each graph
-gets one nIK certificate: the call owns a dict from graph to certificate,
-so a clique-sum piece met again (in the nIK and then the maxnik split, or
-at a second cutset) reuses its certificate instead of repeating the 2-apex
-search. The call also opens ``canon._generator_memo``, so a graph whose
-automorphism generators ``is_k_apex`` fetched reuses them in
+gets one nIK certificate and at most one 2-apex walk: the call owns a memo
+of both, so a clique-sum piece met again (in the nIK and then the maxnik
+split, or at a second cutset) reuses its certificate, and an addition the
+gate walked in vain is not walked again when the orbit loop asks for its
+nIK certificate. The call also opens ``canon._generator_memo``, so a graph
+whose automorphism generators ``is_k_apex`` fetched reuses them in
 ``orbits(g, "non-edge")``. Likewise one ``validate_certificate`` call
 decodes each graph6 string once and looks up its non-edge orbits and its
 axiom at most once. Nothing is kept between calls.
@@ -43,7 +53,7 @@ from .catalog import ObstructionLibrary, disk_axiom_covers, mmik_library
 from .errors import ParseError, ValidationError
 from .graphs import Graph, _bits, graph6_decode, graph6_encode
 from .minors import MinorWitness, has_minor
-from .planarity import _blocks, is_k_apex, is_planar
+from .planarity import KApexResult, _blocks, is_k_apex, is_planar
 
 VERDICT_IK = "IK"
 VERDICT_NIK = "NIK"
@@ -211,21 +221,30 @@ def certify_nik(g: Graph, lib: ObstructionLibrary | None = None) -> Certificate:
 
 
 def _certify_nik(g: Graph, lib: ObstructionLibrary,
-                 nik_certs: dict[Graph, Certificate]) -> Certificate:
-    """``certify_nik`` that reuses the certificate ``nik_certs`` holds for ``g``.
+                 memo: dict) -> Certificate:
+    """``certify_nik`` that reuses the certificate ``memo`` holds for ``g``.
 
-    ``nik_certs`` belongs to one top-level call, so each graph that call
-    meets is settled once however many clique sums it appears in.
+    ``memo`` belongs to one top-level call, so each graph that call
+    meets is settled once however many clique sums it appears in, and its
+    2-apex walk is the one ``_two_apex`` kept.
     """
-    cert = nik_certs.get(g)
-    if cert is None:
-        cert = nik_certs[g] = _prove_nik(g, lib, nik_certs)
-    return cert
+    return _memo(memo, "nik", g, lambda: _prove_nik(g, lib, memo))
+
+
+def _two_apex(g: Graph, memo: dict) -> KApexResult:
+    """``is_k_apex(g, 2)``, walked at most once per graph in ``memo``.
+
+    From order 7 on a 2-apex graph has at most 3(n - 2) - 6 + 2(n - 2) + 1
+    = 5n - 15 edges, so a graph with 5n - 14 is not walked.
+    """
+    if g.n >= 7 and g.m >= 5 * g.n - 14:
+        return KApexResult(False, None)
+    return _memo(memo, "2-apex", g, lambda: is_k_apex(g, 2))
 
 
 def _prove_nik(g: Graph, lib: ObstructionLibrary,
-               nik_certs: dict[Graph, Certificate]) -> Certificate:
-    apex = is_k_apex(g, 2)
+               memo: dict) -> Certificate:
+    apex = _two_apex(g, memo)
     if apex.found:
         return _cert(VERDICT_NIK, "apex-pair", g, witness=list(apex.witness or ()))
     axiom = lib.axiom_for(g)
@@ -235,7 +254,7 @@ def _prove_nik(g: Graph, lib: ObstructionLibrary,
     if g.n <= 8:
         return _cert(VERDICT_IK, "not-2apex-small-order", g, n=g.n,
                      trust="published equivalence: low-order nIK graphs are 2-apex")
-    built = _certify_by_cutsets(g, lib, nik_certs, want_maxnik=False)
+    built = _certify_by_cutsets(g, lib, memo, want_maxnik=False)
     if built is not None:
         return built
     return _cert(VERDICT_UNKNOWN, "no-nik-evidence", g)
@@ -258,7 +277,7 @@ def _cutset_decomposition(g: Graph, max_size: int = 3):
 
 
 def _certify_by_cutsets(g: Graph, lib: ObstructionLibrary,
-                        nik_certs: dict[Graph, Certificate],
+                        memo: dict,
                         want_maxnik: bool) -> Certificate | None:
     """Certify via a clique-sum split at a small clique cutset, if any works."""
     want = VERDICT_MAXNIK if want_maxnik else VERDICT_NIK
@@ -271,8 +290,8 @@ def _certify_by_cutsets(g: Graph, lib: ObstructionLibrary,
             continue
         sub_certs = []
         for _, piece in pieces:
-            sub = (_certify_maxnik(piece, lib, nik_certs) if want_maxnik
-                   else _certify_nik(piece, lib, nik_certs))
+            sub = (_certify_maxnik(piece, lib, memo) if want_maxnik
+                   else _certify_nik(piece, lib, memo))
             if sub.verdict != want:
                 break
             sub_certs.append(sub)
@@ -293,8 +312,8 @@ def certify_maxnik(g: Graph, lib: ObstructionLibrary | None = None) -> Certifica
 
 
 def _certify_maxnik(g: Graph, lib: ObstructionLibrary,
-                    nik_certs: dict[Graph, Certificate]) -> Certificate:
-    nik = _certify_nik(g, lib, nik_certs)
+                    memo: dict) -> Certificate:
+    nik = _certify_nik(g, lib, memo)
     if nik.verdict == VERDICT_IK:
         return _cert(VERDICT_NOT_MAXNIK, "is-ik", g, children=[nik])
     if nik.verdict != VERDICT_NIK:
@@ -307,10 +326,10 @@ def _certify_maxnik(g: Graph, lib: ObstructionLibrary,
     least = None
     if apex is not None:  # the least non-edge gate of the module docstring
         least = g.non_edges()[0]
-        gate = _apex_augmentation(g, least, apex, nik, lib, nik_certs)
+        gate = _apex_augmentation(g, least, apex, nik, lib, memo)
         if gate is not None:
             return gate
-    built = _certify_by_cutsets(g, lib, nik_certs, want_maxnik=True)
+    built = _certify_by_cutsets(g, lib, memo, want_maxnik=True)
     if built is not None:
         return built
     if nik.verdict != VERDICT_NIK:
@@ -320,7 +339,7 @@ def _certify_maxnik(g: Graph, lib: ObstructionLibrary,
     undecided = []
     for u, v in reps:
         if apex is not None and (u, v) != least:
-            gate = _apex_augmentation(g, (u, v), apex, nik, lib, nik_certs)
+            gate = _apex_augmentation(g, (u, v), apex, nik, lib, memo)
             if gate is not None:
                 return gate
         added = g.with_edge(u, v)
@@ -328,7 +347,7 @@ def _certify_maxnik(g: Graph, lib: ObstructionLibrary,
         if ik.verdict == VERDICT_IK:
             children.append(ik)
             continue
-        back = _certify_nik(added, lib, nik_certs)
+        back = _certify_nik(added, lib, memo)
         if back.verdict == VERDICT_NIK:
             return _cert(VERDICT_NOT_MAXNIK, "augmentation-nik", g,
                          children=[nik, back], edge=[u, v])
@@ -342,17 +361,22 @@ def _certify_maxnik(g: Graph, lib: ObstructionLibrary,
 
 def _apex_augmentation(g: Graph, edge: tuple[int, int], apex: list[int],
                        nik: Certificate, lib: ObstructionLibrary,
-                       nik_certs: dict[Graph, Certificate]) -> Certificate | None:
-    """augmentation-nik when g + edge is still 2-apex through g's pair ``apex``.
+                       memo: dict) -> Certificate | None:
+    """augmentation-nik when g + edge is 2-apex, for g 2-apex through ``apex``.
 
     An added edge that touches the pair, or leaves the graph minus the pair
-    planar, keeps it 2-apex, so the augmented graph is never IK.
+    planar, keeps it 2-apex; otherwise the addition gets one full 2-apex
+    walk, which ``_two_apex`` skips at 5n - 14 edges. A 2-apex addition is
+    nIK: no IK pattern is a minor of it and it is below Mader's bound, so
+    the IK search the caller would run next finds nothing, and the nIK
+    certificate it would build next is the apex-pair one built here.
     """
     u, v = edge
     added = g.with_edge(u, v)
-    if u in apex or v in apex or is_planar(added.delete_vertices(apex)):
+    if (u in apex or v in apex or is_planar(added.delete_vertices(apex))
+            or _two_apex(added, memo).found):
         return _cert(VERDICT_NOT_MAXNIK, "augmentation-nik", g,
-                     children=[nik, _certify_nik(added, lib, nik_certs)],
+                     children=[nik, _certify_nik(added, lib, memo)],
                      edge=[u, v])
     return None
 
@@ -481,9 +505,10 @@ class Rule(NamedTuple):
     replay: Callable[[Certificate, Graph, ObstructionLibrary, dict], str | None] | None = None
 
 
-def _memo(memo: dict, what: str, g6: str, compute: Callable[[], object]):
-    """``compute()`` for the graph ``g6``, run once per ``what`` in ``memo``."""
-    key = (what, g6)
+def _memo(memo: dict, what: str, graph, compute: Callable[[], object]):
+    """``compute()`` for ``graph`` (a Graph or a graph6 string), run once per
+    ``what`` in ``memo``."""
+    key = (what, graph)
     if key not in memo:
         memo[key] = compute()
     return memo[key]

@@ -16,13 +16,15 @@ from maxnik.certify import (VERDICT_IK, VERDICT_MAXNIK, VERDICT_NIK,
                             certify_ik, certify_maxnik, certify_nik,
                             check_necessary, relabel_certificate,
                             validate_certificate)
-from maxnik.construct import size_construct
+from maxnik.construct import prime_family, size_construct
 from maxnik.graphs import (complete_graph, complete_multipartite, cycle_graph,
                            from_edges, graph6_decode, graph6_encode,
                            path_graph)
+from maxnik.planarity import is_k_apex
 from maxnik.smallgraphs import enumerate_graphs
 
-from conftest import brute_connectivity, shaped_random_graph
+from conftest import (brute_connectivity, is_planar_wagner, random_graph,
+                      shaped_random_graph)
 
 
 class TestCertifyIK:
@@ -486,3 +488,76 @@ class TestValidatorDecodesOnce:
         assert validate_certificate(cert, lib) == []
         for seen in looked_up.values():
             assert len(seen) == 2 * len(set(seen))
+
+
+def _order_7_to_10_hosts(seed: int, count: int) -> list:
+    """``count`` seeded G(n, p) hosts, n from 7 to 10 and p from 0.4 to 0.7."""
+    rng = random.Random(seed)
+    return [random_graph(rng, rng.randint(7, 10), rng.choice((0.4, 0.5, 0.6, 0.7)))
+            for _ in range(count)]
+
+
+class TestTwoApexAdditionsFirst:
+    """``certify_maxnik`` asks a 2-apex host's additions for a 2-apex pair
+    before any IK search; these are the facts that order rests on."""
+
+    def test_two_apex_additions_have_no_ik_evidence(self, lib):
+        hosts = [graph6_decode(h) for h in GOLDEN_HOSTS] + _order_7_to_10_hosts(1313, 24)
+        walked = mader = 0
+        for g in hosts:
+            for e in g.non_edges():
+                added = g.with_edge(*e)
+                walk = is_k_apex(added, 2)
+                if added.n >= 7 and added.m >= 5 * added.n - 14:
+                    mader += 1
+                    assert not walk.found, (graph6_encode(g), e)
+                    assert certify_ik(added, lib).verdict == VERDICT_IK, (graph6_encode(g), e)
+                if walk.found:
+                    walked += 1
+                    assert is_planar_wagner(added.delete_vertices(walk.witness))
+                    assert certify_ik(added, lib).verdict != VERDICT_IK, (graph6_encode(g), e)
+        assert walked > 500 and mader > 20
+
+    def test_gate_walk_spares_the_ik_search(self, monkeypatch, lib):
+        # each host is 2-apex through one pair, its answer's addition through another
+        asked = []
+        real = certify_module.certify_ik
+
+        def counted(h, lib=None):
+            asked.append(h)
+            return real(h, lib)
+
+        monkeypatch.setattr(certify_module, "certify_ik", counted)
+        for host, pairs in (("IfByZ]zMo", ([5, 7], [5, 8])), ("IpNezuHTg", ([2, 6], [2, 9]))):
+            g = graph6_decode(host)
+            cert = certify_maxnik(g, lib)
+            assert cert.rule == "augmentation-nik"
+            assert tuple(c.evidence["witness"] for c in cert.children) == pairs
+            assert g.with_edge(*cert.evidence["edge"]) not in asked
+            assert validate_certificate(cert, lib) == []
+
+    def test_maximal_two_apex_additions_are_not_walked(self, monkeypatch, lib):
+        searched = TestOneNikCertificatePerCall._count_apex_searches(monkeypatch)
+        for g in (prime_family(10), prime_family(20), named_graph("K7^-").graph):
+            assert certify_maxnik(g, lib).verdict == VERDICT_MAXNIK
+            additions = {g.with_edge(*e) for e in g.non_edges()}
+            assert not additions & set(searched)
+        assert searched
+
+    def test_one_two_apex_walk_per_graph_per_call(self, monkeypatch, lib):
+        searched = TestOneNikCertificatePerCall._count_apex_searches(monkeypatch)
+        for h in GOLDEN_HOSTS:
+            searched.clear()
+            certify_maxnik(graph6_decode(h), lib)
+            assert len(searched) == len(set(searched)), h
+
+
+def test_verdicts_and_certificates_survive_relabelling(lib):
+    rng = random.Random(1319)
+    maxnik = [named_graph(name).graph for name in ("K7^-", "K8-3K2", "K8-P3", "E9", "G9,29")]
+    for g in _order_7_to_10_hosts(1317, 40) + maxnik + [prime_family(10)]:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        cert = certify_maxnik(g, lib)
+        assert certify_maxnik(g.relabel(perm), lib).verdict == cert.verdict
+        assert validate_certificate(relabel_certificate(cert, tuple(perm)), lib) == []
