@@ -273,12 +273,6 @@ _ALIASES = {
     "k3,3,1,1": "K3,3,1,1",
 }
 
-NAMED_GRAPH_NAMES = (
-    tuple(f"K{i}" for i in range(1, 10))
-    + ("K7^-", "K8-3K2", "K8-P3", "octahedron", "G9,29", "K3,3", "K3,3,1,1",
-       "E9", "F9", "E9+e", "Big-Y", "Long-Y", "Hat", "House", "Pentagon-bar")
-)
-
 
 def _validate(name: str, g: Graph, want_n: int, want_m: int) -> Graph:
     if g.n != want_n or g.m != want_m:

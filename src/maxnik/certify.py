@@ -11,22 +11,22 @@ clique-sum lemma, each entry with the result it rests on. The provers,
 ``validate_certificate``, ``relabel_certificate`` and
 ``construct.clique_sum`` all read them.
 
-When the host is 2-apex through a pair P, each edge addition is asked for
-a 2-apex pair before any IK search. An added edge that touches P, or leaves
-the graph minus P planar, keeps it 2-apex; any other addition gets one full
-2-apex walk. A 2-apex addition goes straight to augmentation-nik with the
-certificate the IK-first order would build: a 2-apex graph is nIK, so no IK
-pattern is a minor of it, and from order 7 on it has at most 5n - 15 edges,
-below Mader's 5n - 14, so that order would find no IK evidence and then the
-same apex-pair child. A host that is not 2-apex has no 2-apex addition (a
-pair that works for g + e works for g), so only 2-apex hosts are asked. An
-addition with 5n - 14 edges is not 2-apex and is not walked; that covers
-every addition of a 2-apex maxnik host, which is maximal 2-apex with 5n - 15
-edges. The least non-edge is gated first, before the maxnik cutset
-construction and the orbit computation: it leads the first non-edge orbit,
-and a host with a 2-apex addition is not maxnik, so the sound cutset
-construction could not have certified it and the orbit loop would return
-the same certificate.
+When the host is 2-apex, each edge addition is walked for a 2-apex pair
+before any IK search. A 2-apex addition goes straight to augmentation-nik
+with the certificate the IK-first order would build: a 2-apex graph is nIK,
+so no IK pattern is a minor of it, and from order 7 on it has at most
+5n - 15 edges, below Mader's 5n - 14, so that order would find no IK
+evidence and then the same apex-pair child. A host that is not 2-apex has
+no 2-apex addition (a pair that works for g + e works for g), so only
+2-apex hosts are asked. An addition with 5n - 14 edges is not 2-apex and is
+not walked; that covers every addition of a 2-apex maxnik host, which is
+maximal 2-apex with 5n - 15 edges. The least non-edge is gated first,
+before the maxnik cutset construction and the orbit computation: it leads
+the first non-edge orbit, and a host with a 2-apex addition is not maxnik,
+so the sound cutset construction could not have certified it and the orbit
+loop would return the same certificate. The loop asks every addition, the
+least one included, the same question, and each augmentation-nik is built
+there.
 
 Within one top-level ``certify_nik`` or ``certify_maxnik`` call each graph
 gets one nIK certificate and at most one 2-apex walk: the call owns a memo
@@ -51,9 +51,10 @@ from typing import Callable, Iterable, NamedTuple
 from .canon import _generator_memo, orbits
 from .catalog import ObstructionLibrary, disk_axiom_covers, mmik_library
 from .errors import ParseError, ValidationError
-from .graphs import Graph, _bits, graph6_decode, graph6_encode
+from .graphs import Graph, graph6_decode, graph6_encode
 from .minors import MinorWitness, has_minor
 from .planarity import KApexResult, _blocks, is_k_apex, is_planar
+from .primality import _splits
 
 VERDICT_IK = "IK"
 VERDICT_NIK = "NIK"
@@ -260,28 +261,16 @@ def _prove_nik(g: Graph, lib: ObstructionLibrary,
     return _cert(VERDICT_UNKNOWN, "no-nik-evidence", g)
 
 
-def _cutset_decomposition(g: Graph, max_size: int = 3):
-    """(cutset, pieces) for minimal clique cutsets of size <= max_size.
-
-    Pieces come back as (vertex list in g, induced subgraph) with the
-    vertex list sorted, so piece labels are reproducible.
-    """
-    from .primality import _minimal_clique_cutsets, _pieces
-
-    if not g.is_connected():
-        return
-    for cut in _minimal_clique_cutsets(g):
-        if len(cut) > max_size:
-            return  # cutsets come smallest first
-        yield cut, [(list(_bits(m)), g._induced(m)) for m in _pieces(g, cut)]
-
-
 def _certify_by_cutsets(g: Graph, lib: ObstructionLibrary,
                         memo: dict,
                         want_maxnik: bool) -> Certificate | None:
     """Certify via a clique-sum split at a small clique cutset, if any works."""
+    if not g.is_connected():
+        return None
     want = VERDICT_MAXNIK if want_maxnik else VERDICT_NIK
-    for cut, pieces in _cutset_decomposition(g):
+    for cut, pieces in _splits(g):
+        if len(cut) > 3:
+            return None  # cutsets come smallest first
         lemma = next((name for name, lem in LEMMAS.items()
                       if lem.clique == len(cut) and want in lem.needs), None)
         # the side conditions first, as if every piece certified ``want``
@@ -297,7 +286,7 @@ def _certify_by_cutsets(g: Graph, lib: ObstructionLibrary,
             sub_certs.append(sub)
         else:
             return _cert(want, "construction", g, sub_certs, lemma=lemma, cutset=list(cut),
-                         parts=[verts for verts, _ in pieces])
+                         parts=[list(verts) for verts, _ in pieces])
     return None
 
 
@@ -322,31 +311,27 @@ def _certify_maxnik(g: Graph, lib: ObstructionLibrary,
             return _cert(VERDICT_NOT_MAXNIK, "is-ik", g, children=[ik])
     if g.is_complete() and nik.verdict == VERDICT_NIK:
         return _cert(VERDICT_MAXNIK, "complete-nik", g, children=[nik], n=g.n)
-    apex = nik.evidence["witness"] if nik.rule == "apex-pair" else None
-    least = None
-    if apex is not None:  # the least non-edge gate of the module docstring
-        least = g.non_edges()[0]
-        gate = _apex_augmentation(g, least, apex, nik, lib, memo)
-        if gate is not None:
-            return gate
-    built = _certify_by_cutsets(g, lib, memo, want_maxnik=True)
-    if built is not None:
-        return built
-    if nik.verdict != VERDICT_NIK:
-        return _cert(VERDICT_UNKNOWN, "nik-undecided", g, children=[nik])
-    reps = [tuple(o[0]) for o in orbits(g, "non-edge").orbits]
+    two_apex = nik.rule == "apex-pair"
+    least = g.non_edges()[0] if two_apex else None
+    if two_apex and _two_apex(g.with_edge(*least), memo).found:
+        reps = [least]  # the least non-edge gate of the module docstring
+    else:
+        built = _certify_by_cutsets(g, lib, memo, want_maxnik=True)
+        if built is not None:
+            return built
+        if nik.verdict != VERDICT_NIK:
+            return _cert(VERDICT_UNKNOWN, "nik-undecided", g, children=[nik])
+        reps = [tuple(o[0]) for o in orbits(g, "non-edge").orbits]
     children = [nik]
     undecided = []
     for u, v in reps:
-        if apex is not None and (u, v) != least:
-            gate = _apex_augmentation(g, (u, v), apex, nik, lib, memo)
-            if gate is not None:
-                return gate
         added = g.with_edge(u, v)
-        ik = certify_ik(added, lib)
-        if ik.verdict == VERDICT_IK:
-            children.append(ik)
-            continue
+        # a 2-apex addition is nIK and below Mader's bound: no IK search
+        if not (two_apex and _two_apex(added, memo).found):
+            ik = certify_ik(added, lib)
+            if ik.verdict == VERDICT_IK:
+                children.append(ik)
+                continue
         back = _certify_nik(added, lib, memo)
         if back.verdict == VERDICT_NIK:
             return _cert(VERDICT_NOT_MAXNIK, "augmentation-nik", g,
@@ -357,28 +342,6 @@ def _certify_maxnik(g: Graph, lib: ObstructionLibrary,
                      children=children, edges=undecided)
     return _cert(VERDICT_MAXNIK, "per-non-edge", g, children=children,
                  orbit_representatives=[list(r) for r in reps])
-
-
-def _apex_augmentation(g: Graph, edge: tuple[int, int], apex: list[int],
-                       nik: Certificate, lib: ObstructionLibrary,
-                       memo: dict) -> Certificate | None:
-    """augmentation-nik when g + edge is 2-apex, for g 2-apex through ``apex``.
-
-    An added edge that touches the pair, or leaves the graph minus the pair
-    planar, keeps it 2-apex; otherwise the addition gets one full 2-apex
-    walk, which ``_two_apex`` skips at 5n - 14 edges. A 2-apex addition is
-    nIK: no IK pattern is a minor of it and it is below Mader's bound, so
-    the IK search the caller would run next finds nothing, and the nIK
-    certificate it would build next is the apex-pair one built here.
-    """
-    u, v = edge
-    added = g.with_edge(u, v)
-    if (u in apex or v in apex or is_planar(added.delete_vertices(apex))
-            or _two_apex(added, memo).found):
-        return _cert(VERDICT_NOT_MAXNIK, "augmentation-nik", g,
-                     children=[nik, _certify_nik(added, lib, memo)],
-                     edge=[u, v])
-    return None
 
 
 def relabel_certificate(cert: Certificate, perm: tuple[int, ...]) -> Certificate:

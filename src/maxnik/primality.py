@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .graphs import Graph, _bits, _components, _reach, identified_union
+from .graphs import Graph, _bits, _components, _reach, graph6_encode
 
 
 def _minimal_clique_cutsets(g: Graph) -> Iterator[tuple[int, ...]]:
@@ -63,6 +63,17 @@ def _pieces(g: Graph, cut: Iterable[int]) -> list[int]:
     return [comp | cmask for comp in _components(g.rows, ((1 << g.n) - 1) & ~cmask)]
 
 
+def _splits(g: Graph) -> Iterator[tuple[tuple[int, ...], list[tuple[tuple[int, ...], Graph]]]]:
+    """Each minimal clique cutset of g in (size, lex) order, with its pieces;
+    ``decompose`` and the certifier's clique-sum constructions split here.
+
+    A piece is its sorted vertices in g and the subgraph they induce,
+    relabelled in that order; pieces come ordered by least vertex.
+    """
+    for cut in _minimal_clique_cutsets(g):
+        yield cut, [(tuple(_bits(m)), g._induced(m)) for m in _pieces(g, cut)]
+
+
 def clique_cutsets(g: Graph) -> list[tuple[int, ...]]:
     """All inclusion-minimal cliques whose removal disconnects g."""
     return list(_minimal_clique_cutsets(g))
@@ -88,7 +99,8 @@ class Decomposition:
 
     ``cutset`` and ``part_vertices`` name vertices of this node's graph;
     ``parts[i].graph`` is the induced subgraph on ``part_vertices[i]`` with
-    its vertices relabelled in sorted order.
+    its vertices relabelled in sorted order. ``re_glue`` rebuilds ``graph``
+    exactly, on those labels.
     """
 
     graph: Graph
@@ -109,35 +121,20 @@ class Decomposition:
         return out
 
     def re_glue(self) -> Graph:
-        """Rebuild from the leaves along the recorded cliques."""
-        return self._re_glue_mapped()[0]
+        """Rebuild this node's graph, on its own labels, from the leaves.
 
-    def _re_glue_mapped(self) -> tuple[Graph, list[int]]:
-        """Rebuild bottom-up; also return the vertex map of this node's graph
-        into the rebuilt graph, so parents can keep gluing at the right spots."""
+        Each part's rebuilt rows are OR-ed back through ``part_vertices``.
+        """
         if self.is_leaf:
-            return self.graph, list(range(self.graph.n))
-        acc, map0 = self.parts[0]._re_glue_mapped()
-        gmap: dict[int, int] = {}
-        for pos, v in enumerate(self.part_vertices[0]):
-            gmap[v] = map0[pos]
-        for idx in range(1, len(self.parts)):
-            rebuilt, pmap = self.parts[idx]._re_glue_mapped()
-            verts = list(self.part_vertices[idx])
-            acc_cut = [gmap[c] for c in self.cutset]
-            part_cut = [pmap[verts.index(c)] for c in self.cutset]
-            before = acc.n
-            acc = identified_union(acc, acc_cut, rebuilt, part_cut)
-            appended = sorted(set(range(rebuilt.n)) - set(part_cut))
-            where = {h: before + rank for rank, h in enumerate(appended)}
-            for pos, v in enumerate(verts):
-                if v not in self.cutset:
-                    gmap[v] = where[pmap[pos]]
-        return acc, [gmap[v] for v in range(self.graph.n)]
+            return self.graph
+        rows = [0] * self.graph.n
+        for part, verts in zip(self.parts, self.part_vertices):
+            for v, row in zip(verts, part.re_glue().rows):
+                for w in _bits(row):
+                    rows[v] |= 1 << verts[w]
+        return Graph(self.graph.n, rows)
 
     def to_json(self) -> dict:
-        from .graphs import graph6_encode
-
         if self.is_leaf:
             return {"graph6": graph6_encode(self.graph), "prime": True}
         return {
@@ -150,16 +147,11 @@ class Decomposition:
 
 def decompose(g: Graph) -> Decomposition:
     """Split recursively on the first minimal clique cutset; leaves prime."""
-    cut = next(_minimal_clique_cutsets(g), None)
+    cut, pieces = next(_splits(g), (None, ()))
     if cut is None:
         return Decomposition(g, None, (), ())
-    parts = []
-    vert_lists = []
-    for piece in _pieces(g, cut):
-        vert_lists.append(tuple(_bits(piece)))
-        parts.append(decompose(g._induced(piece)))
-    d = Decomposition(g, cut, tuple(parts), tuple(vert_lists))
-    rebuilt, gmap = d._re_glue_mapped()
-    if g.relabel(gmap) != rebuilt:
+    d = Decomposition(g, cut, tuple(decompose(piece) for _, piece in pieces),
+                      tuple(verts for verts, _ in pieces))
+    if d.re_glue() != g:
         raise AssertionError("decomposition does not re-glue to its input")
     return d

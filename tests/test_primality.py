@@ -6,10 +6,11 @@ import random
 
 import pytest
 
+from maxnik import certify as certify_module
 from maxnik import primality
 from maxnik.canon import are_isomorphic, canonical_form
 from maxnik.catalog import named_graph
-from maxnik.certify import _cutset_decomposition, certify_maxnik
+from maxnik.certify import certify_maxnik
 from maxnik.construct import chain_graphs, npp5_family, size_construct
 from maxnik.graphs import complete_graph, cycle_graph, path_graph
 from maxnik.primality import clique_cutsets, decompose, is_prime
@@ -87,10 +88,23 @@ class TestLazySearchMatchesReference:
                             lambda g: iter(reference_clique_cutsets(g)))
         assert fast == [decompose(g).to_json() for g, _ in cases]
 
-    def test_certify_sees_the_small_cutsets_in_order(self, cases):
+    def test_certify_sees_the_small_cutsets_in_order(self, cases, lib, monkeypatch):
+        seen = []
+
+        def recorded_splits(g):
+            for cut, pieces in primality._splits(g):
+                assert [piece for _, piece in pieces] == [g.subgraph(v) for v, _ in pieces]
+                seen.append(cut)
+                yield cut, pieces
+
+        # no lemma applies, so _certify_by_cutsets reads every split it would try
+        monkeypatch.setattr(certify_module, "_splits", recorded_splits)
+        monkeypatch.setattr(certify_module, "lemma_conclusion", lambda *_args: (None, ""))
         for g, ref in cases:
-            cuts = [cut for cut, _ in _cutset_decomposition(g)]
-            assert cuts == [c for c in ref if len(c) <= 3]
+            seen.clear()
+            assert certify_module._certify_by_cutsets(g, lib, {}, want_maxnik=False) is None
+            small = [c for c in ref if len(c) <= 3]
+            assert seen == ref[:len(small) + 1]  # it stops at the first larger cutset
 
 
 class TestPrimeComposite:
@@ -164,6 +178,38 @@ class TestDecompositions:
             g = named_graph(name).graph
             d = decompose(g)
             assert canonical_form(d.re_glue()) == canonical_form(g)
+
+    def test_re_glue_is_exact(self):
+        """``re_glue`` rebuilds the input on its own labels, not up to isomorphism."""
+        graphs = [size_construct(n)[1] for n in range(20, 178) if n != 22]
+        rng = random.Random(20261019)
+        while len(graphs) < 157 + 175:
+            g = random_graph(rng, rng.randint(4, 14), rng.uniform(0.2, 0.6))
+            if g.is_connected():
+                graphs.append(g)
+        composite = 0
+        for g in graphs:
+            d = decompose(g)
+            composite += not d.is_leaf
+            assert d.re_glue() == g
+        assert composite > 200
+
+    def test_self_check_rejects_a_split_that_loses_an_edge(self, monkeypatch):
+        splits = primality._splits
+        top = named_graph("K7^-").graph
+
+        def lossy_splits(g):
+            for cut, pieces in splits(g):
+                if g == top:  # drop a non-cutset edge from the first piece
+                    verts, piece = pieces[0]
+                    u, v = next(e for e in piece.edges()
+                                if not {verts[e[0]], verts[e[1]]} <= set(cut))
+                    pieces[0] = (verts, piece.without_edge(u, v))
+                yield cut, pieces
+
+        monkeypatch.setattr(primality, "_splits", lossy_splits)
+        with pytest.raises(AssertionError, match="does not re-glue"):
+            decompose(top)
 
     def test_leaves_are_prime(self):
         for name in COMPOSITE_NAMES:
