@@ -16,19 +16,20 @@ flagged as such so certificate consumers can audit the provenance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable
 
 from . import minors
-from .canon import (canonical_form, canonical_key_graph, canonical_labeling,
-                    isomorphism, orbits)
+from .canon import (canonical_form, canonical_graph, canonical_key_graph,
+                    canonical_labeling, isomorphism, orbits)
 from .errors import IdentificationAmbiguous, ValidationError
-from .graphs import (Graph, clique_number, complement, complete_graph,
-                     complete_multipartite, cycle_graph, disjoint_union,
-                     identified_union, is_k_connected, join,
+from .graphs import (MAX_ORDER, Graph, clique_number, complement,
+                     complete_graph, complete_multipartite, cycle_graph,
+                     disjoint_union, identified_union, is_k_connected, join,
                      non_triangular_edges)
 from .minors import ClosureResult, closure, has_minor
 from .planarity import is_k_apex
-from .smallgraphs import enumerate_triangulations
+from .smallgraphs import maximal_2apex_graphs
 
 PROV_EXPLICIT = "explicit-definition"
 PROV_CLOSURE = "closure-derived"
@@ -180,18 +181,14 @@ def identify_F9_and_E9_plus_e(e9: Graph, k7_dy: ClosureResult) -> tuple[NamedGra
 # -- named graph registry ----------------------------------------------------
 
 
-def _k8_minus_p3() -> Graph:
+_P3 = ((0, 1), (1, 2), (2, 3))  # path 0-1-2-3: terminals 0, 3; interiors 1, 2
+_3K2 = ((0, 1), (2, 3), (4, 5))  # three disjoint edges; 6 and 7 untouched
+
+
+def _k8_minus(edges: tuple[tuple[int, int], ...]) -> Graph:
     g = complete_graph(8)
-    for u, v in ((0, 1), (1, 2), (2, 3)):  # path 0-1-2-3; terminals 0 and 3
+    for u, v in edges:
         g = g.without_edge(u, v)
-    return g
-
-
-def _three_disjoint_edges_plus_2k1() -> Graph:
-    rows = [0] * 8
-    g = Graph(8, rows)
-    for u, v in ((0, 1), (2, 3), (4, 5)):
-        g = g.with_edge(u, v)
     return g
 
 
@@ -209,118 +206,99 @@ def _glue_k6_over(g: Graph, five_clique: tuple[int, ...]) -> Graph:
 
 @lru_cache(maxsize=None)
 def _order9_registry() -> dict[str, Graph]:
-    """Name the five order-9 maximal 2-apex graphs via their gluing recipes.
+    """Name the five order-9 maximal 2-apex graphs, in canonical-key order.
 
-    Big-Y, Long-Y, Hat, and House are built from their stated 5-clique
-    sums; Pentagon-bar is the remaining join of a 7-vertex triangulation
-    with K2, cross-checked by its complement splitting into a pentagon, a
-    bar, and two isolated vertices.
+    Big-Y, Long-Y, Hat, and House are picked out of the joins of a
+    7-vertex triangulation with K2 by their stated 5-clique sums;
+    Pentagon-bar is the remaining join, cross-checked by its complement
+    splitting into a pentagon, a bar, and two isolated vertices.
     """
-    k8p3 = _k8_minus_p3()
-    k83k2 = complement(_three_disjoint_edges_plus_2k1())
+    k8p3 = _k8_minus(_P3)
     recipes = {
-        # path 0-1-2-3: terminals 0, 3; interiors 1, 2; 4..7 untouched
         "Big-Y": _glue_k6_over(k8p3, (0, 3, 4, 5, 6)),
         "Hat": _glue_k6_over(k8p3, (0, 2, 4, 5, 6)),
         "House": _glue_k6_over(k8p3, (1, 4, 5, 6, 7)),
-        "Long-Y": _glue_k6_over(k83k2, (0, 2, 4, 6, 7)),
+        "Long-Y": _glue_k6_over(_k8_minus(_3K2), (0, 2, 4, 6, 7)),
     }
-    joins = {}
-    for t in enumerate_triangulations(7):
-        g = join(t, complete_graph(2))
-        joins[canonical_form(g).key] = g
+    joins = maximal_2apex_graphs(9)
     if len(joins) != 5:
         raise ValidationError(f"expected 5 distinct order-9 joins, found {len(joins)}")
-    named: dict[str, Graph] = {}
-    taken: dict[bytes, str] = {}
+    taken: dict[Graph, str] = {}
     for name, g in recipes.items():
-        key, rep = canonical_key_graph(g)
-        if key not in joins:
+        rep = canonical_graph(g)
+        if rep not in joins:
             raise ValidationError(f"{name} recipe is not a triangulation join")
-        if key in taken:
-            raise ValidationError(f"{name} recipe collides with {taken[key]}")
-        taken[key] = name
-        named[name] = rep
-    rest = [k for k in joins if k not in taken]
+        if rep in taken:
+            raise ValidationError(f"{name} recipe collides with {taken[rep]}")
+        taken[rep] = name
+    rest = [g for g in joins if g not in taken]
     if len(rest) != 1:
         raise ValidationError(f"expected a unique unnamed join, found {len(rest)}")
-    pb = canonical_key_graph(joins[rest[0]])[1]
-    comps = sorted(c.bit_count() for c in complement(pb).components())
+    comps = sorted(c.bit_count() for c in complement(rest[0]).components())
     if comps != [1, 1, 2, 5]:
         raise ValidationError(f"Pentagon-bar complement components are {comps}")
-    named["Pentagon-bar"] = pb
-    return named
+    return {taken.get(g, "Pentagon-bar"): g for g in joins}
 
 
-_ALIASES = {
-    "k7-": "K7^-",
-    "k7^-": "K7^-",
-    "k8-3k2": "K8-3K2",
-    "k8-3-disjoint-edges": "K8-3K2",
-    "k8-p3": "K8-P3",
-    "g9,29": "G9,29",
-    "g9_29": "G9,29",
-    "e9": "E9",
-    "f9": "F9",
-    "e9+e": "E9+e",
-    "big-y": "Big-Y",
-    "long-y": "Long-Y",
-    "hat": "Hat",
-    "house": "House",
-    "pentagon-bar": "Pentagon-bar",
-    "octahedron": "octahedron",
-    "k3,3": "K3,3",
-    "k3,3,1,1": "K3,3,1,1",
+def _k8_minus_3k2() -> Graph:
+    g = _k8_minus(_3K2)
+    if isomorphism(g, join(_octahedron(), complete_graph(2))) is None:
+        raise ValidationError("K8-3K2 is not the octahedron joined with K2")
+    return g
+
+
+def _g929() -> Graph:
+    return complement(disjoint_union(disjoint_union(
+        complete_graph(1), complete_graph(2)), cycle_graph(6)))
+
+
+def _f9_or_e9_plus_e(i: int) -> Graph:
+    return identify_F9_and_E9_plus_e(named_graph("E9").graph, k7_dy_family())[i].graph
+
+
+def _order9_join(name: str) -> Graph:
+    return _order9_registry()[name]
+
+
+# name: (order, size, provenance, builder); the order and size are checked
+_NAMED: dict[str, tuple[int, int, str, Callable[[], Graph]]] = {
+    "K3,3": (6, 9, PROV_EXPLICIT, partial(complete_multipartite, 3, 3)),
+    "K3,3,1,1": (8, 22, PROV_EXPLICIT, partial(complete_multipartite, 3, 3, 1, 1)),
+    "K7^-": (7, 20, PROV_EXPLICIT, lambda: complete_graph(7).without_edge(0, 1)),
+    "K8-3K2": (8, 25, PROV_EXPLICIT, _k8_minus_3k2),
+    "K8-P3": (8, 25, PROV_EXPLICIT, partial(_k8_minus, _P3)),
+    "octahedron": (6, 12, PROV_EXPLICIT, _octahedron),
+    "G9,29": (9, 29, PROV_EXPLICIT, _g929),
+    "E9": (9, 21, PROV_CLOSURE, lambda: identify_E9(heawood_family()).graph),
+    "F9": (9, 21, PROV_CLOSURE, partial(_f9_or_e9_plus_e, 0)),
+    "E9+e": (9, 22, PROV_CLOSURE, partial(_f9_or_e9_plus_e, 1)),
+    **{name: (9, 30, PROV_DECOMPOSITION, partial(_order9_join, name))
+       for name in ("Big-Y", "Long-Y", "Hat", "House", "Pentagon-bar")},
 }
 
-
-def _validate(name: str, g: Graph, want_n: int, want_m: int) -> Graph:
-    if g.n != want_n or g.m != want_m:
-        raise ValidationError(
-            f"{name}: got order {g.n} size {g.m}, want {want_n}/{want_m}")
-    return g
+# lookups ignore case; these three other spellings are the only aliases
+_LOOKUP = {name.lower(): name for name in _NAMED} | {
+    "k7-": "K7^-", "k8-3-disjoint-edges": "K8-3K2", "g9_29": "G9,29"}
 
 
 @lru_cache(maxsize=None)
 def named_graph(name: str) -> NamedGraph:
-    """Look up a named graph, constructing and validating it on first use."""
-    canonical_name = _ALIASES.get(name.lower(), name)
-    if canonical_name.startswith("K") and canonical_name[1:].isdigit():
-        k = int(canonical_name[1:])
-        if not 1 <= k <= 64:
-            raise KeyError(name)
-        return NamedGraph(canonical_name, complete_graph(k), PROV_EXPLICIT)
-    if canonical_name == "K3,3":
-        return NamedGraph(canonical_name, complete_multipartite(3, 3), PROV_EXPLICIT)
-    if canonical_name == "K3,3,1,1":
-        return NamedGraph(canonical_name, complete_multipartite(3, 3, 1, 1), PROV_EXPLICIT)
-    if canonical_name == "K7^-":
-        g = _validate("K7^-", complete_graph(7).without_edge(0, 1), 7, 20)
-        return NamedGraph(canonical_name, g, PROV_EXPLICIT)
-    if canonical_name == "K8-3K2":
-        g = _validate("K8-3K2", complement(_three_disjoint_edges_plus_2k1()), 8, 25)
-        other = join(_octahedron(), complete_graph(2))
-        if isomorphism(g, other) is None:
-            raise ValidationError("K8-3K2 is not the octahedron joined with K2")
-        return NamedGraph(canonical_name, g, PROV_EXPLICIT)
-    if canonical_name == "K8-P3":
-        g = _validate("K8-P3", _k8_minus_p3(), 8, 25)
-        return NamedGraph(canonical_name, g, PROV_EXPLICIT)
-    if canonical_name == "octahedron":
-        return NamedGraph(canonical_name, _octahedron(), PROV_EXPLICIT)
-    if canonical_name == "G9,29":
-        g = complement(disjoint_union(disjoint_union(
-            complete_graph(1), complete_graph(2)), cycle_graph(6)))
-        return NamedGraph(canonical_name, _validate("G9,29", g, 9, 29), PROV_EXPLICIT)
-    if canonical_name == "E9":
-        return identify_E9(heawood_family())
-    if canonical_name in ("F9", "E9+e"):
-        f9, e9e = identify_F9_and_E9_plus_e(named_graph("E9").graph, k7_dy_family())
-        return f9 if canonical_name == "F9" else e9e
-    if canonical_name in ("Big-Y", "Long-Y", "Hat", "House", "Pentagon-bar"):
-        g = _order9_registry()[canonical_name]
-        return NamedGraph(canonical_name, _validate(canonical_name, g, 9, 30),
-                          PROV_DECOMPOSITION)
+    """Look up a named graph, ignoring case, and build and check it on first use.
+
+    Besides the names in ``_NAMED``, ``K<n>`` (or ``k<n>``) names the
+    complete graph of order n, 1 <= n <= MAX_ORDER.
+    """
+    canonical_name = _LOOKUP.get(name.lower())
+    if canonical_name is not None:
+        n, m, provenance, build = _NAMED[canonical_name]
+        g = build()
+        if (g.n, g.m) != (n, m):
+            raise ValidationError(
+                f"{canonical_name}: got order {g.n} size {g.m}, want {n}/{m}")
+        return NamedGraph(canonical_name, g, provenance)
+    digits = name[1:]
+    if name[:1] in ("K", "k") and digits.isdigit() and 1 <= int(digits) <= MAX_ORDER:
+        return NamedGraph("K" + digits, complete_graph(int(digits)), PROV_EXPLICIT)
     raise KeyError(name)
 
 

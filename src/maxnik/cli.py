@@ -22,7 +22,6 @@ from functools import partial
 from typing import Callable, Iterable
 
 from . import __version__
-from .canon import canonical_key_graph
 from .catalog import named_graph
 from .certify import (VERDICT_UNKNOWN, certify_maxnik, check_necessary)
 from .construct import npp5_family, prime_family, size_construct
@@ -100,6 +99,10 @@ def _certify_one(g: Graph) -> dict:
         "verdict": cert.verdict,
         "certificate": cert.to_json(),
     }
+
+
+# the batch commands: each maps one graph to its JSON record
+_RECORDS = {"classify": _classify_one, "certify": _certify_one, "prime": _prime_one}
 
 
 def _workers() -> int:
@@ -205,19 +208,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args) -> int:
-    if args.command == "classify":
-        results = _batch(_classify_one, args.graph)
-        for result in results:
-            _emit(result, args.format)
-        return EXIT_ERROR if any("error" in r for r in results) else EXIT_OK
-
-    if args.command == "certify":
-        results = _batch(_certify_one, args.graph)
+    if args.command in _RECORDS:
+        results = _batch(_RECORDS[args.command], args.graph)
         for result in results:
             _emit(result, args.format)
         if any("error" in r for r in results):
             return EXIT_ERROR
-        if any(r["verdict"] == VERDICT_UNKNOWN for r in results):
+        if any(r.get("verdict") == VERDICT_UNKNOWN for r in results):
             return EXIT_UNKNOWN
         return EXIT_OK
 
@@ -250,12 +247,6 @@ def _dispatch(args) -> int:
               args.format, graph_lines=lines)
         return EXIT_OK
 
-    if args.command == "prime":
-        results = _batch(_prime_one, args.graph)
-        for result in results:
-            _emit(result, args.format)
-        return EXIT_ERROR if any("error" in r for r in results) else EXIT_OK
-
     if args.command == "enumerate":
         if args.kind == "triangulation":
             graphs = enumerate_triangulations(args.order)
@@ -263,7 +254,7 @@ def _dispatch(args) -> int:
             graphs = enumerate_maxnik(args.order)
         else:
             graphs = maximal_2apex_graphs(args.order)
-        lines = sorted(graph6_encode(canonical_key_graph(g)[1]) for g in graphs)
+        lines = sorted(graph6_encode(g) for g in graphs)
         _emit({"count": len(lines), "graphs": lines}, args.format, graph_lines=lines)
         return EXIT_OK
 
@@ -292,7 +283,10 @@ def _dispatch(args) -> int:
 def _construct(args) -> int:
     fmt = args.format
     if args.named is not None:
-        ng = named_graph(args.named)
+        try:
+            ng = named_graph(args.named)
+        except KeyError:
+            raise ValueError(f"unknown graph name {args.named!r}") from None
         g6 = graph6_encode(ng.graph)
         _emit({"name": ng.name, "graph6": g6, "provenance": ng.provenance,
                "order": ng.graph.n, "size": ng.graph.m}, fmt, graph_lines=[g6])

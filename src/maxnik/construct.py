@@ -105,7 +105,7 @@ def chain_graphs(i: int) -> tuple[Graph, Certificate]:
     """
     if i < 1:
         raise ValueError("chain index must be positive")
-    if 7 * i + 2 > 64:
+    if 7 * i + 2 > MAX_ORDER:
         raise ValueError("chain exceeds the order cap")
     e9, e9_cert = _certified("E9")
     g, cert = e9, e9_cert
@@ -129,7 +129,7 @@ def npp5_family(k: int) -> tuple[Graph, Certificate]:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if 12 * k + 2 > 64:
+    if 12 * k + 2 > MAX_ORDER:
         raise ValueError(f"npp5 family member k={k} exceeds the order cap")
     e9, e9_cert = _certified("E9")
     k3, k3_cert = _certified("K3")
@@ -278,8 +278,8 @@ def prime_family(order: int) -> Graph:
     is checked maximal planar, 4-connected (as "no clique cutset"), and free
     of 4-cliques.
     """
-    if not 8 <= order <= 64:
-        raise ValueError("order must lie in 8..64")
+    if not 8 <= order <= MAX_ORDER:
+        raise ValueError(f"order must lie in 8..{MAX_ORDER}")
     t = complete_multipartite(2, 2, 2)
     edge = (0, 2)  # the octahedron's least edge; 2 stays the designated endpoint
     designated = 2

@@ -42,8 +42,9 @@ order, and the known class counts are checked on every build.
 from __future__ import annotations
 
 from .canon import (_canonical_search, _reaches, _relabel_canonically,
-                    _subset_orbit_minima, automorphism_generators)
-from .graphs import Graph, _bits
+                    _subset_orbit_minima, automorphism_generators,
+                    canonical_key_graph)
+from .graphs import Graph, _bits, complete_graph, join
 from .planarity import is_planar
 
 _CLASS_CACHE: dict[int, tuple[Graph, ...]] = {}
@@ -101,3 +102,21 @@ def enumerate_triangulations(n: int) -> tuple[Graph, ...]:
         raise ValueError("triangulation enumeration covers orders 3..8")
     want = 3 * n - 6
     return tuple(g for g in enumerate_graphs(n) if g.m == want and is_planar(g))
+
+
+def maximal_2apex_graphs(n: int) -> tuple[Graph, ...]:
+    """Maximal 2-apex graphs of order n, as canonical representatives in key order.
+
+    Complete below order 7; from 7 through 10 a maximal 2-apex graph must be
+    a triangulation joined with K2: the 5n-15 edge count forces both apexes
+    adjacent to everything and the rest maximal planar.
+    """
+    if n < 1:
+        raise ValueError("order must be positive")
+    if n < 7:
+        return (complete_graph(n),)
+    if n > 10:
+        raise ValueError("triangulation enumeration stops at order 8 hosts")
+    reps = dict(canonical_key_graph(join(t, complete_graph(2)))
+                for t in enumerate_triangulations(n - 2))
+    return tuple(reps[k] for k in sorted(reps))

@@ -18,9 +18,10 @@ from .canon import canonical_key_graph
 from .catalog import _order9_registry, named_graph
 from .certify import VERDICT_MAXNIK, certify_maxnik
 from .errors import ValidationError
-from .graphs import Graph, complete_graph, graph6_encode, join
+from .graphs import Graph, graph6_encode
 from .planarity import is_k_apex, is_maximal_2apex
-from .smallgraphs import enumerate_graphs, enumerate_triangulations
+from .smallgraphs import (enumerate_graphs, enumerate_triangulations,
+                          maximal_2apex_graphs)
 
 __all__ = [
     "enumerate_graphs", "enumerate_triangulations", "enumerate_maxnik",
@@ -40,26 +41,6 @@ def enumerate_maxnik(n: int) -> tuple[Graph, ...]:
     if not 1 <= n <= 8:
         raise ValueError("decidable sweep covers orders 1..8")
     return tuple(g for g in enumerate_graphs(n) if is_maximal_2apex(g))
-
-
-def maximal_2apex_graphs(n: int) -> tuple[Graph, ...]:
-    """Maximal 2-apex graphs of order n (complete below 7, joins through 10).
-
-    For n >= 7 a maximal 2-apex graph must be a triangulation joined with
-    K2: the 5n-15 edge count forces both apexes adjacent to everything and
-    the rest maximal planar.
-    """
-    if n < 1:
-        raise ValueError("order must be positive")
-    if n < 7:
-        return (complete_graph(n),)
-    if n > 10:
-        raise ValueError("triangulation enumeration stops at order 8 hosts")
-    out = {}
-    for t in enumerate_triangulations(n - 2):
-        g = join(t, complete_graph(2))
-        out[canonical_key_graph(g)[0]] = g
-    return tuple(out[k] for k in sorted(out))
 
 
 @lru_cache(maxsize=None)
@@ -102,32 +83,23 @@ def verify_order9() -> Order9Report:
     7-vertex triangulation). Completeness beyond the seven relies on the
     published classification of order-9 obstructions, not on a local sweep.
     """
-    joins = maximal_2apex_graphs(9)
-    if len(joins) != 5:
-        raise ValidationError(f"expected 5 order-9 maximal 2-apex graphs, got {len(joins)}")
-    for g in joins:
+    reg = _order9_registry()
+    if len(reg) != 5:
+        raise ValidationError(f"expected 5 order-9 maximal 2-apex graphs, got {len(reg)}")
+    for g in reg.values():
         if not is_maximal_2apex(g):
             raise ValidationError("join of a triangulation with K2 is not maximal 2-apex")
-    reg = _order9_registry()
-    by_key = {canonical_key_graph(g)[0]: name for name, g in reg.items()}
+    graphs = [*reg.items(), *((name, named_graph(name).graph) for name in ("E9", "G9,29"))]
     members = []
-    for g in joins:
-        name = by_key[canonical_key_graph(g)[0]]
-        cert = certify_maxnik(reg[name])
-        if cert.verdict != VERDICT_MAXNIK:
-            raise ValidationError(f"{name} failed maximality certification")
-        members.append((name, graph6_encode(reg[name]), cert.rule))
-    for name in ("E9", "G9,29"):
-        g = named_graph(name).graph
+    for name, g in graphs:
         cert = certify_maxnik(g)
         if cert.verdict != VERDICT_MAXNIK:
             raise ValidationError(f"{name} failed maximality certification")
         members.append((name, graph6_encode(g), cert.rule))
-    sizes = tuple(sorted(named_graph(nm).graph.m for nm, _, _ in members))
     return Order9Report(
         members=tuple(members),
-        maximal_2apex_count=len(joins),
-        sizes=sizes,
+        maximal_2apex_count=len(reg),
+        sizes=tuple(sorted(g.m for _, g in graphs)),
         completeness_note=(
             "the seven members are certified maximal knotless and the"
             " maximal-2-apex count of five is exhaustive over 7-vertex"
@@ -202,7 +174,7 @@ def _order9_size20_sweep() -> tuple[int, int, int]:
     return candidates, two_apex, by_quote
 
 
-def verify_size20(sweep_order9: bool = True) -> Size20Report:
+def verify_size20() -> Size20Report:
     """The unique size-20 maximal knotless graph, plus the at-most-20 count."""
     rows = []
     hits: list[Graph] = []
@@ -214,10 +186,7 @@ def verify_size20(sweep_order9: bool = True) -> Size20Report:
         found = [g for g in cands if is_maximal_2apex(g)]
         hits.extend(found)
         rows.append((n, len(cands), len(found)))
-    if sweep_order9:
-        candidates, two_apex, by_quote = _order9_size20_sweep()
-    else:
-        candidates = two_apex = by_quote = 0
+    candidates, two_apex, by_quote = _order9_size20_sweep()
     if len(hits) != 1:
         raise ValidationError(f"expected exactly one size-20 hit, found {len(hits)}")
     unique = hits[0]
@@ -227,8 +196,7 @@ def verify_size20(sweep_order9: bool = True) -> Size20Report:
     small = [g for n in range(1, 10) for g in classified_maxnik(n) if g.m <= 20]
     notes = (
         "orders 1..8 swept exhaustively over canonical classes",
-        "order 9 swept over all one-vertex extensions of order-8 classes"
-        if sweep_order9 else "order-9 sweep skipped on request",
+        "order 9 swept over all one-vertex extensions of order-8 classes",
         "order-9 graphs of size 20 that are not 2-apex are intrinsically"
         " knotted by the published low-size classification (only E9, of"
         " size 21, escapes it)",

@@ -110,6 +110,16 @@ class TestNamedGraphs:
         assert named_graph("e9").graph == named_graph("E9").graph
         assert named_graph("g9_29").graph == named_graph("G9,29").graph
         assert named_graph("k7-").graph == named_graph("K7^-").graph
+        assert named_graph("k8-3-disjoint-edges") == named_graph("K8-3K2")
+        assert named_graph("Octahedron") == named_graph("octahedron")
+        assert named_graph("PENTAGON-BAR") == named_graph("Pentagon-bar")
+        # complete-graph names ignore case like every other name
+        assert named_graph("k7") == named_graph("K7")
+        assert named_graph("k7").name == "K7"
+        assert named_graph("k64").graph.n == 64
+        for bad in ("k0", "K65", "k65", "K", "k7x"):
+            with pytest.raises(KeyError):
+                named_graph(bad)
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):

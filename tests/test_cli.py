@@ -5,7 +5,9 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +90,13 @@ def test_construct_named_graph6_format(capsys):
                                     "--format", "graph6"])
     assert code == 0
     assert out.strip() == "F^~~w"
+
+
+@pytest.mark.parametrize("name", ["nosuch", "K65"])
+def test_construct_unknown_name_is_a_clean_error(capsys, name):
+    code, out, err = run_cli(capsys, ["construct", "--named", name])
+    assert (code, out) == (1, "")
+    assert err == f"error: unknown graph name {name!r}\n"
 
 
 def test_construct_family(capsys):
@@ -289,3 +298,22 @@ def test_library_output_pinned(capsys, fmt, digest):
     code, out, _ = run_cli(capsys, ["library", "--format", fmt])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_readme_command_examples(capsys):
+    # the first sh block under "Command line" in README.md, run line by line
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1]
+    lines = [ln for ln in block.split("```", 1)[0].splitlines() if ln.startswith("maxnik ")]
+    counts = {"library": 73, "closure": 20}  # as the comments state
+    assert "maxnik construct --size 22" in "\n".join(lines)
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        code, out, err = run_cli(capsys, argv)
+        assert code == (1 if argv[:3] == ["construct", "--size", "22"] else 0), (line, err)
+        if argv[0] in counts:
+            assert str(counts[argv[0]]) in line
+        if argv[0] == "library":
+            assert len(out.splitlines()) == counts["library"]
+        if argv[0] == "closure":
+            assert json.loads(out)["count"] == counts["closure"]

@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 from fractions import Fraction
 
+import pytest
+
 from maxnik.canon import are_isomorphic
 from maxnik.catalog import named_graph
 from maxnik.certify import check_necessary
@@ -72,24 +74,30 @@ class TestOrder9:
         assert len(blob["members"]) == 7
 
 
+@pytest.fixture(scope="module")
+def size20():
+    """One verify_size20 report, order-9 sweep included, shared by TestSize20."""
+    return verify_size20()
+
+
 class TestSize20:
-    def test_report_without_order9_sweep(self):
-        rep = verify_size20(sweep_order9=False)
+    def test_report_without_order9_sweep(self, size20):
+        rep = size20
         assert rep.count_at_most_20 == 7
         g = named_graph("K7^-").graph
         from maxnik.graphs import graph6_decode
         assert are_isomorphic(graph6_decode(rep.unique_size20), g)
 
-    def test_order_rows_shape(self):
-        rep = verify_size20(sweep_order9=False)
+    def test_order_rows_shape(self, size20):
+        rep = size20
         by_order = {o: (c, m) for o, c, m in rep.order_rows}
         assert by_order[7] == (1, 1)
         assert by_order[8][1] == 0
         for n in range(1, 7):
             assert by_order[n] == (0, 0)
 
-    def test_full_order9_sweep(self):
-        rep = verify_size20(sweep_order9=True)
+    def test_full_order9_sweep(self, size20):
+        rep = size20
         # every order-9 size-20 extension is 2-apex, hence not edge-maximal
         assert rep.order9_candidates == rep.order9_two_apex
         assert rep.order9_ik_by_quote == 0
