@@ -28,13 +28,24 @@ loop would return the same certificate. The loop asks every addition, the
 least one included, the same question, and each augmentation-nik is built
 there.
 
+Two facts about subgraphs shorten these walks without changing an answer.
+If H - S is not planar for a subgraph H of G on the same vertices, then
+neither is G - S. So each addition's walk starts at the host's first
+2-apex pair: every pair before it failed for the host. And each piece at a
+clique cutset is an induced subgraph of g, so a piece that is not 2-apex
+makes g not 2-apex either. Once n pairs of g have failed, its walk asks
+the pieces of g's first split, and ends with no witness at one that is not
+2-apex. Those piece walks are kept in the call's memo, where the clique-sum
+construction finds them. Additions are not asked about pieces: on the
+random hosts that cost more planarity runs than it saved.
+
 Within one top-level ``certify_nik`` or ``certify_maxnik`` call each graph
 gets one nIK certificate and at most one 2-apex walk: the call owns a memo
 of both, so a clique-sum piece met again (in the nIK and then the maxnik
 split, or at a second cutset) reuses its certificate, and an addition the
 gate walked in vain is not walked again when the orbit loop asks for its
 nIK certificate. The call also opens ``canon._generator_memo``, so a graph
-whose automorphism generators ``is_k_apex`` fetched reuses them in
+whose automorphism generators its 2-apex walk fetched reuses them in
 ``orbits(g, "non-edge")``. Likewise one ``validate_certificate`` call
 decodes each graph6 string once and looks up its non-edge orbits and its
 axiom at most once. Nothing is kept between calls.
@@ -53,7 +64,7 @@ from .catalog import ObstructionLibrary, disk_axiom_covers, mmik_library
 from .errors import ParseError, ValidationError
 from .graphs import Graph, graph6_decode, graph6_encode
 from .minors import MinorWitness, has_minor
-from .planarity import KApexResult, _blocks, is_k_apex, is_planar
+from .planarity import KApexResult, _apex_walk, _blocks, is_k_apex, is_planar
 from .primality import _splits
 
 VERDICT_IK = "IK"
@@ -232,15 +243,32 @@ def _certify_nik(g: Graph, lib: ObstructionLibrary,
     return _memo(memo, "nik", g, lambda: _prove_nik(g, lib, memo))
 
 
-def _two_apex(g: Graph, memo: dict) -> KApexResult:
+def _two_apex(g: Graph, memo: dict, start: tuple[int, ...] | None = None) -> KApexResult:
     """``is_k_apex(g, 2)``, walked at most once per graph in ``memo``.
 
     From order 7 on a 2-apex graph has at most 3(n - 2) - 6 + 2(n - 2) + 1
-    = 5n - 15 edges, so a graph with 5n - 14 is not walked.
+    = 5n - 15 edges, so a graph with 5n - 14 is not walked. ``start`` is the
+    first witness of a host that g adds one edge to: the walk skips the
+    pairs before it. Without one, the walk asks ``_piece_not_two_apex``
+    once n pairs have failed.
     """
     if g.n >= 7 and g.m >= 5 * g.n - 14:
         return KApexResult(False, None)
-    return _memo(memo, "2-apex", g, lambda: is_k_apex(g, 2))
+    if start is not None:
+        return _memo(memo, "2-apex", g, lambda: _apex_walk(g, 2, start))
+    return _memo(memo, "2-apex", g,
+                 lambda: _apex_walk(g, 2, doomed=lambda: _piece_not_two_apex(g, memo)))
+
+
+def _piece_not_two_apex(g: Graph, memo: dict) -> bool:
+    """Is a piece of g's first clique-cutset split not 2-apex?
+
+    Each piece is an induced subgraph of g, so then g is not 2-apex either.
+    The pieces' walks go into ``memo``, where ``_certify_by_cutsets`` finds
+    them.
+    """
+    split = next(_splits(g), None) if g.is_connected() else None
+    return split is not None and any(not _two_apex(piece, memo).found for _, piece in split[1])
 
 
 def _prove_nik(g: Graph, lib: ObstructionLibrary,
@@ -312,8 +340,11 @@ def _certify_maxnik(g: Graph, lib: ObstructionLibrary,
     if g.is_complete() and nik.verdict == VERDICT_NIK:
         return _cert(VERDICT_MAXNIK, "complete-nik", g, children=[nik], n=g.n)
     two_apex = nik.rule == "apex-pair"
-    least = g.non_edges()[0] if two_apex else None
-    if two_apex and _two_apex(g.with_edge(*least), memo).found:
+    if two_apex:
+        start = tuple(nik.evidence["witness"])  # every pair before it fails for each addition
+        least = g.non_edges()[0]
+        gate = g.with_edge(*least)
+    if two_apex and _two_apex(gate, memo, start).found:
         reps = [least]  # the least non-edge gate of the module docstring
     else:
         built = _certify_by_cutsets(g, lib, memo, want_maxnik=True)
@@ -325,9 +356,9 @@ def _certify_maxnik(g: Graph, lib: ObstructionLibrary,
     children = [nik]
     undecided = []
     for u, v in reps:
-        added = g.with_edge(u, v)
+        added = gate if two_apex and (u, v) == least else g.with_edge(u, v)
         # a 2-apex addition is nIK and below Mader's bound: no IK search
-        if not (two_apex and _two_apex(added, memo).found):
+        if not (two_apex and _two_apex(added, memo, start).found):
             ik = certify_ik(added, lib)
             if ik.verdict == VERDICT_IK:
                 children.append(ik)

@@ -30,12 +30,22 @@ at the first subset without vertex 0 instead made the order-9, size-20
 sweep 14% slower: there every query finds a witness, most of them soon
 after that point.) ``canon`` checks the generators and fills the orbits, so a
 wrong generator fails loudly instead of skipping a subset.
+
+The private walk under ``is_k_apex`` also takes what the caller knows of a
+subgraph of G, using that G - S contains H - S for a subgraph H of G. If
+H - S is not planar, neither is G - S. So it can start at a subset
+``start`` when every subset before it is known to fail; the first witness
+is at or after it, and is the same. And it can ask a ``doomed`` callback
+whether an induced subgraph is not k-apex, in which case neither is G. The
+walk thus has two stopping points: it asks ``doomed`` once n subsets have
+failed, and it fetches the generators at 2n. Most positive queries end
+before n failures and never pay for what ``doomed`` computes.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import NamedTuple, Sequence
+from itertools import combinations, dropwhile
+from typing import Callable, NamedTuple, Sequence
 
 from .canon import _set_orbit, automorphism_generators
 from .graphs import Graph, _bits, _components
@@ -256,6 +266,17 @@ def is_k_apex(g: Graph, k: int) -> KApexResult:
     non-planar, graph (see the module docstring). The witness is the one
     the plain walk finds.
     """
+    return _apex_walk(g, k)
+
+
+def _apex_walk(g: Graph, k: int, start: tuple[int, ...] = (),
+               doomed: Callable[[], bool] | None = None) -> KApexResult:
+    """``is_k_apex(g, k)`` told what a subgraph of g already proved.
+
+    Subsets before ``start`` in lex order are skipped untested: the caller
+    knows each of them fails. Once n subsets have failed, ``doomed()`` is
+    asked once; True means g is not k-apex, and the walk ends there.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
     k_eff = min(k, g.n - 1)
@@ -264,7 +285,7 @@ def is_k_apex(g: Graph, k: int) -> KApexResult:
     gens: list[tuple[int, ...]] | None = None
     failed: list[int] = []  # removed-vertex masks, until the generators arrive
     seen: set[int] = set()  # orbits of failed subsets
-    for subset in combinations(range(g.n), k_eff):
+    for subset in dropwhile(lambda s: s < start, combinations(range(g.n), k_eff)):
         gone = 0
         for v in subset:
             gone |= 1 << v
@@ -276,6 +297,8 @@ def is_k_apex(g: Graph, k: int) -> KApexResult:
             seen |= _set_orbit(gone, gens)
             continue
         failed.append(gone)
+        if len(failed) == g.n and doomed is not None and doomed():
+            return KApexResult(False, None)
         if len(failed) == 2 * g.n:
             gens = automorphism_generators(g)
             for mask in failed:

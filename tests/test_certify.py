@@ -6,9 +6,11 @@ import hashlib
 import json
 import random
 import sys
+from itertools import combinations
 
 import maxnik.canon as canon_module
 import maxnik.certify as certify_module
+import maxnik.planarity as planarity_module
 from maxnik.canon import automorphism_generators, orbits
 from maxnik.catalog import ObstructionLibrary, named_graph
 from maxnik.certify import (VERDICT_IK, VERDICT_MAXNIK, VERDICT_NIK,
@@ -21,10 +23,11 @@ from maxnik.graphs import (complete_graph, complete_multipartite, cycle_graph,
                            from_edges, graph6_decode, graph6_encode,
                            path_graph)
 from maxnik.planarity import is_k_apex
+from maxnik.primality import _splits
 from maxnik.smallgraphs import enumerate_graphs
 
 from conftest import (brute_connectivity, is_planar_wagner, random_graph,
-                      shaped_random_graph)
+                      reference_is_k_apex, shaped_random_graph)
 
 
 class TestCertifyIK:
@@ -382,25 +385,19 @@ def test_every_class_of_order_at_most_8_certifies_unchanged(lib):
 
 class TestOneNikCertificatePerCall:
     def test_relabelled_composites_unchanged(self, lib):
-        rng = random.Random(2021)
-        blob = []
-        for n in range(23, 53):
-            g = size_construct(n)[1]
-            perm = list(range(g.n))
-            rng.shuffle(perm)
-            blob.append(certify_maxnik(g.relabel(perm), lib).dumps())
-        assert hashlib.sha256("".join(blob).encode()).hexdigest() == COMPOSITE_DIGEST
+        blob = "".join(certify_maxnik(g, lib).dumps() for g in _relabelled_composites(2021))
+        assert hashlib.sha256(blob.encode()).hexdigest() == COMPOSITE_DIGEST
 
     @staticmethod
     def _count_apex_searches(monkeypatch) -> list:
         searched = []
-        real = certify_module.is_k_apex
+        real = certify_module._apex_walk
 
-        def counted(g, k):
+        def counted(g, k, start=(), doomed=None):
             searched.append(g)
-            return real(g, k)
+            return real(g, k, start, doomed)
 
-        monkeypatch.setattr(certify_module, "is_k_apex", counted)
+        monkeypatch.setattr(certify_module, "_apex_walk", counted)
         return searched
 
     def test_one_apex_search_per_graph(self, monkeypatch, lib):
@@ -424,9 +421,10 @@ class TestOneNikCertificatePerCall:
 
 class TestOneGeneratorSearchPerCall:
     def test_is_k_apex_and_orbits_share_one_search(self, monkeypatch, lib):
-        # A host that is not 2-apex has its generators fetched by is_k_apex,
+        # A host that is not 2-apex has its generators fetched by its 2-apex walk,
         # then orbits(g, "non-edge") needs them again. Without the memo 143
-        # generator searches ran here. The other canonical searches were 111
+        # generator searches ran here, and 103 with it while every sum's walk
+        # ran to its 2n failures. The other canonical searches were 111
         # while disk_axiom_covers ran three per covered call (two calls here).
         graphs = [size_construct(n)[1] for n in range(23, 53)]
         searches = {"automorphism_generators": 0, "other": 0}
@@ -442,12 +440,12 @@ class TestOneGeneratorSearchPerCall:
         # digest measured at the parent, before the memo
         assert hashlib.sha256(blob.encode()).hexdigest() == (
             "c94c23810716fc654ab0477c1bcf6838f6336471d0bc7f0c4816177c75a79f75")
-        assert searches == {"automorphism_generators": 103, "other": 107}
+        assert searches == {"automorphism_generators": 40, "other": 107}
         # the memo lives for one call: outside one, every request searches
         assert canon_module._MEMO.get() is None
         automorphism_generators(graphs[0])
         automorphism_generators(graphs[0])
-        assert searches["automorphism_generators"] == 105
+        assert searches["automorphism_generators"] == 42
 
 
 class TestValidatorDecodesOnce:
@@ -550,6 +548,86 @@ class TestTwoApexAdditionsFirst:
             searched.clear()
             certify_maxnik(graph6_decode(h), lib)
             assert len(searched) == len(set(searched)), h
+
+
+def _relabelled_composites(seed: int) -> list:
+    """``size_construct(n)``'s graph for n = 23..52, each relabelled by the next
+    shuffle of one Random(seed): seed 0 gives the first batch of perfbench's
+    ``certify-composite`` at its default seed, in size order."""
+    rng = random.Random(seed)
+    out = []
+    for n in range(23, 53):
+        g = size_construct(n)[1]
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        out.append(g.relabel(perm))
+    return out
+
+
+class TestWalksReuseSubgraphs:
+    """A pair that fails for a subgraph on the same vertices fails for the
+    graph: additions start at the host's witness, and a sum's walk ends at a
+    piece that is not 2-apex. Every answer stays the plain walk's."""
+
+    @staticmethod
+    def _watch(monkeypatch) -> dict:
+        """Record every walk with its start and answer, every sum whose walk
+        ended at a piece, and every planarity run, while the certifier runs."""
+        seen = {"walks": [], "ended": [], "planarity": 0}
+        real_walk = certify_module._apex_walk
+        real_pieces = certify_module._piece_not_two_apex
+        real_planar = planarity_module._planar_within
+
+        def walk(g, k, start=(), doomed=None):
+            got = real_walk(g, k, start, doomed)
+            seen["walks"].append((g, start, got))
+            return got
+
+        def pieces(g, memo):
+            doomed = real_pieces(g, memo)
+            if doomed:
+                seen["ended"].append(g)
+            return doomed
+
+        def planar(rows, keep):
+            seen["planarity"] += 1
+            return real_planar(rows, keep)
+
+        monkeypatch.setattr(certify_module, "_apex_walk", walk)
+        monkeypatch.setattr(certify_module, "_piece_not_two_apex", pieces)
+        monkeypatch.setattr(planarity_module, "_planar_within", planar)
+        return seen
+
+    def test_composite_walks_match_the_reference(self, monkeypatch, lib):
+        graphs = _relabelled_composites(0)
+        seen = self._watch(monkeypatch)
+        for g in graphs:
+            assert certify_maxnik(g, lib).verdict == VERDICT_MAXNIK
+        # 3,504 while every walk ran to its end or its witness
+        assert seen["planarity"] == 1634
+        for g, _, got in seen["walks"]:
+            assert got == reference_is_k_apex(g, 2), graph6_encode(g)
+        assert len(seen["ended"]) >= 30
+        for g in seen["ended"]:
+            _, split = next(_splits(g))
+            assert any(not reference_is_k_apex(piece, 2).found for _, piece in split), (
+                graph6_encode(g))
+
+    def test_golden_host_walks_match_the_reference(self, monkeypatch, lib):
+        seen = self._watch(monkeypatch)
+        blob = "".join(certify_maxnik(graph6_decode(h), lib).dumps() for h in GOLDEN_HOSTS)
+        assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN_DIGEST
+        # 696 while every addition's walk started at the first pair
+        assert seen["planarity"] == 513
+        skipped = 0
+        for g, start, got in seen["walks"]:
+            assert got == reference_is_k_apex(g, 2), graph6_encode(g)
+            for pair in combinations(range(g.n), 2):
+                if pair >= start:
+                    break
+                skipped += 1
+                assert not is_planar_wagner(g.delete_vertices(pair)), (graph6_encode(g), pair)
+        assert skipped >= 200
 
 
 def test_verdicts_and_certificates_survive_relabelling(lib):

@@ -13,8 +13,8 @@ from maxnik.construct import size_construct
 from maxnik.graphs import (Graph, complete_graph, complete_multipartite, cycle_graph,
                            disjoint_union, from_edges, join, path_graph)
 from maxnik.minors import DELTA_Y, Y_DELTA, closure
-from maxnik.planarity import (is_k_apex, is_maximal_2apex, is_maximal_planar,
-                              is_planar)
+from maxnik.planarity import (_apex_walk, is_k_apex, is_maximal_2apex,
+                              is_maximal_planar, is_planar)
 from maxnik.smallgraphs import enumerate_graphs, enumerate_triangulations
 
 from conftest import (all_labeled_graphs, brute_connectivity, is_planar_wagner,
@@ -250,3 +250,50 @@ class TestOrbitPruning:
         # pairs with vertex 0 fail first
         g = join(complete_graph(2), complete_multipartite(2, 2, 2))
         assert is_k_apex(g.relabel([1, 2, 0, 3, 4, 5, 6, 7]), 2) == (True, (1, 2))
+
+
+class TestWalkFromWhatASubgraphProved:
+    """``_apex_walk`` skips the subsets before ``start`` untested, and asks
+    ``doomed`` once, when n subsets have failed."""
+
+    def test_start_skips_only_subsets_before_it(self, monkeypatch):
+        calls = TestOrbitPruning._count_tests(monkeypatch)
+        rng = random.Random(1601)
+        started = 0
+        for _ in range(60):
+            host = random_graph(rng, rng.randint(7, 10), rng.choice((0.4, 0.5, 0.6)))
+            first = is_k_apex(host, 2)
+            if not first.found:
+                continue
+            for e in host.non_edges():
+                added = host.with_edge(*e)
+                calls.clear()
+                assert _apex_walk(added, 2, first.witness) == reference_is_k_apex(added, 2)
+                full = (1 << added.n) - 1
+                tested = [tuple(v for v in range(added.n) if (full & ~keep) >> v & 1)
+                          for keep in calls]
+                assert all(pair >= first.witness for pair in tested)
+                started += first.witness > (0, 1)
+        assert started >= 150
+
+    def test_doomed_is_asked_once_at_n_failures(self, monkeypatch):
+        calls = TestOrbitPruning._count_tests(monkeypatch)
+        asked = []
+
+        def doomed(answer):
+            def ask():
+                asked.append(len(calls))
+                return answer
+            return ask
+
+        # K8 minus any pair is K6: every pair fails
+        assert _apex_walk(complete_graph(8), 2, doomed=doomed(True)) == (False, None)
+        assert asked == [8] and len(calls) == 8
+        calls.clear()
+        asked.clear()
+        assert _apex_walk(complete_graph(8), 2, doomed=doomed(False)) == (False, None)
+        assert asked == [8] and len(calls) == 16
+        # K6 has its witness at the first pair, before n failures
+        asked.clear()
+        assert _apex_walk(complete_graph(6), 2, doomed=doomed(True)) == (True, (0, 1))
+        assert asked == []
