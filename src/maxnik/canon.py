@@ -22,18 +22,23 @@ those of the plain refinement, which the tests keep as a reference.
 
 Generators are checked, and act on vertex sets, only here: orbit pruning is
 sound only under true automorphisms. ``_checked`` raises naming a generator
-that does not preserve the rows; ``automorphism_generators`` and
-``minors.closure`` pass theirs through it. ``_set_orbit`` flood-fills the
-orbit of a vertex-set mask for ``orbits``, ``is_k_apex`` and ``closure``;
-``_reaches`` and ``_subset_orbit_minima`` are hot-path versions of it.
+that does not preserve the rows; ``_search`` and ``minors.closure`` pass
+theirs through it. ``_set_orbit`` flood-fills the orbit of a vertex-set
+mask for ``orbits``, ``is_k_apex`` and ``closure``; ``_reaches`` and
+``_subset_orbit_minima`` are hot-path versions of it.
+
+Each labelled graph is searched once per process: the functions below read
+``_search``, which keeps the last ``_SEARCHES`` results, immutable and keyed
+by order and rows. It checks the generators first, so a wrong one raises
+and is never kept. ``enumerate_graphs`` and ``closure`` search only new
+graphs, so they call ``_canonical_search`` directly.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import lru_cache
+from typing import Iterable
 
 from .graphs import Graph, _bits, _permuted_rows, triangles
 
@@ -121,8 +126,8 @@ class _Search:
         self.seen: dict[int, tuple[int, ...]] = {}
         self.autos: list[tuple[int, ...]] = []
 
-    def run(self) -> None:
-        self._node(_refine(self.rows, [tuple(range(self.n))], [0]), ())
+    def run(self, root: list[tuple[int, ...]] | None = None) -> None:
+        self._node(root or _refine(self.rows, [tuple(range(self.n))], [0]), ())
 
     def _node(self, cells: list[tuple[int, ...]], path: tuple[int, ...]) -> None:
         if len(cells) == self.n:
@@ -186,19 +191,30 @@ def _reaches(v: int, targets: list[int], gens: list[tuple[int, ...]]) -> bool:
     return False
 
 
-def _canonical_search(g: Graph) -> tuple[CanonicalForm, tuple[int, ...], list[tuple[int, ...]]]:
-    """Canonical form, labeling and automorphism generators from one search."""
+def _canonical_search(g: Graph, root: list[tuple[int, ...]] | None = None
+                      ) -> tuple[CanonicalForm, tuple[int, ...], list[tuple[int, ...]]]:
+    """Form, labeling and generators from one search, at g's ``root`` partition."""
     s = _Search(g)
-    s.run()
+    s.run(root)
     assert s.best_key is not None and s.best_lab is not None
     nbytes = (g.n * (g.n - 1) // 2 + 7) // 8
     key = bytes([g.n]) + s.best_key.to_bytes(nbytes, "big")
     return CanonicalForm(key), s.best_lab, list(s.autos)
 
 
+_SEARCHES = 128  # a size-planner pass meets 4 graphs, a composite batch about 75
+
+
+@lru_cache(maxsize=_SEARCHES)
+def _search(g: Graph) -> tuple[CanonicalForm, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """``_canonical_search(g)`` with its generators checked, kept for reuse."""
+    form, lab, autos = _canonical_search(g)
+    return form, lab, tuple(_checked(g.rows, autos))
+
+
 def canonical_labeling(g: Graph) -> tuple[CanonicalForm, tuple[int, ...]]:
     """Canonical form plus a labeling: position i holds vertex lab[i]."""
-    form, lab, _ = _canonical_search(g)
+    form, lab, _ = _search(g)
     return form, lab
 
 
@@ -247,35 +263,9 @@ def isomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:
     return tuple(phi)
 
 
-# Graph -> generators while a ``_generator_memo()`` block is open, else None
-_MEMO: ContextVar[dict[Graph, list[tuple[int, ...]]] | None] = ContextVar(
-    "maxnik_generator_memo", default=None)
-
-
-@contextmanager
-def _generator_memo() -> Iterator[None]:
-    """Inside the block, each graph's generators cost one canonical search.
-
-    A top-level certify call opens one, so the search ``is_k_apex`` runs for
-    a host that is not 2-apex also serves ``orbits`` for the same graph.
-    The memo is dropped when the block ends; nothing is kept between calls.
-    """
-    token = _MEMO.set({})
-    try:
-        yield
-    finally:
-        _MEMO.reset(token)
-
-
 def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     """Permutations generating the full automorphism group, each checked."""
-    memo = _MEMO.get()
-    if memo is None:
-        return _checked(g.rows, _canonical_search(g)[2])
-    gens = memo.get(g)
-    if gens is None:
-        gens = memo[g] = _checked(g.rows, _canonical_search(g)[2])
-    return list(gens)
+    return list(_search(g)[2])
 
 
 def _checked(rows: tuple[int, ...], gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]:

@@ -81,11 +81,10 @@ class ObstructionLibrary:
         raise KeyError(name)
 
     def axiom_for(self, g: Graph) -> NamedGraph | None:
+        if all((a.graph.n, a.graph.m) != (g.n, g.m) for a in self.nik_axioms):
+            return None  # isomorphic graphs share order and size
         key = canonical_form(g).key
-        for a, a_key in zip(self.nik_axioms, self.nik_axiom_keys):
-            if a_key == key:
-                return a
-        return None
+        return next((a for a, k in zip(self.nik_axioms, self.nik_axiom_keys) if k == key), None)
 
 
 # -- family closures ---------------------------------------------------------

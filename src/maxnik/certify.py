@@ -44,11 +44,11 @@ gets one nIK certificate and at most one 2-apex walk: the call owns a memo
 of both, so a clique-sum piece met again (in the nIK and then the maxnik
 split, or at a second cutset) reuses its certificate, and an addition the
 gate walked in vain is not walked again when the orbit loop asks for its
-nIK certificate. The call also opens ``canon._generator_memo``, so a graph
-whose automorphism generators its 2-apex walk fetched reuses them in
-``orbits(g, "non-edge")``. Likewise one ``validate_certificate`` call
-decodes each graph6 string once and looks up its non-edge orbits and its
-axiom at most once. Nothing is kept between calls.
+nIK certificate. Likewise one ``validate_certificate`` call decodes each
+graph6 string once and looks up its non-edge orbits and its axiom at most
+once. These memos are dropped when the call ends. The canonical searches
+behind generators, orbits and axioms are shared across calls: ``canon``
+runs one per labelled graph.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple
 
-from .canon import _generator_memo, orbits
+from .canon import orbits
 from .catalog import ObstructionLibrary, disk_axiom_covers, mmik_library
 from .errors import ParseError, ValidationError
 from .graphs import Graph, graph6_decode, graph6_encode
@@ -228,8 +228,7 @@ def certify_nik(g: Graph, lib: ObstructionLibrary | None = None) -> Certificate:
     operation may return an IK verdict there.
     """
     lib = lib or mmik_library()
-    with _generator_memo():
-        return _certify_nik(g, lib, {})
+    return _certify_nik(g, lib, {})
 
 
 def _certify_nik(g: Graph, lib: ObstructionLibrary,
@@ -324,8 +323,7 @@ def _certify_by_cutsets(g: Graph, lib: ObstructionLibrary,
 def certify_maxnik(g: Graph, lib: ObstructionLibrary | None = None) -> Certificate:
     """Edge-maximality: nIK now, IK after every orbit-distinct edge addition."""
     lib = lib or mmik_library()
-    with _generator_memo():
-        return _certify_maxnik(g, lib, {})
+    return _certify_maxnik(g, lib, {})
 
 
 def _certify_maxnik(g: Graph, lib: ObstructionLibrary,

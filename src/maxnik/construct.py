@@ -97,11 +97,12 @@ def _least_non_triangular_edge(g: Graph) -> tuple[int, int]:
     raise PreconditionError("no non-triangular edge available")
 
 
+@lru_cache(maxsize=None)
 def chain_graphs(i: int) -> tuple[Graph, Certificate]:
     """i copies of E9 glued successively along non-triangular edges.
 
-    Size 20i+1; every instance is checked to keep at least six
-    non-triangular edges, which the size planner depends on.
+    Size 20i+1, built once per process from chain i-1; each is checked to
+    keep at least six non-triangular edges, which the size planner needs.
     """
     if i < 1:
         raise ValueError("chain index must be positive")
@@ -109,10 +110,10 @@ def chain_graphs(i: int) -> tuple[Graph, Certificate]:
         raise ValueError("chain exceeds the order cap")
     e9, e9_cert = _certified("E9")
     g, cert = e9, e9_cert
-    for _ in range(i - 1):
-        site = _least_non_triangular_edge(g)
+    if i > 1:
+        g, cert = chain_graphs(i - 1)
         g, cert = clique_sum(GluingSpec(
-            LEMMA_EDGE_SUM_MAXNIK, g, site, cert,
+            LEMMA_EDGE_SUM_MAXNIK, g, _least_non_triangular_edge(g), cert,
             e9, _least_non_triangular_edge(e9), e9_cert))
     if g.m != 20 * i + 1:
         raise ConstructionInvariantError(f"chain size {g.m} != {20 * i + 1}")

@@ -33,16 +33,23 @@ Every class X of order n is produced exactly once:
 The representatives N are the least mask of each orbit of Aut(P) on
 subsets, found by a flood fill over one image table per generator instead
 of a union-find over every mask. A child in which some vertex has degree
-above |N| is rejected before any canonical search. The rest take one
-search, which yields the key, the labeling and the automorphism generators
-at once. This covers disconnected graphs too. Results are cached per
-order, and the known class counts are checked on every build.
+above |N| is rejected before any canonical search; in the rest |N| is the
+largest degree. Refinement orders the cells by degree in its first round
+and only splits cells in place after it, so the last cell of the root
+partition holds vertices of largest degree. Every leaf refines the root in
+order, so the last vertex of the canonical labeling, which is w, lies in
+that cell. The cell is a union of orbits of Aut(C), so a child with x
+outside it is rejected without a search. The rest take one search from
+that root, which yields the key, the labeling and the generators at once.
+This covers disconnected graphs too. Results are cached per order, and the
+known class counts are checked on every build. Each graph searched here is
+new, so none uses canon's cache.
 """
 
 from __future__ import annotations
 
-from .canon import (_canonical_search, _reaches, _relabel_canonically,
-                    _subset_orbit_minima, automorphism_generators,
+from .canon import (_canonical_search, _checked, _reaches, _refine,
+                    _relabel_canonically, _subset_orbit_minima,
                     canonical_key_graph)
 from .graphs import Graph, _bits, complete_graph, join
 from .planarity import is_planar
@@ -71,7 +78,8 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
             for v, d in enumerate(degrees):
                 if d == most:
                     busiest |= 1 << v
-            for nb in _subset_orbit_minima(new, automorphism_generators(parent)):
+            gens = _checked(parent.rows, _canonical_search(parent)[2])
+            for nb in _subset_orbit_minima(new, gens):
                 top = nb.bit_count()
                 # a vertex of degree top adjacent to x would have degree top + 1
                 if top < most or top == most and nb & busiest:
@@ -80,8 +88,11 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
                 for v in _bits(nb):
                     rows[v] |= 1 << new
                 child = Graph._trusted(n, tuple(rows))
-                form, lab, autos = _canonical_search(child)
-                w = next(v for v in reversed(lab) if rows[v].bit_count() == top)
+                root = _refine(child.rows, [tuple(range(n))], [0])
+                if new not in root[-1]:
+                    continue
+                form, lab, autos = _canonical_search(child, root)
+                w = lab[-1]
                 if w != new and not _reaches(w, [new], autos):
                     continue
                 if form.key in reps:

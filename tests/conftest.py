@@ -8,6 +8,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from maxnik import canon
 from maxnik.canon import (CanonicalForm, _relabel_canonically, canonical_form,
                           canonical_key_graph, canonical_labeling, isomorphism)
 from maxnik.catalog import ObstructionLibrary, mmik_library, named_graph
@@ -26,6 +27,13 @@ from maxnik.survey import classified_maxnik
 @pytest.fixture(scope="session")
 def lib():
     return mmik_library()
+
+
+@pytest.fixture(autouse=True)
+def _cold_search_cache():
+    """Each test starts with no canonical search kept, so a count of
+    searches or a patched search sees every graph it asks about."""
+    canon._search.cache_clear()
 
 
 _minor_memo: dict[tuple[bytes, bytes], bool] = {}

@@ -276,3 +276,67 @@ def test_subset_orbit_minima_match_union_find():
             gens = automorphism_generators(parent)
             want = [o[0] for o in reference_object_orbits(list(range(1 << n)), gens, _mask_image)]
             assert _subset_orbit_minima(n, gens) == want, parent
+
+
+class TestSearchCache:
+    """``canon._search`` keeps checked results, at most ``_SEARCHES`` of them."""
+
+    @staticmethod
+    def _counted(monkeypatch) -> list:
+        searched = []
+        real = canon._canonical_search
+
+        def counted(g):
+            searched.append(g)
+            return real(g)
+
+        monkeypatch.setattr(canon, "_canonical_search", counted)
+        return searched
+
+    def test_cold_and_warm_results_match_the_reference(self, monkeypatch):
+        rng = random.Random(17)
+        graphs = [random_graph(rng, rng.randint(1, 12), rng.choice((0.3, 0.5, 0.7)))
+                  for _ in range(60)]
+        searched = self._counted(monkeypatch)
+        for _ in ("cold", "warm"):
+            for g in graphs:
+                form, lab, gens = reference_canonical_search(g)
+                assert canon.canonical_labeling(g) == (form, lab), g
+                assert canonical_form(g) == form
+                assert automorphism_generators(g) == gens
+                assert orbits(g, "vertex").orbits == reference_object_orbits(
+                    list(range(g.n)), gens, lambda v, a: a[v])
+        assert len(searched) == len(set(graphs))
+
+    def test_a_wrong_generator_raises_and_is_not_kept(self, monkeypatch):
+        g = complete_graph(6).without_edge(0, 5)  # swapping 0 and 1 moves the non-edge
+        real = canon._canonical_search
+        monkeypatch.setattr(canon, "_canonical_search",
+                            lambda h: real(h)[:2] + ([(1, 0, 2, 3, 4, 5)],))
+        with pytest.raises(AssertionError, match="is not an automorphism"):
+            canonical_form(g)
+        assert canon._search.cache_info().currsize == 0
+        monkeypatch.setattr(canon, "_canonical_search", real)
+        searched = self._counted(monkeypatch)
+        assert automorphism_generators(g) == reference_canonical_search(g)[2]
+        assert searched == [g]
+
+    def test_a_returned_list_is_a_copy(self):
+        g = cycle_graph(6)
+        gens = automorphism_generators(g)
+        want = list(gens)
+        gens.append((1, 0, 2, 3, 4, 5))
+        gens[0] = tuple(range(6))
+        assert automorphism_generators(g) == want
+
+    def test_the_cache_stays_within_its_bound(self, monkeypatch):
+        rng = random.Random(18)
+        graphs = set()
+        while len(graphs) < canon._SEARCHES + 40:
+            graphs.add(random_graph(rng, 10, 0.5))
+        searched = self._counted(monkeypatch)
+        for g in graphs:
+            canonical_form(g)
+            assert canon._search.cache_info().currsize <= canon._SEARCHES
+        assert canon._search.cache_info().currsize == canon._SEARCHES
+        assert len(searched) == len(graphs)

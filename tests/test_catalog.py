@@ -165,6 +165,32 @@ class TestLibrary:
         names = {p.name for p in lib.mmik_patterns}
         assert {"K7", "K3,3,1,1", "F9", "E9+e"} <= names
 
+    def test_axiom_lookup_searches_only_an_axiom_order_and_size(self, monkeypatch, lib):
+        searched = []
+        real = canon._canonical_search
+
+        def counted(g):
+            searched.append(g)
+            return real(g)
+
+        monkeypatch.setattr(canon, "_canonical_search", counted)
+        e9 = named_graph("E9").graph
+        u, v = e9.non_edges()[0]
+        for g in (e9.with_edge(u, v), e9.without_edge(*e9.edges()[0]),
+                  complete_graph(9), named_graph("K7").graph, complete_multipartite(3, 3, 3)):
+            assert (g.n, g.m) not in ((9, 21), (9, 29))
+            assert lib.axiom_for(g) is None
+        assert searched == []
+        rng = random.Random(19)
+        for name in ("E9", "G9,29"):
+            h = named_graph(name).graph.relabel(rng.sample(range(9), 9))
+            assert lib.axiom_for(h).name == name
+        assert len(searched) == 2
+        # the same order and size, not isomorphic to E9: searched, not matched
+        other = e9.without_edge(*e9.edges()[0]).with_edge(u, v)
+        assert lib.axiom_for(other) is None
+        assert searched[2:] == [other]
+
     def test_axioms_disjoint_from_patterns(self, lib):
         from maxnik.canon import canonical_form
         pattern_keys = {canonical_form(p.graph).key for p in lib.mmik_patterns}
@@ -271,6 +297,7 @@ class TestLibraryBuildWork:
             return real(g)
 
         monkeypatch.setattr(canon, "_canonical_search", counted)
+        canon._search.cache_clear()  # count from a cold cache
         assert disk_axiom_covers(lib, e9, tri)  # 3 searches with isomorphism
         assert calls == [e9]
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import sys
 from itertools import combinations
 
 import maxnik.canon as canon_module
@@ -179,6 +178,7 @@ class TestOrbitReductionSoundness:
             return form, lab, autos + [tuple(bad)]
 
         monkeypatch.setattr(canon_module, "_canonical_search", corrupted)
+        canon_module._search.cache_clear()  # the certifier searched g already
         assert validate_certificate(cert, lib) == [
             f"root: generator {tuple(bad)} is not an automorphism"]
 
@@ -422,30 +422,33 @@ class TestOneNikCertificatePerCall:
 class TestOneGeneratorSearchPerCall:
     def test_is_k_apex_and_orbits_share_one_search(self, monkeypatch, lib):
         # A host that is not 2-apex has its generators fetched by its 2-apex walk,
-        # then orbits(g, "non-edge") needs them again. Without the memo 143
-        # generator searches ran here, and 103 with it while every sum's walk
-        # ran to its 2n failures. The other canonical searches were 111
-        # while disk_axiom_covers ran three per covered call (two calls here).
+        # then orbits(g, "non-edge") needs them again. Without any memo 143
+        # generator searches ran here, and 103 with a per-call memo while every
+        # sum's walk ran to its 2n failures; then 40 generator and 107 other
+        # searches, before canon kept one search per labelled graph.
         graphs = [size_construct(n)[1] for n in range(23, 53)]
-        searches = {"automorphism_generators": 0, "other": 0}
+        searched = []
         real = canon_module._canonical_search
 
         def counted(g):
-            caller = sys._getframe(1).f_code.co_name
-            searches[caller if caller in searches else "other"] += 1
+            searched.append(g)
             return real(g)
 
         monkeypatch.setattr(canon_module, "_canonical_search", counted)
+        canon_module._search.cache_clear()  # count from a cold cache
         blob = "".join(certify_maxnik(g, lib).dumps() for g in graphs)
-        # digest measured at the parent, before the memo
+        # digest measured before any memo
         assert hashlib.sha256(blob.encode()).hexdigest() == (
             "c94c23810716fc654ab0477c1bcf6838f6336471d0bc7f0c4816177c75a79f75")
-        assert searches == {"automorphism_generators": 40, "other": 107}
-        # the memo lives for one call: outside one, every request searches
-        assert canon_module._MEMO.get() is None
+        # two labellings of E9 and one K4: every other graph is settled
+        # without its generators, and E9's axiom lookup and orbits share one
+        assert [(g.n, g.m) for g in searched] == [(9, 21), (4, 6), (9, 21)]
+        assert len(set(searched)) == 3
+        # the certifier never needed graphs[0]'s generators: the first request
+        # searches it, and a second request is a cache hit
         automorphism_generators(graphs[0])
         automorphism_generators(graphs[0])
-        assert searches["automorphism_generators"] == 42
+        assert searched[3:] == [graphs[0]]
 
 
 class TestValidatorDecodesOnce:

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import maxnik
 import maxnik.construct as construct_module
 from maxnik.canon import are_isomorphic
 from maxnik.catalog import named_graph
@@ -134,6 +138,66 @@ class TestChain:
         for i in (1, 2, 3):
             g, _ = chain_graphs(i)
             assert len(non_triangular_edges(g)) >= 6
+
+    def test_each_chain_matches_the_loop_built_one_and_is_built_once(self, lib):
+        for i in range(1, 9):
+            g, cert = chain_graphs(i)
+            want_g, want_cert = reference_chain(i, lib)
+            assert g == want_g
+            assert cert.dumps() == want_cert.dumps()
+            assert chain_graphs(i) is chain_graphs(i)
+        with pytest.raises(ValueError, match="order cap"):
+            chain_graphs(9)  # 65 vertices
+
+
+def reference_chain(i: int, lib) -> tuple:
+    """Oracle: i copies of E9 glued one after another in a loop, each on the
+    chain's least non-triangular edge, with nothing reused between chains."""
+    e9 = named_graph("E9").graph
+    e9_cert = certify_maxnik(e9, lib)
+    g, cert = e9, e9_cert
+    for _ in range(i - 1):
+        g, cert = clique_sum(GluingSpec(
+            LEMMA_EDGE_SUM_MAXNIK, g, non_triangular_edges(g)[0], cert,
+            e9, non_triangular_edges(e9)[0], e9_cert))
+    return g, cert
+
+
+_COLD_PLANNER = """
+from maxnik import canon
+from maxnik.catalog import mmik_library
+from maxnik.certify import validate_certificate
+from maxnik.construct import size_construct
+from maxnik.primality import decompose
+
+lib = mmik_library()
+searched = []
+real = canon._canonical_search
+
+def counted(g):
+    searched.append(g)
+    return real(g)
+
+canon._canonical_search = counted
+for n in range(20, 61):
+    if n != 22:
+        g, cert = size_construct(n)[1:]
+        assert validate_certificate(cert, lib) == []
+        decompose(g)
+print(len(searched), len(set(searched)))
+"""
+
+
+class TestPlannerSearches:
+    def test_sizes_20_to_60_search_two_new_graphs_once_each(self):
+        # A fresh interpreter, so every cache starts empty. Before canon kept
+        # its searches, 122 ran here on 4 graphs: K4, K7^- and two labellings
+        # of E9. The library build has already searched K4 and one E9.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(maxnik.__file__))
+        out = subprocess.run([sys.executable, "-c", _COLD_PLANNER], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        assert out.stdout.split() == ["2", "2"]
 
 
 class TestLeastNonTriangularEdge:

@@ -236,6 +236,7 @@ class TestOrbitPruning:
         real = canon._canonical_search
         monkeypatch.setattr(canon, "_canonical_search",
                             lambda h: real(h)[:2] + ([(1, 0, 2, 3, 4, 5, 6, 7)],))
+        canon._search.cache_clear()  # the walk above searched g already
         with pytest.raises(AssertionError,
                            match=r"generator \(1, 0, 2, 3, 4, 5, 6, 7\) is not an automorphism"):
             is_k_apex(g, 2)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from maxnik import smallgraphs
 from maxnik.canon import are_isomorphic
 from maxnik.catalog import named_graph
 from maxnik.certify import check_necessary
@@ -17,6 +18,14 @@ from maxnik.survey import (classified_maxnik, enumerate_graphs,
                            verify_order9, verify_size20)
 
 from conftest import reference_enumerate_graphs, sweep_bounds_check
+
+# sha256 of the graph6 lines, as the extend-and-deduplicate loop gave them
+GOLDEN_CLASSES = {7: "0119e1e0676b729511fc1bd3e7f87d896ec62ad29925928baa5ad9528b69c540",
+                  8: "87e11fc60398f2e7ba2d8396d7fb807be8b9d595c32e6546973f3dfa7302aa37"}
+
+
+def _digest(graphs) -> str:
+    return hashlib.sha256("".join(graph6_encode(g) + "\n" for g in graphs).encode()).hexdigest()
 
 
 class TestEnumeration:
@@ -29,12 +38,24 @@ class TestEnumeration:
             assert enumerate_graphs(n) == reference_enumerate_graphs(n)
 
     def test_golden_digests(self):
-        # sha256 of the graph6 lines, as the extend-and-deduplicate loop gave them
-        want = {7: "0119e1e0676b729511fc1bd3e7f87d896ec62ad29925928baa5ad9528b69c540",
-                8: "87e11fc60398f2e7ba2d8396d7fb807be8b9d595c32e6546973f3dfa7302aa37"}
-        for n, digest in want.items():
-            text = "".join(graph6_encode(g) + "\n" for g in enumerate_graphs(n))
-            assert hashlib.sha256(text.encode()).hexdigest() == digest
+        for n, digest in GOLDEN_CLASSES.items():
+            assert _digest(enumerate_graphs(n)) == digest
+
+    def test_order8_searches_only_children_in_the_last_root_cell(self, monkeypatch):
+        # 18,272 children pass the degree filter; 5,901 of them have the new
+        # vertex outside the last cell of the root partition
+        monkeypatch.setattr(smallgraphs, "_CLASS_CACHE",
+                            {n: enumerate_graphs(n) for n in range(1, 8)})
+        searched = {"child": 0, "parent": 0}
+        real = smallgraphs._canonical_search
+
+        def counted(g, root=None):
+            searched["parent" if root is None else "child"] += 1
+            return real(g, root)
+
+        monkeypatch.setattr(smallgraphs, "_canonical_search", counted)
+        assert _digest(enumerate_graphs(8)) == GOLDEN_CLASSES[8]
+        assert searched == {"child": 12371, "parent": 1044}
 
     def test_triangulations(self):
         assert len(enumerate_triangulations(5)) == 1
