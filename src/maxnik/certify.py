@@ -14,8 +14,7 @@ clique-sum lemma, each entry with the result it rests on. The provers,
 When the host is 2-apex, each edge addition is walked for a 2-apex pair
 before any IK search. A 2-apex addition goes straight to augmentation-nik
 with the certificate the IK-first order would build: a 2-apex graph is nIK,
-so no IK pattern is a minor of it, and from order 7 on it has at most
-5n - 15 edges, below Mader's 5n - 14, so that order would find no IK
+so no IK pattern is a minor of it, and that order would find no IK
 evidence and then the same apex-pair child. A host that is not 2-apex has
 no 2-apex addition (a pair that works for g + e works for g), so only
 2-apex hosts are asked. An addition with 5n - 14 edges is not 2-apex and is
@@ -53,6 +52,7 @@ runs one per labelled graph.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass
@@ -64,7 +64,7 @@ from .catalog import ObstructionLibrary, disk_axiom_covers, mmik_library
 from .errors import ParseError, ValidationError
 from .graphs import Graph, graph6_decode, graph6_encode
 from .minors import MinorWitness, has_minor
-from .planarity import KApexResult, _apex_walk, _blocks, is_k_apex, is_planar
+from .planarity import KApexResult, _apex_walk, _blocks, is_planar
 from .primality import _splits
 
 VERDICT_IK = "IK"
@@ -91,10 +91,12 @@ class Certificate:
         return graph6_decode(self.evidence["graph"])
 
     def to_json(self) -> dict:
+        """The JSON form, in containers of its own: a caller that edits it
+        leaves this certificate, and any cache that holds it, unchanged."""
         return {
             "verdict": self.verdict,
             "rule": self.rule,
-            "evidence": self.evidence,
+            "evidence": copy.deepcopy(self.evidence),
             "children": [c.to_json() for c in self.children],
         }
 
@@ -201,7 +203,7 @@ def lemma_conclusion(name: str, sides: Sides, verdicts: list[str],
 
 
 def certify_ik(g: Graph, lib: ObstructionLibrary | None = None) -> Certificate:
-    """IK via an obstruction minor or the edge-count bound; never claims nIK."""
+    """IK via an obstruction minor; never claims nIK."""
     lib = lib or mmik_library()
     for pattern in lib.mmik_patterns:
         if pattern.graph.n > g.n or pattern.graph.m > g.m:
@@ -212,9 +214,6 @@ def certify_ik(g: Graph, lib: ObstructionLibrary | None = None) -> Certificate:
             return _cert(VERDICT_IK, "minor-of", g,
                          pattern=pattern.name,
                          branch_sets=[list(b) for b in found.witness.branch_sets])
-    if g.n >= 7 and g.m >= 5 * g.n - 14:
-        return _cert(VERDICT_IK, "size-bound", g, n=g.n, m=g.m,
-                     threshold=5 * g.n - 14)
     return _cert(VERDICT_UNKNOWN, "no-ik-evidence", g)
 
 
@@ -222,11 +221,7 @@ def certify_ik(g: Graph, lib: ObstructionLibrary | None = None) -> Certificate:
 
 
 def certify_nik(g: Graph, lib: ObstructionLibrary | None = None) -> Certificate:
-    """nIK via 2-apex, a knotless axiom, or a clique-sum construction.
-
-    For order at most 8 a graph that is not 2-apex is IK, so this
-    operation may return an IK verdict there.
-    """
+    """nIK via 2-apex, a knotless axiom, or a clique-sum construction."""
     lib = lib or mmik_library()
     return _certify_nik(g, lib, {})
 
@@ -279,9 +274,6 @@ def _prove_nik(g: Graph, lib: ObstructionLibrary,
     if axiom is not None:
         return _cert(VERDICT_NIK, "axiom", g, name=axiom.name,
                      trust="published knotless embedding; not re-verified here")
-    if g.n <= 8:
-        return _cert(VERDICT_IK, "not-2apex-small-order", g, n=g.n,
-                     trust="published equivalence: low-order nIK graphs are 2-apex")
     built = _certify_by_cutsets(g, lib, memo, want_maxnik=False)
     if built is not None:
         return built
@@ -329,8 +321,6 @@ def certify_maxnik(g: Graph, lib: ObstructionLibrary | None = None) -> Certifica
 def _certify_maxnik(g: Graph, lib: ObstructionLibrary,
                     memo: dict) -> Certificate:
     nik = _certify_nik(g, lib, memo)
-    if nik.verdict == VERDICT_IK:
-        return _cert(VERDICT_NOT_MAXNIK, "is-ik", g, children=[nik])
     if nik.verdict != VERDICT_NIK:
         ik = certify_ik(g, lib)
         if ik.verdict == VERDICT_IK:
@@ -355,7 +345,7 @@ def _certify_maxnik(g: Graph, lib: ObstructionLibrary,
     undecided = []
     for u, v in reps:
         added = gate if two_apex and (u, v) == least else g.with_edge(u, v)
-        # a 2-apex addition is nIK and below Mader's bound: no IK search
+        # a 2-apex addition is nIK, so no IK pattern is a minor of it: no IK search
         if not (two_apex and _two_apex(added, memo, start).found):
             ik = certify_ik(added, lib)
             if ik.verdict == VERDICT_IK:
@@ -582,9 +572,6 @@ def _replay_construction(cert, g, lib, memo):
 RULES: dict[str, Rule] = {
     # a registered IK pattern as a minor
     "minor-of": Rule({VERDICT_IK}, {"branch_sets": SETS}, replay=_replay_minor),
-    # Mader: from order 7 on, 5n-14 edges force a K7 minor (below, nothing)
-    "size-bound": Rule({VERDICT_IK}, replay=lambda c, g, lib, memo: (
-        None if g.n >= 7 and g.m >= 5 * g.n - 14 else "size bound does not hold")),
     "no-ik-evidence": Rule({VERDICT_UNKNOWN}),
     # deleting at most two vertices leaves a planar graph, so it is nIK
     "apex-pair": Rule({VERDICT_NIK}, {"witness": SET}, replay=lambda c, g, lib, memo: (
@@ -592,9 +579,6 @@ RULES: dict[str, Rule] = {
         else "apex witness is not at most two vertices leaving a planar graph")),
     # E9 and G9,29 are nIK by trusted published embeddings
     "axiom": Rule({VERDICT_NIK}, replay=_replay_axiom),
-    # published equivalence: below order 9, nIK graphs are 2-apex
-    "not-2apex-small-order": Rule({VERDICT_IK}, replay=lambda c, g, lib, memo: (
-        "small-order rule misapplied" if g.n > 8 or is_k_apex(g, 2).found else None)),
     "no-nik-evidence": Rule({VERDICT_UNKNOWN}),
     # a clique sum under one of LEMMAS, one child per part
     "construction": Rule({VERDICT_NIK, VERDICT_MAXNIK}, {"cutset": TUPLE, "parts": SETS},

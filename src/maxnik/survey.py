@@ -35,8 +35,10 @@ __all__ = [
 def enumerate_maxnik(n: int) -> tuple[Graph, ...]:
     """All maximal knotless graphs of order n <= 8, by full canonical sweep.
 
-    In this range maximal knotless coincides with maximal 2-apex (low-order
-    knotless graphs are 2-apex), which makes the sweep decidable.
+    In this range maximal knotless coincides with maximal 2-apex, which makes
+    the sweep decidable: a 2-apex graph is knotless, and every class of order
+    at most 8 that is not 2-apex certifies IK through a library minor, as
+    ``test_every_class_of_order_at_most_8_certifies_unchanged`` checks.
     """
     if not 1 <= n <= 8:
         raise ValueError("decidable sweep covers orders 1..8")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import Counter
 from itertools import combinations
 
 import maxnik.canon as canon_module
@@ -47,11 +48,23 @@ class TestCertifyIK:
         assert certify_ik(cycle_graph(5), lib).verdict == VERDICT_UNKNOWN
 
     def test_dense_graph_size_bound_never_needed_alone(self, lib):
-        # any graph meeting the bound also has the K7 pattern as a minor
-        g = complete_graph(8)
-        cert = certify_ik(g, lib)
-        assert cert.verdict == VERDICT_IK
-        assert validate_certificate(cert, lib) == []
+        """Mader's bound as an oracle: from order 7 on, 5n - 14 edges force a
+        K7 minor, so every such host has a library minor.
+
+        The hosts are K8, then 20 seeded graphs of each order 7..12 with
+        5n - 14 to 5n - 12 edges (or all edges, when there are fewer).
+        """
+        rng = random.Random(5014)
+        hosts = [complete_graph(8)]
+        for n in range(7, 13):
+            pairs = list(combinations(range(n), 2))
+            for _ in range(20):
+                m = min(5 * n - 14 + rng.randrange(3), len(pairs))
+                hosts.append(from_edges(n, rng.sample(pairs, m)))
+        for g in hosts:
+            cert = certify_ik(g, lib)
+            assert (cert.verdict, cert.rule) == (VERDICT_IK, "minor-of"), graph6_encode(g)
+            assert validate_certificate(cert, lib) == []
 
 
 class TestCertifyNIK:
@@ -71,10 +84,13 @@ class TestCertifyNIK:
         assert (cert.verdict, cert.rule) == (VERDICT_NIK, "axiom")
 
     def test_order8_not_2apex_returns_ik(self, lib):
-        cert = certify_nik(complete_graph(8), lib)
-        assert cert.verdict == VERDICT_IK
-        assert cert.rule == "not-2apex-small-order"
-        assert validate_certificate(cert, lib) == []
+        # certify_nik finds no nIK evidence; the IK verdict comes from a minor
+        nik = certify_nik(complete_graph(8), lib)
+        assert (nik.verdict, nik.rule) == (VERDICT_UNKNOWN, "no-nik-evidence")
+        cert = certify_maxnik(complete_graph(8), lib)
+        assert (cert.verdict, cert.rule) == (VERDICT_NOT_MAXNIK, "is-ik")
+        assert [c.rule for c in cert.children] == ["minor-of"]
+        assert validate_certificate(nik, lib) == validate_certificate(cert, lib) == []
 
     def test_never_claims_both_ways_small_orders(self, lib):
         for n in (5, 6):
@@ -275,9 +291,11 @@ class TestSmallOrderSizeBound:
             assert certify_ik(complete_graph(n), lib).verdict == VERDICT_UNKNOWN
 
     def test_validator_rejects_small_size_bound(self, lib):
-        forged = Certificate(VERDICT_IK, "size-bound",
-                             {"graph": "C~", "n": 4, "m": 6, "threshold": 6})
-        assert validate_certificate(forged, lib) != []
+        # neither quoted small-order fact is a rule: a node citing one is unknown
+        for name in ("size-bound", "not-2apex-small-order"):
+            forged = Certificate(VERDICT_IK, name,
+                                 {"graph": "C~", "n": 4, "m": 6, "threshold": 6})
+            assert validate_certificate(forged, lib) == [f"root: unknown rule '{name}'"]
 
     def test_only_complete_graphs_are_maxnik_below_order_5(self, lib):
         for n in (1, 2, 3, 4):
@@ -373,14 +391,26 @@ COMPOSITE_DIGEST = "e7420ab4dd15d342f2a33510f2446edee61a41b8a49228ecac185bb39417
 
 
 # sha256 of certify_maxnik(g).dumps(), joined, over every class of order
-# 1..8 from enumerate_graphs; measured before the least-non-edge apex gate
-ORDER8_DIGEST = "29ddea17e556768c8a69355157ead46b55b5fd3c8ce06e975a16465872a401af"
+# 1..8 from enumerate_graphs; measured once the quoted small-order rules were
+# deleted, so each IK child in them is a library minor
+ORDER8_DIGEST = "22c20ccd6b5c803ddee1786b8ef237b51766a1f5e0f1ded5c46f14b2e5c92a5e"
 
 
 def test_every_class_of_order_at_most_8_certifies_unchanged(lib):
-    blob = "".join(certify_maxnik(g, lib).dumps()
-                   for n in range(1, 9) for g in enumerate_graphs(n))
-    assert hashlib.sha256(blob.encode()).hexdigest() == ORDER8_DIGEST
+    """The certificates through order 8, and the quoted fact "knotless graphs
+    of order at most 8 are 2-apex" checked class by class: each class that
+    is not 2-apex certifies IK through a library minor."""
+    blob, not_two_apex = [], Counter()
+    for n in range(1, 9):
+        for g in enumerate_graphs(n):
+            cert = certify_maxnik(g, lib)
+            blob.append(cert.dumps())
+            if not is_k_apex(g, 2).found:
+                assert (cert.rule, [c.rule for c in cert.children]) == ("is-ik", ["minor-of"])
+                assert validate_certificate(cert, lib) == []
+                not_two_apex[n] += 1
+    assert not_two_apex == {7: 1, 8: 23}
+    assert hashlib.sha256("".join(blob).encode()).hexdigest() == ORDER8_DIGEST
 
 
 class TestOneNikCertificatePerCall:

@@ -282,6 +282,19 @@ class TestSizeConstruct:
                 assert len(plan.addends) <= 6
             assert validate_certificate(cert, lib) == []
 
+    def test_editing_to_json_leaves_the_kept_certificates_unchanged(self):
+        # size_construct returns certificates it keeps, so to_json copies every level
+        before = [size_construct(n)[2].dumps() for n in (20, 41)]
+        sum41 = size_construct(41)[2].to_json()
+        sum41["evidence"]["lemma"] = "changed"
+        sum41["evidence"]["parts"][0].append(99)
+        sum41["children"][0]["evidence"]["orbit_representatives"][1][0] = 99
+        k7_minus = size_construct(20)[2].to_json()
+        k7_minus["evidence"]["graph"] = "changed"
+        k7_minus["evidence"]["orbit_representatives"][0].clear()
+        k7_minus["children"][0]["evidence"]["witness"].append(9)
+        assert [size_construct(n)[2].dumps() for n in (20, 41)] == before
+
     def test_plan_json(self):
         plan, _, _ = size_construct(37)
         blob = plan.to_json()
