@@ -25,8 +25,8 @@ from .canon import (canonical_form, canonical_graph, canonical_key_graph,
 from .errors import IdentificationAmbiguous, ValidationError
 from .graphs import (MAX_ORDER, Graph, clique_number, complement,
                      complete_graph, complete_multipartite, cycle_graph,
-                     disjoint_union, identified_union, is_k_connected, join,
-                     non_triangular_edges)
+                     disjoint_union, graph6_encode, identified_union,
+                     is_k_connected, join, non_triangular_edges)
 from .minors import ClosureResult, closure, has_minor
 from .planarity import is_k_apex
 from .smallgraphs import maximal_2apex_graphs
@@ -365,11 +365,9 @@ def mmik_library() -> ObstructionLibrary:
     )
 
 
-def library_dump(lib: ObstructionLibrary | None = None) -> dict:
+def library_dump() -> dict:
     """The full library as graph6 strings plus JSON metadata."""
-    from .graphs import graph6_encode
-
-    lib = lib or mmik_library()
+    lib = mmik_library()
     return {
         "patterns": [{
             "name": p.name,
@@ -393,13 +391,14 @@ def library_dump(lib: ObstructionLibrary | None = None) -> dict:
     }
 
 
-def disk_axiom_covers(lib: ObstructionLibrary, g: Graph, triangle: tuple[int, int, int]) -> bool:
-    """Is (g, triangle) matched by a registered disk-bounding triangle axiom?"""
+def disk_axiom_covers(g: Graph, triangle: tuple[int, int, int]) -> bool:
+    """Is (g, triangle) matched by a disk-bounding triangle axiom of
+    ``mmik_library()``?"""
     a, b, c = triangle
     if len({a, b, c}) != 3 or not (g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)):
         return False
     form, lab = canonical_labeling(g)
-    for ax in lib.triangle_disk_axioms:
+    for ax in mmik_library().triangle_disk_axioms:
         if ax.key != form.key:
             continue
         if ax.triangle_orbit is None:

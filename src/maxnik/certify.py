@@ -9,7 +9,11 @@ everything in scope, and silence beats an unsound claim elsewhere.
 ``RULES`` holds one record per inference rule and ``LEMMAS`` one per
 clique-sum lemma, each entry with the result it rests on. The provers,
 ``validate_certificate``, ``relabel_certificate`` and
-``construct.clique_sum`` all read them.
+``construct.clique_sum`` all read them. The provers, the validator and
+``clique_sum`` also read the one obstruction library (IK patterns, knotless
+axioms, disk axioms) from ``catalog.mmik_library()`` where they use it; none
+takes another, so a certificate is built and replayed against one trusted
+base.
 
 When the host is 2-apex, each edge addition is walked for a 2-apex pair
 before any IK search. A 2-apex addition goes straight to augmentation-nik
@@ -60,11 +64,11 @@ from itertools import combinations
 from typing import Callable, Iterable, NamedTuple
 
 from .canon import orbits
-from .catalog import ObstructionLibrary, disk_axiom_covers, mmik_library
+from .catalog import disk_axiom_covers, mmik_library
 from .errors import ParseError, ValidationError
-from .graphs import Graph, graph6_decode, graph6_encode
+from .graphs import Graph, graph6_decode, graph6_encode, is_k_connected
 from .minors import MinorWitness, has_minor
-from .planarity import KApexResult, _apex_walk, _blocks, is_planar
+from .planarity import KApexResult, _apex_walk, is_planar
 from .primality import _splits
 
 VERDICT_IK = "IK"
@@ -105,8 +109,10 @@ class Certificate:
 
     @staticmethod
     def from_json(data: dict) -> "Certificate":
-        """Rebuild ``to_json`` output; a node that is not an object with the
-        four keys and a ``children`` list raises ``ValidationError``."""
+        """Rebuild ``to_json`` output into containers of its own, so editing
+        ``data`` afterwards leaves the certificate unchanged; a node that is not
+        an object with the four keys and a ``children`` list raises
+        ``ValidationError``."""
         if not isinstance(data, dict):
             raise ValidationError(f"certificate node {data!r} is not an object")
         for key in ("verdict", "rule", "evidence", "children"):
@@ -115,7 +121,7 @@ class Certificate:
         if not isinstance(data["children"], (list, tuple)):
             raise ValidationError("certificate node's 'children' is not a list")
         return Certificate(
-            data["verdict"], data["rule"], data["evidence"],
+            data["verdict"], data["rule"], copy.deepcopy(data["evidence"]),
             tuple(Certificate.from_json(c) for c in data["children"]))
 
 
@@ -143,19 +149,19 @@ class Lemma(NamedTuple):
 
     clique: int
     needs: dict[str, str]
-    side: Callable[[Sides, ObstructionLibrary], tuple[str | None, str]] | None = None
+    side: Callable[[Sides], tuple[str | None, str]] | None = None
 
 
-def _glue_edge_side(sides: Sides, lib: ObstructionLibrary) -> tuple[str | None, str]:
+def _glue_edge_side(sides: Sides) -> tuple[str | None, str]:
     if sum(bool(p.rows[x] & p.rows[y]) for p, (x, y) in sides) > 1:
         return None, "glue edge is triangular in more than one piece"
     return VERDICT_MAXNIK, ""
 
 
-def _triangle_side(sides: Sides, lib: ObstructionLibrary) -> tuple[str | None, str]:
+def _triangle_side(sides: Sides) -> tuple[str | None, str]:
     if len(sides) != 2:
         return None, "triangle sum needs exactly two pieces"
-    if not all(disk_axiom_covers(lib, p, tri) for p, tri in sides):
+    if not all(disk_axiom_covers(p, tri) for p, tri in sides):
         return None, "triangle not covered by a disk axiom"
     if all(p.rows[a] & p.rows[b] & p.rows[c] for p, (a, b, c) in sides):
         return VERDICT_NIK, ""  # the triangle lies in a K4 on every side
@@ -176,12 +182,12 @@ LEMMAS: dict[str, Lemma] = {
 }
 
 
-def lemma_conclusion(name: str, sides: Sides, verdicts: list[str],
-                     lib: ObstructionLibrary) -> tuple[str | None, str]:
+def lemma_conclusion(name: str, sides: Sides, verdicts: list[str]) -> tuple[str | None, str]:
     """The strongest verdict lemma ``name`` gives the clique sum of ``sides``.
 
-    ``verdicts`` are the operands' verdicts. Returns that verdict and "", or
-    None and the reason no verdict follows.
+    ``verdicts`` are the operands' verdicts. A triangle sum's disk axioms
+    come from ``mmik_library()``. Returns that verdict and "", or None and
+    the reason no verdict follows.
     """
     lemma = LEMMAS.get(name)
     if lemma is None:
@@ -189,7 +195,7 @@ def lemma_conclusion(name: str, sides: Sides, verdicts: list[str],
     if any(len(c) != lemma.clique or not all(p.has_edge(u, v) for u, v in combinations(c, 2))
            for p, c in sides):
         return None, f"lemma {name} glues over a {lemma.clique}-clique"
-    cap, reason = lemma.side(sides, lib) if lemma.side else (VERDICT_MAXNIK, "")
+    cap, reason = lemma.side(sides) if lemma.side else (VERDICT_MAXNIK, "")
     for result, need in lemma.needs.items():
         if cap is None or _STRENGTH[result] > _STRENGTH[cap]:
             continue
@@ -202,10 +208,9 @@ def lemma_conclusion(name: str, sides: Sides, verdicts: list[str],
 # -- IK ------------------------------------------------------------------
 
 
-def certify_ik(g: Graph, lib: ObstructionLibrary | None = None) -> Certificate:
+def certify_ik(g: Graph) -> Certificate:
     """IK via an obstruction minor; never claims nIK."""
-    lib = lib or mmik_library()
-    for pattern in lib.mmik_patterns:
+    for pattern in mmik_library().mmik_patterns:
         if pattern.graph.n > g.n or pattern.graph.m > g.m:
             continue
         found = has_minor(g, pattern.graph)
@@ -220,21 +225,19 @@ def certify_ik(g: Graph, lib: ObstructionLibrary | None = None) -> Certificate:
 # -- nIK -----------------------------------------------------------------
 
 
-def certify_nik(g: Graph, lib: ObstructionLibrary | None = None) -> Certificate:
+def certify_nik(g: Graph) -> Certificate:
     """nIK via 2-apex, a knotless axiom, or a clique-sum construction."""
-    lib = lib or mmik_library()
-    return _certify_nik(g, lib, {})
+    return _certify_nik(g, {})
 
 
-def _certify_nik(g: Graph, lib: ObstructionLibrary,
-                 memo: dict) -> Certificate:
+def _certify_nik(g: Graph, memo: dict) -> Certificate:
     """``certify_nik`` that reuses the certificate ``memo`` holds for ``g``.
 
     ``memo`` belongs to one top-level call, so each graph that call
     meets is settled once however many clique sums it appears in, and its
     2-apex walk is the one ``_two_apex`` kept.
     """
-    return _memo(memo, "nik", g, lambda: _prove_nik(g, lib, memo))
+    return _memo(memo, "nik", g, lambda: _prove_nik(g, memo))
 
 
 def _two_apex(g: Graph, memo: dict, start: tuple[int, ...] | None = None) -> KApexResult:
@@ -265,24 +268,21 @@ def _piece_not_two_apex(g: Graph, memo: dict) -> bool:
     return split is not None and any(not _two_apex(piece, memo).found for _, piece in split[1])
 
 
-def _prove_nik(g: Graph, lib: ObstructionLibrary,
-               memo: dict) -> Certificate:
+def _prove_nik(g: Graph, memo: dict) -> Certificate:
     apex = _two_apex(g, memo)
     if apex.found:
         return _cert(VERDICT_NIK, "apex-pair", g, witness=list(apex.witness or ()))
-    axiom = lib.axiom_for(g)
+    axiom = mmik_library().axiom_for(g)
     if axiom is not None:
         return _cert(VERDICT_NIK, "axiom", g, name=axiom.name,
                      trust="published knotless embedding; not re-verified here")
-    built = _certify_by_cutsets(g, lib, memo, want_maxnik=False)
+    built = _certify_by_cutsets(g, memo, want_maxnik=False)
     if built is not None:
         return built
     return _cert(VERDICT_UNKNOWN, "no-nik-evidence", g)
 
 
-def _certify_by_cutsets(g: Graph, lib: ObstructionLibrary,
-                        memo: dict,
-                        want_maxnik: bool) -> Certificate | None:
+def _certify_by_cutsets(g: Graph, memo: dict, want_maxnik: bool) -> Certificate | None:
     """Certify via a clique-sum split at a small clique cutset, if any works."""
     if not g.is_connected():
         return None
@@ -294,12 +294,11 @@ def _certify_by_cutsets(g: Graph, lib: ObstructionLibrary,
                       if lem.clique == len(cut) and want in lem.needs), None)
         # the side conditions first, as if every piece certified ``want``
         sides = [(piece, tuple(verts.index(v) for v in cut)) for verts, piece in pieces]
-        if lemma_conclusion(lemma, sides, [want] * len(sides), lib)[0] != want:
+        if lemma_conclusion(lemma, sides, [want] * len(sides))[0] != want:
             continue
         sub_certs = []
         for _, piece in pieces:
-            sub = (_certify_maxnik(piece, lib, memo) if want_maxnik
-                   else _certify_nik(piece, lib, memo))
+            sub = _certify_maxnik(piece, memo) if want_maxnik else _certify_nik(piece, memo)
             if sub.verdict != want:
                 break
             sub_certs.append(sub)
@@ -312,17 +311,15 @@ def _certify_by_cutsets(g: Graph, lib: ObstructionLibrary,
 # -- maxnik --------------------------------------------------------------
 
 
-def certify_maxnik(g: Graph, lib: ObstructionLibrary | None = None) -> Certificate:
+def certify_maxnik(g: Graph) -> Certificate:
     """Edge-maximality: nIK now, IK after every orbit-distinct edge addition."""
-    lib = lib or mmik_library()
-    return _certify_maxnik(g, lib, {})
+    return _certify_maxnik(g, {})
 
 
-def _certify_maxnik(g: Graph, lib: ObstructionLibrary,
-                    memo: dict) -> Certificate:
-    nik = _certify_nik(g, lib, memo)
+def _certify_maxnik(g: Graph, memo: dict) -> Certificate:
+    nik = _certify_nik(g, memo)
     if nik.verdict != VERDICT_NIK:
-        ik = certify_ik(g, lib)
+        ik = certify_ik(g)
         if ik.verdict == VERDICT_IK:
             return _cert(VERDICT_NOT_MAXNIK, "is-ik", g, children=[ik])
     if g.is_complete() and nik.verdict == VERDICT_NIK:
@@ -335,7 +332,7 @@ def _certify_maxnik(g: Graph, lib: ObstructionLibrary,
     if two_apex and _two_apex(gate, memo, start).found:
         reps = [least]  # the least non-edge gate of the module docstring
     else:
-        built = _certify_by_cutsets(g, lib, memo, want_maxnik=True)
+        built = _certify_by_cutsets(g, memo, want_maxnik=True)
         if built is not None:
             return built
         if nik.verdict != VERDICT_NIK:
@@ -347,11 +344,11 @@ def _certify_maxnik(g: Graph, lib: ObstructionLibrary,
         added = gate if two_apex and (u, v) == least else g.with_edge(u, v)
         # a 2-apex addition is nIK, so no IK pattern is a minor of it: no IK search
         if not (two_apex and _two_apex(added, memo, start).found):
-            ik = certify_ik(added, lib)
+            ik = certify_ik(added)
             if ik.verdict == VERDICT_IK:
                 children.append(ik)
                 continue
-        back = _certify_nik(added, lib, memo)
+        back = _certify_nik(added, memo)
         if back.verdict == VERDICT_NIK:
             return _cert(VERDICT_NOT_MAXNIK, "augmentation-nik", g,
                          children=[nik, back], edge=[u, v])
@@ -421,9 +418,7 @@ def check_necessary(g: Graph) -> NecessaryReport:
     if n == 2:
         conn_ok = g.is_connected()
     elif n >= 3:
-        # no cut vertex: the one block is the whole graph
-        full = (1 << n) - 1
-        conn_ok = g.is_connected() and _blocks(g.rows, full) == [full]
+        conn_ok = is_k_connected(g, 2)
     checks.append(NecessaryCheck(
         "two-connected", n >= 2, conn_ok,
         "connected with no cut vertex"))
@@ -484,7 +479,7 @@ class Rule(NamedTuple):
     concludes: set[str]
     fields: dict[str, str] = {}
     first_child: str | None = None
-    replay: Callable[[Certificate, Graph, ObstructionLibrary, dict], str | None] | None = None
+    replay: Callable[[Certificate, Graph, dict], str | None] | None = None
 
 
 def _memo(memo: dict, what: str, graph, compute: Callable[[], object]):
@@ -506,22 +501,22 @@ def _graph_of(cert: Certificate, memo: dict) -> Graph | None:
         return None
 
 
-def _replay_minor(cert, g, lib, memo):
+def _replay_minor(cert, g, memo):
     try:
-        pattern = lib.pattern_by_name(cert.evidence.get("pattern")).graph
+        pattern = mmik_library().pattern_by_name(cert.evidence.get("pattern")).graph
     except KeyError:
         return f"pattern {cert.evidence.get('pattern')!r} not in library"
     if not MinorWitness(tuple(map(tuple, cert.evidence["branch_sets"]))).validate(g, pattern):
         return "minor witness fails re-validation"
 
 
-def _replay_axiom(cert, g, lib, memo):
-    axiom = _memo(memo, "axiom", cert.evidence["graph"], lambda: lib.axiom_for(g))
+def _replay_axiom(cert, g, memo):
+    axiom = _memo(memo, "axiom", cert.evidence["graph"], lambda: mmik_library().axiom_for(g))
     if axiom is None or axiom.name != cert.evidence.get("name"):
         return "axiom lookup fails"
 
 
-def _replay_per_non_edge(cert, g, lib, memo):
+def _replay_per_non_edge(cert, g, memo):
     reps = [tuple(r) for r in cert.evidence["orbit_representatives"]]
     try:
         orbit_list = _memo(memo, "non-edge orbits", cert.evidence["graph"],
@@ -537,7 +532,7 @@ def _replay_per_non_edge(cert, g, lib, memo):
         return "the IK children do not certify the representatives' additions"
 
 
-def _replay_augmentation(cert, g, lib, memo):
+def _replay_augmentation(cert, g, memo):
     edge = cert.evidence["edge"]
     if len(set(edge)) != 2 or len(edge) != 2 or g.has_edge(*edge):
         return "augmentation edge is not a non-edge"
@@ -546,7 +541,7 @@ def _replay_augmentation(cert, g, lib, memo):
         return "missing nIK child for the augmented graph"
 
 
-def _replay_construction(cert, g, lib, memo):
+def _replay_construction(cert, g, memo):
     cut = cert.evidence["cutset"]
     parts = [sorted(p) for p in cert.evidence["parts"]]
     # each part is the cutset plus a body, and the bodies partition the rest
@@ -562,7 +557,7 @@ def _replay_construction(cert, g, lib, memo):
     lemma = str(cert.evidence.get("lemma"))
     sides = [(piece, tuple(part.index(v) for v in cut)) for part, piece in zip(parts, pieces)]
     verdicts = [str(c.verdict) for c in cert.children]  # a malformed verdict certifies nothing
-    conclusion, reason = lemma_conclusion(lemma, sides, verdicts, lib)
+    conclusion, reason = lemma_conclusion(lemma, sides, verdicts)
     if conclusion is None:
         return reason
     if cert.verdict not in LEMMAS[lemma].needs or _STRENGTH[cert.verdict] > _STRENGTH[conclusion]:
@@ -574,7 +569,7 @@ RULES: dict[str, Rule] = {
     "minor-of": Rule({VERDICT_IK}, {"branch_sets": SETS}, replay=_replay_minor),
     "no-ik-evidence": Rule({VERDICT_UNKNOWN}),
     # deleting at most two vertices leaves a planar graph, so it is nIK
-    "apex-pair": Rule({VERDICT_NIK}, {"witness": SET}, replay=lambda c, g, lib, memo: (
+    "apex-pair": Rule({VERDICT_NIK}, {"witness": SET}, replay=lambda c, g, memo: (
         None if len(w := c.evidence["witness"]) <= 2 and is_planar(g.delete_vertices(w))
         else "apex witness is not at most two vertices leaving a planar graph")),
     # E9 and G9,29 are nIK by trusted published embeddings
@@ -585,7 +580,7 @@ RULES: dict[str, Rule] = {
                          replay=_replay_construction),
     "is-ik": Rule({VERDICT_NOT_MAXNIK}, first_child=VERDICT_IK),
     # a complete nIK graph has no edge left to add
-    "complete-nik": Rule({VERDICT_MAXNIK}, {}, VERDICT_NIK, lambda c, g, lib, memo: (
+    "complete-nik": Rule({VERDICT_MAXNIK}, {}, VERDICT_NIK, lambda c, g, memo: (
         None if g.is_complete() else "graph is not complete")),
     # nIK, and adding one non-edge from every orbit gives IK
     "per-non-edge": Rule({VERDICT_MAXNIK}, {"orbit_representatives": SETS}, VERDICT_NIK,
@@ -597,9 +592,9 @@ RULES: dict[str, Rule] = {
 }
 
 
-def validate_certificate(cert: Certificate, lib: ObstructionLibrary | None = None) -> list[str]:
+def validate_certificate(cert: Certificate) -> list[str]:
     """Re-check every node of an evidence tree; returns human-readable problems."""
-    return list(_problems(cert, lib or mmik_library(), "root", {}))
+    return list(_problems(cert, "root", {}))
 
 
 def _vertices_ok(value, shape: str, n: int) -> bool:
@@ -611,7 +606,7 @@ def _vertices_ok(value, shape: str, n: int) -> bool:
     return set(map(type, vs)) <= {int} and (not vs or 0 <= min(vs) and max(vs) < n)
 
 
-def _problems(cert: Certificate, lib: ObstructionLibrary, path: str, memo: dict):
+def _problems(cert: Certificate, path: str, memo: dict):
     g = _graph_of(cert, memo)
     rule = RULES.get(cert.rule) if isinstance(cert.rule, str) else None
     if g is None:
@@ -628,8 +623,8 @@ def _problems(cert: Certificate, lib: ObstructionLibrary, path: str, memo: dict)
         if rule.first_child and (first is None or first.verdict != rule.first_child
                                  or _graph_of(first, memo) != g):
             found.append(f"first child is not a {rule.first_child} certificate of this graph")
-        if rule.replay and not found and (problem := rule.replay(cert, g, lib, memo)):
+        if rule.replay and not found and (problem := rule.replay(cert, g, memo)):
             found.append(problem)
     yield from (f"{path}: {p}" for p in found)
     for i, child in enumerate(cert.children):
-        yield from _problems(child, lib, f"{path}.{i}", memo)
+        yield from _problems(child, f"{path}.{i}", memo)

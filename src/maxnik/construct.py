@@ -43,7 +43,7 @@ def clique_sum(spec: GluingSpec) -> tuple[Graph, Certificate]:
     t = len(spec.left_clique)
     verdict, reason = lemma_conclusion(
         spec.lemma, [(spec.left, spec.left_clique), (spec.right, spec.right_clique)],
-        [spec.left_cert.verdict, spec.right_cert.verdict], mmik_library())
+        [spec.left_cert.verdict, spec.right_cert.verdict])
     if verdict is None:
         raise PreconditionError(reason)
 
@@ -205,8 +205,7 @@ def size_construct(n: int) -> tuple[ConstructionPlan, Graph, Certificate]:
     if n == 24:
         e9, e9_cert = _certified("E9")
         k4, k4_cert = _certified("K4")
-        lib = mmik_library()
-        tri = lib.triangle_disk_axioms[0].triangle_orbit[0]
+        tri = mmik_library().triangle_disk_axioms[0].triangle_orbit[0]
         g, cert = clique_sum(GluingSpec(
             LEMMA_TRIANGLE_SUM, e9, tri, e9_cert, k4, (0, 1, 2), k4_cert))
         if (g.n, g.m) != (10, 24):

@@ -119,8 +119,6 @@ class Size20Report:
     count_at_most_20: int
     order_rows: tuple[tuple[int, int, int], ...]  # (order, candidates, maxnik hits)
     order9_candidates: int
-    order9_two_apex: int
-    order9_ik_by_quote: int
     notes: tuple[str, ...]
 
     def to_json(self) -> dict:
@@ -129,36 +127,28 @@ class Size20Report:
             "count_at_most_20": self.count_at_most_20,
             "order_rows": [
                 {"order": o, "candidates": c, "maxnik": m} for o, c, m in self.order_rows],
-            "order9": {
-                "candidates": self.order9_candidates,
-                "two_apex": self.order9_two_apex,
-                "ik_by_quote": self.order9_ik_by_quote,
-            },
+            "order9": {"candidates": self.order9_candidates},
             "notes": list(self.notes),
         }
 
 
-def _order9_size20_sweep() -> tuple[int, int, int]:
-    """Sweep all order-9, size-20 graphs as one-vertex extensions.
+def _order9_size20_sweep() -> int:
+    """Check every order-9, size-20 graph is 2-apex; returns how many there are.
 
-    Every such graph is an order-8 graph plus a vertex of degree 20 - m'.
-    A graph proven 2-apex cannot be maximal (it would need 30 edges); the
-    published low-size classification forces the rest to be intrinsically
-    knotted, since only E9 (at 21 edges) escapes it. Either way nothing
-    of order nine and size 20 is maximal knotless.
+    Every such graph is an order-8 graph plus a vertex of degree 20 - m',
+    and the sweep walks all of these one-vertex extensions. A 2-apex
+    graph of order 9 with 20 < 30 = 5n - 15 edges is not maximal 2-apex,
+    so adding some edge leaves it 2-apex and hence knotless: it is not
+    maximal knotless. An extension found not 2-apex raises
+    ``ValidationError`` naming it, since this argument would not cover it.
     """
     candidates = 0
-    two_apex = 0
-    by_quote = 0
     for parent in enumerate_graphs(8):
         d = 20 - parent.m
         if not 0 <= d <= 8:
             continue
-        parent_one_apex = is_k_apex(parent, 1).found
-        count = math.comb(8, d)
-        candidates += count
-        if parent_one_apex:
-            two_apex += count
+        candidates += math.comb(8, d)
+        if is_k_apex(parent, 1).found:  # the new vertex is a second apex
             continue
         base = list(parent.rows) + [0]
         for nb_sel in combinations(range(8), d):
@@ -169,11 +159,10 @@ def _order9_size20_sweep() -> tuple[int, int, int]:
                 rows[v] |= 1 << 8
             rows[8] = nb
             child = Graph(9, rows)
-            if is_k_apex(child, 2).found:
-                two_apex += 1
-            else:
-                by_quote += 1
-    return candidates, two_apex, by_quote
+            if not is_k_apex(child, 2).found:
+                raise ValidationError(
+                    f"order-9 size-20 graph {graph6_encode(child)} is not 2-apex")
+    return candidates
 
 
 def verify_size20() -> Size20Report:
@@ -188,7 +177,7 @@ def verify_size20() -> Size20Report:
         found = [g for g in cands if is_maximal_2apex(g)]
         hits.extend(found)
         rows.append((n, len(cands), len(found)))
-    candidates, two_apex, by_quote = _order9_size20_sweep()
+    candidates = _order9_size20_sweep()
     if len(hits) != 1:
         raise ValidationError(f"expected exactly one size-20 hit, found {len(hits)}")
     unique = hits[0]
@@ -199,9 +188,9 @@ def verify_size20() -> Size20Report:
     notes = (
         "orders 1..8 swept exhaustively over canonical classes",
         "order 9 swept over all one-vertex extensions of order-8 classes",
-        "order-9 graphs of size 20 that are not 2-apex are intrinsically"
-        " knotted by the published low-size classification (only E9, of"
-        " size 21, escapes it)",
+        "every order-9 graph of size 20 is 2-apex, and a 2-apex graph of"
+        " order 9 with 20 < 30 edges is not edge-maximal: some addition"
+        " stays 2-apex, hence knotless",
         "orders 10 and up: a size-20 maximal knotless graph would be"
         " maximal 2-apex with at least 35 edges, a contradiction"
         " (published bound, not re-derived)",
@@ -211,8 +200,6 @@ def verify_size20() -> Size20Report:
         count_at_most_20=len(small),
         order_rows=tuple(rows),
         order9_candidates=candidates,
-        order9_two_apex=two_apex,
-        order9_ik_by_quote=by_quote,
         notes=notes,
     )
 

@@ -65,24 +65,24 @@ def test_criterion_1_classification_counts():
                f"(full sweep in {elapsed:.1f}s)")
 
 
-def test_criterion_2_order_nine(lib):
+def test_criterion_2_order_nine():
     rep = verify_order9()
     assert len(rep.members) == 7
     assert rep.sizes == (21, 29, 30, 30, 30, 30, 30)
     assert rep.maximal_2apex_count == 5
     e9 = named_graph("E9").graph
-    cert = certify_maxnik(e9, lib)
+    cert = certify_maxnik(e9)
     assert cert.verdict == VERDICT_MAXNIK
     cited = {c.evidence.get("pattern") for c in cert.children
              if c.verdict == VERDICT_IK}
     assert cited == {"F9", "E9+e"}
-    assert validate_certificate(cert, lib) == []
+    assert validate_certificate(cert) == []
     _track(graph6_decode(g6) for _, g6, _ in rep.members)
     _report(2, "seven order-9 graphs certified with sizes {21, 29, 30x5}; "
                "E9's additions certify IK via F9 and the registered E9+e")
 
 
-def test_criterion_3_size_realization(lib):
+def test_criterion_3_size_realization():
     plan20, g20, _ = size_construct(20)
     assert are_isomorphic(g20, named_graph("K7^-").graph)
     assert plan20.special == "K7^-"
@@ -97,7 +97,7 @@ def test_criterion_3_size_realization(lib):
         plan, g, cert = size_construct(n)
         assert g.m == n, f"size {n}: built {g.m} edges"
         assert cert.verdict == VERDICT_MAXNIK
-        problems = validate_certificate(cert, lib)
+        problems = validate_certificate(cert)
         assert problems == [], f"size {n}: {problems[:3]}"
         if plan.special is None:
             assert 21 + 20 * (plan.base_chain - 1) + sum(plan.addends) == n

@@ -25,7 +25,7 @@ from conftest import brute_connectivity, reference_disk_axiom_covers
 
 
 class TestE9:
-    def test_order_and_size(self, lib):
+    def test_order_and_size(self):
         e9 = named_graph("E9").graph
         assert (e9.n, e9.m) == (9, 21)
 
@@ -223,34 +223,34 @@ class TestLibrary:
         tri = designated[0]
         a, b, c = tri
         assert not e9.rows[a] & e9.rows[b] & e9.rows[c]  # no common neighbor
-        assert disk_axiom_covers(lib, e9, tri)
+        assert disk_axiom_covers(e9, tri)
         rng = random.Random(40)
         perm = list(range(9))
         rng.shuffle(perm)
         relabeled = e9.relabel(perm)
         image = tuple(sorted(perm[v] for v in tri))
-        assert disk_axiom_covers(lib, relabeled, image)
+        assert disk_axiom_covers(relabeled, image)
 
     def test_disk_axiom_rejects_other_triangles(self, lib):
         e9 = named_graph("E9").graph
         designated = set(lib.triangle_disk_axioms[0].triangle_orbit)
         others = [t for t in triangles(e9) if t not in designated]
         assert others
-        assert not disk_axiom_covers(lib, e9, others[0])
+        assert not disk_axiom_covers(e9, others[0])
 
-    def test_disk_axiom_k4_wildcard(self, lib):
-        assert disk_axiom_covers(lib, complete_graph(4), (1, 2, 3))
-        assert not disk_axiom_covers(lib, complete_graph(5), (0, 1, 2))
+    def test_disk_axiom_k4_wildcard(self):
+        assert disk_axiom_covers(complete_graph(4), (1, 2, 3))
+        assert not disk_axiom_covers(complete_graph(5), (0, 1, 2))
 
-    def test_provenance_fields(self, lib):
+    def test_provenance_fields(self):
         assert named_graph("E9").provenance == "closure-derived"
         assert named_graph("K7^-").provenance == "explicit-definition"
         assert named_graph("House").provenance == "decomposition-derived"
 
-    def test_dump_shape(self, lib):
+    def test_dump_shape(self):
         from maxnik.catalog import library_dump
         from maxnik.graphs import graph6_decode
-        dump = library_dump(lib)
+        dump = library_dump()
         assert len(dump["patterns"]) == 73
         assert {a["name"] for a in dump["knotless_axioms"]} == {"E9", "G9,29"}
         for entry in dump["patterns"][:5]:
@@ -298,7 +298,7 @@ class TestLibraryBuildWork:
 
         monkeypatch.setattr(canon, "_canonical_search", counted)
         canon._search.cache_clear()  # count from a cold cache
-        assert disk_axiom_covers(lib, e9, tri)  # 3 searches with isomorphism
+        assert disk_axiom_covers(e9, tri)  # 3 searches with isomorphism
         assert calls == [e9]
 
     def test_verdicts_match_reference(self, monkeypatch, lib):
@@ -307,17 +307,17 @@ class TestLibraryBuildWork:
         asked = []
         real = disk_axiom_covers
 
-        def recorded(lib_, g, tri):
+        def recorded(g, tri):
             asked.append((g, tri))
-            return real(lib_, g, tri)
+            return real(g, tri)
 
         # clique_sum reaches it through certify.lemma_conclusion
         monkeypatch.setattr(certify_module, "disk_axiom_covers", recorded)
         for n in range(20, 178):
             if n != 22:
-                assert validate_certificate(size_construct(n)[2], lib) == []
+                assert validate_certificate(size_construct(n)[2]) == []
         for n in range(23, 53):
-            certify_maxnik(size_construct(n)[1], lib)
+            certify_maxnik(size_construct(n)[1])
         assert asked  # the planner certificates hold triangle sums
         rng = random.Random(11)
         e9 = named_graph("E9").graph
@@ -326,9 +326,9 @@ class TestLibraryBuildWork:
             asked += [(g, t) for t in triangles(g)]
             asked += [(g, (0, 1, 2)), (g, (0, 0, 1))]
         for g, tri in asked:
-            assert disk_axiom_covers(lib, g, tri) == reference_disk_axiom_covers(lib, g, tri)
-        assert any(disk_axiom_covers(lib, g, t) for g, t in asked if g.n == 9)
-        assert not all(disk_axiom_covers(lib, g, t) for g, t in asked if g.n == 9)
+            assert disk_axiom_covers(g, tri) == reference_disk_axiom_covers(lib, g, tri)
+        assert any(disk_axiom_covers(g, t) for g, t in asked if g.n == 9)
+        assert not all(disk_axiom_covers(g, t) for g, t in asked if g.n == 9)
 
 
 class TestIdentificationErrors:

@@ -12,7 +12,7 @@ import maxnik.canon as canon_module
 import maxnik.certify as certify_module
 import maxnik.planarity as planarity_module
 from maxnik.canon import automorphism_generators, orbits
-from maxnik.catalog import ObstructionLibrary, named_graph
+from maxnik.catalog import ObstructionLibrary, mmik_library, named_graph
 from maxnik.certify import (VERDICT_IK, VERDICT_MAXNIK, VERDICT_NIK,
                             VERDICT_NOT_MAXNIK, VERDICT_UNKNOWN, Certificate,
                             certify_ik, certify_maxnik, certify_nik,
@@ -31,23 +31,23 @@ from conftest import (brute_connectivity, is_planar_wagner, random_graph,
 
 
 class TestCertifyIK:
-    def test_k7_via_minor_witness(self, lib):
-        cert = certify_ik(complete_graph(7), lib)
+    def test_k7_via_minor_witness(self):
+        cert = certify_ik(complete_graph(7))
         assert cert.verdict == VERDICT_IK
         assert cert.rule == "minor-of"
         assert cert.evidence["pattern"] == "K7"
-        assert validate_certificate(cert, lib) == []
+        assert validate_certificate(cert) == []
 
-    def test_e9_plus_e_pattern_hit(self, lib):
+    def test_e9_plus_e_pattern_hit(self):
         g = named_graph("E9+e").graph
-        cert = certify_ik(g, lib)
+        cert = certify_ik(g)
         assert cert.verdict == VERDICT_IK
         assert cert.evidence["pattern"] == "E9+e"
 
-    def test_c5_unknown(self, lib):
-        assert certify_ik(cycle_graph(5), lib).verdict == VERDICT_UNKNOWN
+    def test_c5_unknown(self):
+        assert certify_ik(cycle_graph(5)).verdict == VERDICT_UNKNOWN
 
-    def test_dense_graph_size_bound_never_needed_alone(self, lib):
+    def test_dense_graph_size_bound_never_needed_alone(self):
         """Mader's bound as an oracle: from order 7 on, 5n - 14 edges force a
         K7 minor, so every such host has a library minor.
 
@@ -62,127 +62,127 @@ class TestCertifyIK:
                 m = min(5 * n - 14 + rng.randrange(3), len(pairs))
                 hosts.append(from_edges(n, rng.sample(pairs, m)))
         for g in hosts:
-            cert = certify_ik(g, lib)
+            cert = certify_ik(g)
             assert (cert.verdict, cert.rule) == (VERDICT_IK, "minor-of"), graph6_encode(g)
-            assert validate_certificate(cert, lib) == []
+            assert validate_certificate(cert) == []
 
 
 class TestCertifyNIK:
-    def test_k6_apex_pair(self, lib):
-        cert = certify_nik(complete_graph(6), lib)
+    def test_k6_apex_pair(self):
+        cert = certify_nik(complete_graph(6))
         assert cert.verdict == VERDICT_NIK
         assert cert.rule == "apex-pair"
-        assert validate_certificate(cert, lib) == []
+        assert validate_certificate(cert) == []
 
-    def test_e9_axiom(self, lib):
-        cert = certify_nik(named_graph("E9").graph, lib)
+    def test_e9_axiom(self):
+        cert = certify_nik(named_graph("E9").graph)
         assert (cert.verdict, cert.rule) == (VERDICT_NIK, "axiom")
         assert cert.evidence["name"] == "E9"
 
-    def test_g929_axiom(self, lib):
-        cert = certify_nik(named_graph("G9,29").graph, lib)
+    def test_g929_axiom(self):
+        cert = certify_nik(named_graph("G9,29").graph)
         assert (cert.verdict, cert.rule) == (VERDICT_NIK, "axiom")
 
-    def test_order8_not_2apex_returns_ik(self, lib):
+    def test_order8_not_2apex_returns_ik(self):
         # certify_nik finds no nIK evidence; the IK verdict comes from a minor
-        nik = certify_nik(complete_graph(8), lib)
+        nik = certify_nik(complete_graph(8))
         assert (nik.verdict, nik.rule) == (VERDICT_UNKNOWN, "no-nik-evidence")
-        cert = certify_maxnik(complete_graph(8), lib)
+        cert = certify_maxnik(complete_graph(8))
         assert (cert.verdict, cert.rule) == (VERDICT_NOT_MAXNIK, "is-ik")
         assert [c.rule for c in cert.children] == ["minor-of"]
-        assert validate_certificate(nik, lib) == validate_certificate(cert, lib) == []
+        assert validate_certificate(nik) == validate_certificate(cert) == []
 
-    def test_never_claims_both_ways_small_orders(self, lib):
+    def test_never_claims_both_ways_small_orders(self):
         for n in (5, 6):
             for g in enumerate_graphs(n):
-                ik = certify_ik(g, lib).verdict
-                nik = certify_nik(g, lib).verdict
+                ik = certify_ik(g).verdict
+                nik = certify_nik(g).verdict
                 assert not (ik == VERDICT_IK and nik == VERDICT_NIK)
 
-    def test_consistency_order7_exhaustive(self, lib):
+    def test_consistency_order7_exhaustive(self):
         for g in enumerate_graphs(7):
-            ik = certify_ik(g, lib).verdict
-            nik = certify_nik(g, lib).verdict
+            ik = certify_ik(g).verdict
+            nik = certify_nik(g).verdict
             assert not (ik == VERDICT_IK and nik == VERDICT_NIK)
 
-    def test_consistency_order8_exhaustive(self, lib):
+    def test_consistency_order8_exhaustive(self):
         for g in enumerate_graphs(8):
-            ik = certify_ik(g, lib).verdict
-            nik = certify_nik(g, lib).verdict
+            ik = certify_ik(g).verdict
+            nik = certify_nik(g).verdict
             assert not (ik == VERDICT_IK and nik == VERDICT_NIK)
 
 
 class TestCertifyMaxnik:
-    def test_k7_minus(self, lib):
-        cert = certify_maxnik(named_graph("K7^-").graph, lib)
+    def test_k7_minus(self):
+        cert = certify_maxnik(named_graph("K7^-").graph)
         assert cert.verdict == VERDICT_MAXNIK
         assert cert.rule == "per-non-edge"
-        assert validate_certificate(cert, lib) == []
+        assert validate_certificate(cert) == []
 
-    def test_e9_cites_both_routes(self, lib):
-        cert = certify_maxnik(named_graph("E9").graph, lib)
+    def test_e9_cites_both_routes(self):
+        cert = certify_maxnik(named_graph("E9").graph)
         assert cert.verdict == VERDICT_MAXNIK
         cited = {c.evidence.get("pattern") for c in cert.children
                  if c.verdict == VERDICT_IK}
         assert cited == {"F9", "E9+e"}
-        assert validate_certificate(cert, lib) == []
+        assert validate_certificate(cert) == []
 
-    def test_g929_adds_k7_minors(self, lib):
-        cert = certify_maxnik(named_graph("G9,29").graph, lib)
+    def test_g929_adds_k7_minors(self):
+        cert = certify_maxnik(named_graph("G9,29").graph)
         assert cert.verdict == VERDICT_MAXNIK
         cited = [c.evidence.get("pattern") for c in cert.children
                  if c.verdict == VERDICT_IK]
         assert cited == ["K7", "K7"]
 
-    def test_k3_vacuous(self, lib):
-        cert = certify_maxnik(complete_graph(3), lib)
+    def test_k3_vacuous(self):
+        cert = certify_maxnik(complete_graph(3))
         assert (cert.verdict, cert.rule) == (VERDICT_MAXNIK, "complete-nik")
 
-    def test_k7_not_maxnik(self, lib):
-        cert = certify_maxnik(complete_graph(7), lib)
+    def test_k7_not_maxnik(self):
+        cert = certify_maxnik(complete_graph(7))
         assert cert.verdict == VERDICT_NOT_MAXNIK
         assert cert.rule == "is-ik"
 
-    def test_c7_not_maxnik(self, lib):
-        cert = certify_maxnik(cycle_graph(7), lib)
+    def test_c7_not_maxnik(self):
+        cert = certify_maxnik(cycle_graph(7))
         assert cert.verdict == VERDICT_NOT_MAXNIK
         assert cert.rule == "augmentation-nik"
-        assert validate_certificate(cert, lib) == []
+        assert validate_certificate(cert) == []
 
-    def test_definite_verdicts_small_orders(self, lib):
+    def test_definite_verdicts_small_orders(self):
         for n in (4, 5, 6):
             for g in enumerate_graphs(n):
-                assert certify_maxnik(g, lib).verdict != VERDICT_UNKNOWN
+                assert certify_maxnik(g).verdict != VERDICT_UNKNOWN
 
-    def test_definite_verdicts_sampled_orders_7_8(self, lib):
+    def test_definite_verdicts_sampled_orders_7_8(self):
         rng = random.Random(51)
         for n in (7, 8):
             for g in rng.sample(enumerate_graphs(n), 120):
-                assert certify_maxnik(g, lib).verdict != VERDICT_UNKNOWN
+                assert certify_maxnik(g).verdict != VERDICT_UNKNOWN
 
-    def test_maxnik_implies_necessary_conditions(self, lib):
+    def test_maxnik_implies_necessary_conditions(self):
         for name in ("K7^-", "K8-3K2", "K8-P3", "E9", "G9,29", "Pentagon-bar"):
             g = named_graph(name).graph
-            assert certify_maxnik(g, lib).verdict == VERDICT_MAXNIK
+            assert certify_maxnik(g).verdict == VERDICT_MAXNIK
             assert check_necessary(g).all_pass
 
 
 class TestOrbitReductionSoundness:
-    def test_full_non_edge_sweep_matches_orbit_sweep(self, lib):
+    def test_full_non_edge_sweep_matches_orbit_sweep(self):
         for name in ("E9", "G9,29"):
             g = named_graph(name).graph
             per_orbit = {}
             for orbit in orbits(g, "non-edge").orbits:
                 u, v = orbit[0]
-                per_orbit[orbit] = certify_ik(g.with_edge(u, v), lib).verdict
+                per_orbit[orbit] = certify_ik(g.with_edge(u, v)).verdict
                 for u2, v2 in orbit[1:]:
-                    assert certify_ik(g.with_edge(u2, v2), lib).verdict == per_orbit[orbit]
+                    assert certify_ik(g.with_edge(u2, v2)).verdict == per_orbit[orbit]
             assert set(per_orbit.values()) == {VERDICT_IK}
 
-    def test_validator_reports_a_wrong_generator(self, monkeypatch, lib):
+    def test_validator_reports_a_wrong_generator(self, monkeypatch):
         g = named_graph("K8-3K2").graph
-        cert = certify_maxnik(g, lib)
-        assert cert.rule == "per-non-edge" and validate_certificate(cert, lib) == []
+        cert = certify_maxnik(g)
+        assert cert.rule == "per-non-edge" and validate_certificate(cert) == []
         deg = g.degrees()
         v = next(w for w in range(g.n) if deg[w] != deg[0])
         bad = list(range(g.n))
@@ -195,7 +195,7 @@ class TestOrbitReductionSoundness:
 
         monkeypatch.setattr(canon_module, "_canonical_search", corrupted)
         canon_module._search.cache_clear()  # the certifier searched g already
-        assert validate_certificate(cert, lib) == [
+        assert validate_certificate(cert) == [
             f"root: generator {tuple(bad)} is not an automorphism"]
 
 
@@ -216,12 +216,12 @@ GOLDEN_DIGEST = "04b3e67f257201474e5261f4860b6a5420883536fd643813756f5bd7f1d157f
 
 
 class TestPerNonEdgeGolden:
-    def test_random_host_certificates_unchanged(self, lib):
-        blob = "".join(certify_maxnik(graph6_decode(h), lib).dumps() for h in GOLDEN_HOSTS)
+    def test_random_host_certificates_unchanged(self):
+        blob = "".join(certify_maxnik(graph6_decode(h)).dumps() for h in GOLDEN_HOSTS)
         assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN_DIGEST
 
     @staticmethod
-    def _gated(monkeypatch, lib, g):
+    def _gated(monkeypatch, g):
         """certify_maxnik with the IK search disabled, counting its own planarity tests."""
         is_planar = certify_module.is_planar
         calls = []
@@ -235,29 +235,29 @@ class TestPerNonEdgeGolden:
 
         monkeypatch.setattr(certify_module, "is_planar", counted_is_planar)
         monkeypatch.setattr(certify_module, "certify_ik", no_ik_search)
-        return certify_maxnik(g, lib), len(calls)
+        return certify_maxnik(g), len(calls)
 
     @staticmethod
-    def _old_path(lib, g, edge):
+    def _old_path(g, edge):
         """The certificate the IK-first loop builds when the edge's addition is nIK."""
         added = g.with_edge(*edge)
-        assert certify_ik(added, lib).verdict != VERDICT_IK
+        assert certify_ik(added).verdict != VERDICT_IK
         return Certificate(VERDICT_NOT_MAXNIK, "augmentation-nik",
                            {"graph": graph6_encode(g), "edge": list(edge)},
-                           (certify_nik(g, lib), certify_nik(added, lib)))
+                           (certify_nik(g), certify_nik(added)))
 
-    def test_gate_through_planarity(self, monkeypatch, lib):
+    def test_gate_through_planarity(self, monkeypatch):
         # K2 joined with a 5-cycle: every non-edge is a chord, away from {0, 1}
         g = from_edges(7, [(0, 1)] + [(a, b) for a in (0, 1) for b in range(2, 7)]
                        + [(2, 3), (3, 4), (4, 5), (5, 6), (2, 6)])
-        expected = self._old_path(lib, g, (2, 4))
-        cert, planarity_tests = self._gated(monkeypatch, lib, g)
+        expected = self._old_path(g, (2, 4))
+        cert, planarity_tests = self._gated(monkeypatch, g)
         assert cert.children[0].evidence["witness"] == [0, 1]
         assert cert == expected
         assert planarity_tests == 0  # the 2-apex walk alone settles the edge
-        assert validate_certificate(cert, lib) == []
+        assert validate_certificate(cert) == []
 
-    def test_least_non_edge_gate_runs_before_orbits_and_cutsets(self, monkeypatch, lib):
+    def test_least_non_edge_gate_runs_before_orbits_and_cutsets(self, monkeypatch):
         def not_reached(*_args, **_kwargs):
             raise AssertionError("the least non-edge should settle this graph")
 
@@ -265,45 +265,45 @@ class TestPerNonEdgeGolden:
         wheel_pair = from_edges(7, [(0, 1)] + [(a, b) for a in (0, 1) for b in range(2, 7)]
                                 + [(2, 3), (3, 4), (4, 5), (5, 6), (2, 6)])
         hosts = [cycle_graph(7), wheel_pair]
-        expected = [certify_maxnik(g, lib) for g in hosts]
+        expected = [certify_maxnik(g) for g in hosts]
         monkeypatch.setattr(certify_module, "orbits", not_reached)
         monkeypatch.setattr(certify_module, "_certify_by_cutsets", not_reached)
         for g, want in zip(hosts, expected):
-            cert = certify_maxnik(g, lib)
+            cert = certify_maxnik(g)
             assert cert == want
             assert cert.evidence["edge"] == list(g.non_edges()[0])
 
-    def test_gate_through_apex_endpoint(self, monkeypatch, lib):
+    def test_gate_through_apex_endpoint(self, monkeypatch):
         g = cycle_graph(7)
-        expected = self._old_path(lib, g, (0, 2))
-        cert, planarity_tests = self._gated(monkeypatch, lib, g)
+        expected = self._old_path(g, (0, 2))
+        cert, planarity_tests = self._gated(monkeypatch, g)
         assert cert.children[0].evidence["witness"] == [0, 1]
         assert cert == expected
         assert planarity_tests == 0
-        assert validate_certificate(cert, lib) == []
+        assert validate_certificate(cert) == []
 
 
 class TestSmallOrderSizeBound:
     """5n-14 edges force a K7 minor only from order 7 on (Mader)."""
 
-    def test_no_size_bound_below_order_7(self, lib):
+    def test_no_size_bound_below_order_7(self):
         for n in (1, 2, 3, 4):
-            assert certify_ik(complete_graph(n), lib).verdict == VERDICT_UNKNOWN
+            assert certify_ik(complete_graph(n)).verdict == VERDICT_UNKNOWN
 
-    def test_validator_rejects_small_size_bound(self, lib):
+    def test_validator_rejects_small_size_bound(self):
         # neither quoted small-order fact is a rule: a node citing one is unknown
         for name in ("size-bound", "not-2apex-small-order"):
             forged = Certificate(VERDICT_IK, name,
                                  {"graph": "C~", "n": 4, "m": 6, "threshold": 6})
-            assert validate_certificate(forged, lib) == [f"root: unknown rule '{name}'"]
+            assert validate_certificate(forged) == [f"root: unknown rule '{name}'"]
 
-    def test_only_complete_graphs_are_maxnik_below_order_5(self, lib):
+    def test_only_complete_graphs_are_maxnik_below_order_5(self):
         for n in (1, 2, 3, 4):
             for g in enumerate_graphs(n):
-                cert = certify_maxnik(g, lib)
+                cert = certify_maxnik(g)
                 want = VERDICT_MAXNIK if g.is_complete() else VERDICT_NOT_MAXNIK
                 assert cert.verdict == want
-                assert validate_certificate(cert, lib) == []
+                assert validate_certificate(cert) == []
 
 
 class TestNecessary:
@@ -353,35 +353,41 @@ class TestNecessary:
 
 
 class TestCertificateMechanics:
-    def test_json_round_trip(self, lib):
-        cert = certify_maxnik(named_graph("E9").graph, lib)
+    def test_json_round_trip(self):
+        cert = certify_maxnik(named_graph("E9").graph)
         blob = cert.dumps()
         back = Certificate.from_json(json.loads(blob))
         assert back == cert
         assert back.dumps() == blob
 
-    def test_relabeling_preserves_validity(self, lib):
+    def test_editing_the_json_after_from_json_leaves_the_certificate_valid(self):
+        data = certify_maxnik(complete_graph(5)).to_json()
+        cert = Certificate.from_json(data)
+        data["children"][0]["evidence"]["witness"] = [0, 1, 2]
+        assert validate_certificate(cert) == []
+
+    def test_relabeling_preserves_validity(self):
         rng = random.Random(52)
         for name in ("E9", "K7^-", "G9,29"):
             g = named_graph(name).graph
-            cert = certify_maxnik(g, lib)
+            cert = certify_maxnik(g)
             perm = list(range(g.n))
             rng.shuffle(perm)
             moved = relabel_certificate(cert, tuple(perm))
             assert moved.graph == g.relabel(perm)
-            assert validate_certificate(moved, lib) == []
+            assert validate_certificate(moved) == []
 
-    def test_validator_catches_tampering(self, lib):
-        cert = certify_nik(complete_graph(6), lib)
+    def test_validator_catches_tampering(self):
+        cert = certify_nik(complete_graph(6))
         bad = Certificate(cert.verdict, cert.rule,
                           {**cert.evidence, "witness": [0]}, cert.children)
-        assert validate_certificate(bad, lib) != []
+        assert validate_certificate(bad) != []
 
-    def test_validator_catches_wrong_pattern(self, lib):
-        cert = certify_ik(complete_graph(7), lib)
+    def test_validator_catches_wrong_pattern(self):
+        cert = certify_ik(complete_graph(7))
         bad = Certificate(cert.verdict, cert.rule,
                           {**cert.evidence, "pattern": "F9"}, cert.children)
-        assert validate_certificate(bad, lib) != []
+        assert validate_certificate(bad) != []
 
 
 # sha256 of certify_maxnik(g).dumps(), joined, over size_construct(n) for
@@ -396,26 +402,26 @@ COMPOSITE_DIGEST = "e7420ab4dd15d342f2a33510f2446edee61a41b8a49228ecac185bb39417
 ORDER8_DIGEST = "22c20ccd6b5c803ddee1786b8ef237b51766a1f5e0f1ded5c46f14b2e5c92a5e"
 
 
-def test_every_class_of_order_at_most_8_certifies_unchanged(lib):
+def test_every_class_of_order_at_most_8_certifies_unchanged():
     """The certificates through order 8, and the quoted fact "knotless graphs
     of order at most 8 are 2-apex" checked class by class: each class that
     is not 2-apex certifies IK through a library minor."""
     blob, not_two_apex = [], Counter()
     for n in range(1, 9):
         for g in enumerate_graphs(n):
-            cert = certify_maxnik(g, lib)
+            cert = certify_maxnik(g)
             blob.append(cert.dumps())
             if not is_k_apex(g, 2).found:
                 assert (cert.rule, [c.rule for c in cert.children]) == ("is-ik", ["minor-of"])
-                assert validate_certificate(cert, lib) == []
+                assert validate_certificate(cert) == []
                 not_two_apex[n] += 1
     assert not_two_apex == {7: 1, 8: 23}
     assert hashlib.sha256("".join(blob).encode()).hexdigest() == ORDER8_DIGEST
 
 
 class TestOneNikCertificatePerCall:
-    def test_relabelled_composites_unchanged(self, lib):
-        blob = "".join(certify_maxnik(g, lib).dumps() for g in _relabelled_composites(2021))
+    def test_relabelled_composites_unchanged(self):
+        blob = "".join(certify_maxnik(g).dumps() for g in _relabelled_composites(2021))
         assert hashlib.sha256(blob.encode()).hexdigest() == COMPOSITE_DIGEST
 
     @staticmethod
@@ -430,27 +436,27 @@ class TestOneNikCertificatePerCall:
         monkeypatch.setattr(certify_module, "_apex_walk", counted)
         return searched
 
-    def test_one_apex_search_per_graph(self, monkeypatch, lib):
+    def test_one_apex_search_per_graph(self, monkeypatch):
         g = size_construct(40)[1]  # edge sums over five pieces
         searched = self._count_apex_searches(monkeypatch)
-        first = certify_maxnik(g, lib)
+        first = certify_maxnik(g)
         assert first.verdict == VERDICT_MAXNIK
         assert len(searched) == len(set(searched)) >= 5
         per_call = len(searched)
         # a second call shares nothing with the first: it searches again
-        assert certify_maxnik(g, lib) == first
+        assert certify_maxnik(g) == first
         assert len(searched) == 2 * per_call
         assert searched[:per_call] == searched[per_call:]
 
-    def test_certify_nik_searches_each_piece_once(self, monkeypatch, lib):
+    def test_certify_nik_searches_each_piece_once(self, monkeypatch):
         g = size_construct(90)[1]
         searched = self._count_apex_searches(monkeypatch)
-        assert certify_nik(g, lib).verdict == VERDICT_NIK
+        assert certify_nik(g).verdict == VERDICT_NIK
         assert len(searched) == len(set(searched)) >= 2
 
 
 class TestOneGeneratorSearchPerCall:
-    def test_is_k_apex_and_orbits_share_one_search(self, monkeypatch, lib):
+    def test_is_k_apex_and_orbits_share_one_search(self, monkeypatch):
         # A host that is not 2-apex has its generators fetched by its 2-apex walk,
         # then orbits(g, "non-edge") needs them again. Without any memo 143
         # generator searches ran here, and 103 with a per-call memo while every
@@ -466,7 +472,7 @@ class TestOneGeneratorSearchPerCall:
 
         monkeypatch.setattr(canon_module, "_canonical_search", counted)
         canon_module._search.cache_clear()  # count from a cold cache
-        blob = "".join(certify_maxnik(g, lib).dumps() for g in graphs)
+        blob = "".join(certify_maxnik(g).dumps() for g in graphs)
         # digest measured before any memo
         assert hashlib.sha256(blob.encode()).hexdigest() == (
             "c94c23810716fc654ab0477c1bcf6838f6336471d0bc7f0c4816177c75a79f75")
@@ -482,7 +488,7 @@ class TestOneGeneratorSearchPerCall:
 
 
 class TestValidatorDecodesOnce:
-    def test_each_graph6_string_decoded_once(self, monkeypatch, lib):
+    def test_each_graph6_string_decoded_once(self, monkeypatch):
         cert = size_construct(100)[2]
         decoded = []
         real = certify_module.graph6_decode
@@ -492,10 +498,10 @@ class TestValidatorDecodesOnce:
             return real(text)
 
         monkeypatch.setattr(certify_module, "graph6_decode", counted)
-        assert validate_certificate(cert, lib) == []
+        assert validate_certificate(cert) == []
         assert len(decoded) == len(set(decoded)) > 1
 
-    def test_orbits_and_axiom_looked_up_once_per_graph(self, monkeypatch, lib):
+    def test_orbits_and_axiom_looked_up_once_per_graph(self, monkeypatch):
         # size 150 repeats two leaf graphs: 7 orbit and 7 axiom lookups before
         cert = size_construct(150)[2]
         looked_up = {"orbits": [], "axiom_for": []}
@@ -512,11 +518,11 @@ class TestValidatorDecodesOnce:
 
         monkeypatch.setattr(certify_module, "orbits", counted_orbits)
         monkeypatch.setattr(ObstructionLibrary, "axiom_for", counted_axiom_for)
-        assert validate_certificate(cert, lib) == []
+        assert validate_certificate(cert) == []
         for seen in looked_up.values():
             assert len(seen) == len(set(seen)) >= 2
         # the memo lives for one call: a second validation looks up again
-        assert validate_certificate(cert, lib) == []
+        assert validate_certificate(cert) == []
         for seen in looked_up.values():
             assert len(seen) == 2 * len(set(seen))
 
@@ -532,7 +538,7 @@ class TestTwoApexAdditionsFirst:
     """``certify_maxnik`` asks a 2-apex host's additions for a 2-apex pair
     before any IK search; these are the facts that order rests on."""
 
-    def test_two_apex_additions_have_no_ik_evidence(self, lib):
+    def test_two_apex_additions_have_no_ik_evidence(self):
         hosts = [graph6_decode(h) for h in GOLDEN_HOSTS] + _order_7_to_10_hosts(1313, 24)
         walked = mader = 0
         for g in hosts:
@@ -542,44 +548,44 @@ class TestTwoApexAdditionsFirst:
                 if added.n >= 7 and added.m >= 5 * added.n - 14:
                     mader += 1
                     assert not walk.found, (graph6_encode(g), e)
-                    assert certify_ik(added, lib).verdict == VERDICT_IK, (graph6_encode(g), e)
+                    assert certify_ik(added).verdict == VERDICT_IK, (graph6_encode(g), e)
                 if walk.found:
                     walked += 1
                     assert is_planar_wagner(added.delete_vertices(walk.witness))
-                    assert certify_ik(added, lib).verdict != VERDICT_IK, (graph6_encode(g), e)
+                    assert certify_ik(added).verdict != VERDICT_IK, (graph6_encode(g), e)
         assert walked > 500 and mader > 20
 
-    def test_gate_walk_spares_the_ik_search(self, monkeypatch, lib):
+    def test_gate_walk_spares_the_ik_search(self, monkeypatch):
         # each host is 2-apex through one pair, its answer's addition through another
         asked = []
         real = certify_module.certify_ik
 
-        def counted(h, lib=None):
+        def counted(h):
             asked.append(h)
-            return real(h, lib)
+            return real(h)
 
         monkeypatch.setattr(certify_module, "certify_ik", counted)
         for host, pairs in (("IfByZ]zMo", ([5, 7], [5, 8])), ("IpNezuHTg", ([2, 6], [2, 9]))):
             g = graph6_decode(host)
-            cert = certify_maxnik(g, lib)
+            cert = certify_maxnik(g)
             assert cert.rule == "augmentation-nik"
             assert tuple(c.evidence["witness"] for c in cert.children) == pairs
             assert g.with_edge(*cert.evidence["edge"]) not in asked
-            assert validate_certificate(cert, lib) == []
+            assert validate_certificate(cert) == []
 
-    def test_maximal_two_apex_additions_are_not_walked(self, monkeypatch, lib):
+    def test_maximal_two_apex_additions_are_not_walked(self, monkeypatch):
         searched = TestOneNikCertificatePerCall._count_apex_searches(monkeypatch)
         for g in (prime_family(10), prime_family(20), named_graph("K7^-").graph):
-            assert certify_maxnik(g, lib).verdict == VERDICT_MAXNIK
+            assert certify_maxnik(g).verdict == VERDICT_MAXNIK
             additions = {g.with_edge(*e) for e in g.non_edges()}
             assert not additions & set(searched)
         assert searched
 
-    def test_one_two_apex_walk_per_graph_per_call(self, monkeypatch, lib):
+    def test_one_two_apex_walk_per_graph_per_call(self, monkeypatch):
         searched = TestOneNikCertificatePerCall._count_apex_searches(monkeypatch)
         for h in GOLDEN_HOSTS:
             searched.clear()
-            certify_maxnik(graph6_decode(h), lib)
+            certify_maxnik(graph6_decode(h))
             assert len(searched) == len(set(searched)), h
 
 
@@ -606,6 +612,7 @@ class TestWalksReuseSubgraphs:
     def _watch(monkeypatch) -> dict:
         """Record every walk with its start and answer, every sum whose walk
         ended at a piece, and every planarity run, while the certifier runs."""
+        mmik_library()  # built first: its own planarity runs are not the certifier's
         seen = {"walks": [], "ended": [], "planarity": 0}
         real_walk = certify_module._apex_walk
         real_pieces = certify_module._piece_not_two_apex
@@ -631,11 +638,11 @@ class TestWalksReuseSubgraphs:
         monkeypatch.setattr(planarity_module, "_planar_within", planar)
         return seen
 
-    def test_composite_walks_match_the_reference(self, monkeypatch, lib):
+    def test_composite_walks_match_the_reference(self, monkeypatch):
         graphs = _relabelled_composites(0)
         seen = self._watch(monkeypatch)
         for g in graphs:
-            assert certify_maxnik(g, lib).verdict == VERDICT_MAXNIK
+            assert certify_maxnik(g).verdict == VERDICT_MAXNIK
         # 3,504 while every walk ran to its end or its witness
         assert seen["planarity"] == 1634
         for g, _, got in seen["walks"]:
@@ -646,9 +653,9 @@ class TestWalksReuseSubgraphs:
             assert any(not reference_is_k_apex(piece, 2).found for _, piece in split), (
                 graph6_encode(g))
 
-    def test_golden_host_walks_match_the_reference(self, monkeypatch, lib):
+    def test_golden_host_walks_match_the_reference(self, monkeypatch):
         seen = self._watch(monkeypatch)
-        blob = "".join(certify_maxnik(graph6_decode(h), lib).dumps() for h in GOLDEN_HOSTS)
+        blob = "".join(certify_maxnik(graph6_decode(h)).dumps() for h in GOLDEN_HOSTS)
         assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN_DIGEST
         # 696 while every addition's walk started at the first pair
         assert seen["planarity"] == 513
@@ -663,12 +670,12 @@ class TestWalksReuseSubgraphs:
         assert skipped >= 200
 
 
-def test_verdicts_and_certificates_survive_relabelling(lib):
+def test_verdicts_and_certificates_survive_relabelling():
     rng = random.Random(1319)
     maxnik = [named_graph(name).graph for name in ("K7^-", "K8-3K2", "K8-P3", "E9", "G9,29")]
     for g in _order_7_to_10_hosts(1317, 40) + maxnik + [prime_family(10)]:
         perm = list(range(g.n))
         rng.shuffle(perm)
-        cert = certify_maxnik(g, lib)
-        assert certify_maxnik(g.relabel(perm), lib).verdict == cert.verdict
-        assert validate_certificate(relabel_certificate(cert, tuple(perm)), lib) == []
+        cert = certify_maxnik(g)
+        assert certify_maxnik(g.relabel(perm)).verdict == cert.verdict
+        assert validate_certificate(relabel_certificate(cert, tuple(perm))) == []

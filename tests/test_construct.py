@@ -34,50 +34,50 @@ from conftest import brute_connectivity, random_graph
 
 
 @pytest.fixture(scope="module")
-def e9_pair(lib):
+def e9_pair():
     g = named_graph("E9").graph
-    return g, certify_maxnik(g, lib)
+    return g, certify_maxnik(g)
 
 
 class TestCliqueSum:
-    def test_two_e9_on_shared_edge(self, lib, e9_pair):
+    def test_two_e9_on_shared_edge(self, e9_pair):
         e9, cert = e9_pair
         edge = non_triangular_edges(e9)[0]
         g, out = clique_sum(GluingSpec(LEMMA_EDGE_SUM_MAXNIK,
                                        e9, edge, cert, e9, edge, cert))
         assert (g.n, g.m) == (16, 41)
         assert out.verdict == VERDICT_MAXNIK
-        assert validate_certificate(out, lib) == []
+        assert validate_certificate(out) == []
 
     def test_e9_triangle_sum_with_k4(self, lib, e9_pair):
         e9, cert = e9_pair
         tri = lib.triangle_disk_axioms[0].triangle_orbit[0]
         k4 = complete_graph(4)
-        k4_cert = certify_maxnik(k4, lib)
+        k4_cert = certify_maxnik(k4)
         g, out = clique_sum(GluingSpec(LEMMA_TRIANGLE_SUM,
                                        e9, tri, cert, k4, (0, 1, 2), k4_cert))
         assert (g.n, g.m) == (10, 24)
         assert out.verdict == VERDICT_MAXNIK
-        assert validate_certificate(out, lib) == []
+        assert validate_certificate(out) == []
 
     def test_triangle_sum_of_nik_operands_is_nik(self, lib):
         e9 = named_graph("E9").graph
         tri = lib.triangle_disk_axioms[0].triangle_orbit[0]
         k4 = complete_graph(4)
-        e9_nik, k4_nik = certify_nik(e9, lib), certify_nik(k4, lib)
+        e9_nik, k4_nik = certify_nik(e9), certify_nik(k4)
         assert (e9_nik.verdict, k4_nik.verdict) == (VERDICT_NIK, VERDICT_NIK)
         g, out = clique_sum(GluingSpec(LEMMA_TRIANGLE_SUM,
                                        e9, tri, e9_nik, k4, (0, 1, 2), k4_nik))
         assert (g.n, g.m) == (10, 24)
         assert (out.verdict, out.evidence["lemma"]) == (VERDICT_NIK, LEMMA_TRIANGLE_SUM)
-        assert validate_certificate(out, lib) == []
+        assert validate_certificate(out) == []
         forged = Certificate(VERDICT_MAXNIK, out.rule, out.evidence, out.children)
-        assert validate_certificate(forged, lib) != []
+        assert validate_certificate(forged) != []
 
-    def test_size_formula_every_gluing(self, lib, e9_pair):
+    def test_size_formula_every_gluing(self, e9_pair):
         e9, cert = e9_pair
         k3 = complete_graph(3)
-        k3_cert = certify_maxnik(k3, lib)
+        k3_cert = certify_maxnik(k3)
         for t, lemma, lc, rc in [
                 (1, "NPP7-v", (0,), (0,)),
                 (2, LEMMA_EDGE_SUM, non_triangular_edges(e9)[0], (0, 1)),
@@ -85,16 +85,16 @@ class TestCliqueSum:
             g, _ = clique_sum(GluingSpec(lemma, e9, lc, cert, k3, rc, k3_cert))
             assert g.m == e9.m + k3.m - t * (t - 1) // 2
 
-    def test_vertex_sum_gives_nik_only(self, lib, e9_pair):
+    def test_vertex_sum_gives_nik_only(self, e9_pair):
         e9, cert = e9_pair
         g, out = clique_sum(GluingSpec("NPP7-v", e9, (0,), cert, e9, (0,), cert))
         assert out.verdict == VERDICT_NIK
         assert g.n == 17
-        assert validate_certificate(out, lib) == []
+        assert validate_certificate(out) == []
 
-    def test_triangular_edge_on_both_sides_rejected(self, lib):
+    def test_triangular_edge_on_both_sides_rejected(self):
         k4 = complete_graph(4)
-        k4_cert = certify_maxnik(k4, lib)
+        k4_cert = certify_maxnik(k4)
         with pytest.raises(PreconditionError):
             clique_sum(GluingSpec(LEMMA_EDGE_SUM_MAXNIK,
                                   k4, (0, 1), k4_cert, k4, (0, 1), k4_cert))
@@ -102,7 +102,7 @@ class TestCliqueSum:
     def test_unregistered_triangle_rejected(self, lib, e9_pair):
         e9, cert = e9_pair
         k4 = complete_graph(4)
-        k4_cert = certify_maxnik(k4, lib)
+        k4_cert = certify_maxnik(k4)
         from maxnik.graphs import triangles
         designated = set(lib.triangle_disk_axioms[0].triangle_orbit)
         other = next(t for t in triangles(e9) if t not in designated)
@@ -110,17 +110,17 @@ class TestCliqueSum:
             clique_sum(GluingSpec(LEMMA_TRIANGLE_SUM,
                                   e9, other, cert, k4, (0, 1, 2), k4_cert))
 
-    def test_non_clique_rejected(self, lib, e9_pair):
+    def test_non_clique_rejected(self, e9_pair):
         e9, cert = e9_pair
         u, v = e9.non_edges()[0]
         with pytest.raises(PreconditionError):
             clique_sum(GluingSpec(LEMMA_EDGE_SUM_MAXNIK,
                                   e9, (u, v), cert, e9, (u, v), cert))
 
-    def test_uncertified_operand_rejected(self, lib, e9_pair):
+    def test_uncertified_operand_rejected(self, e9_pair):
         e9, cert = e9_pair
         from maxnik.certify import certify_ik
-        ik_cert = certify_ik(complete_graph(7), lib)
+        ik_cert = certify_ik(complete_graph(7))
         with pytest.raises(PreconditionError):
             clique_sum(GluingSpec(LEMMA_EDGE_SUM_MAXNIK,
                                   e9, non_triangular_edges(e9)[0], cert,
@@ -139,10 +139,10 @@ class TestChain:
             g, _ = chain_graphs(i)
             assert len(non_triangular_edges(g)) >= 6
 
-    def test_each_chain_matches_the_loop_built_one_and_is_built_once(self, lib):
+    def test_each_chain_matches_the_loop_built_one_and_is_built_once(self):
         for i in range(1, 9):
             g, cert = chain_graphs(i)
-            want_g, want_cert = reference_chain(i, lib)
+            want_g, want_cert = reference_chain(i)
             assert g == want_g
             assert cert.dumps() == want_cert.dumps()
             assert chain_graphs(i) is chain_graphs(i)
@@ -150,11 +150,11 @@ class TestChain:
             chain_graphs(9)  # 65 vertices
 
 
-def reference_chain(i: int, lib) -> tuple:
+def reference_chain(i: int) -> tuple:
     """Oracle: i copies of E9 glued one after another in a loop, each on the
     chain's least non-triangular edge, with nothing reused between chains."""
     e9 = named_graph("E9").graph
-    e9_cert = certify_maxnik(e9, lib)
+    e9_cert = certify_maxnik(e9)
     g, cert = e9, e9_cert
     for _ in range(i - 1):
         g, cert = clique_sum(GluingSpec(
@@ -170,7 +170,7 @@ from maxnik.certify import validate_certificate
 from maxnik.construct import size_construct
 from maxnik.primality import decompose
 
-lib = mmik_library()
+mmik_library()  # built before the searches are counted
 searched = []
 real = canon._canonical_search
 
@@ -182,7 +182,7 @@ canon._canonical_search = counted
 for n in range(20, 61):
     if n != 22:
         g, cert = size_construct(n)[1:]
-        assert validate_certificate(cert, lib) == []
+        assert validate_certificate(cert) == []
         decompose(g)
 print(len(searched), len(set(searched)))
 """
@@ -272,7 +272,7 @@ class TestSizeConstruct:
         assert plan.addends == (14, 2)
         assert g.m == 37
 
-    def test_plan_arithmetic_and_certificates(self, lib):
+    def test_plan_arithmetic_and_certificates(self):
         for n in (21, 23, 25, 30, 41, 42, 44, 61):
             plan, g, cert = size_construct(n)
             assert g.m == n
@@ -280,7 +280,7 @@ class TestSizeConstruct:
             if plan.special is None:
                 assert 21 + 20 * (plan.base_chain - 1) + sum(plan.addends) == n
                 assert len(plan.addends) <= 6
-            assert validate_certificate(cert, lib) == []
+            assert validate_certificate(cert) == []
 
     def test_editing_to_json_leaves_the_kept_certificates_unchanged(self):
         # size_construct returns certificates it keeps, so to_json copies every level

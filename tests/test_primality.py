@@ -88,7 +88,7 @@ class TestLazySearchMatchesReference:
                             lambda g: iter(reference_clique_cutsets(g)))
         assert fast == [decompose(g).to_json() for g, _ in cases]
 
-    def test_certify_sees_the_small_cutsets_in_order(self, cases, lib, monkeypatch):
+    def test_certify_sees_the_small_cutsets_in_order(self, cases, monkeypatch):
         seen = []
 
         def recorded_splits(g):
@@ -102,7 +102,7 @@ class TestLazySearchMatchesReference:
         monkeypatch.setattr(certify_module, "lemma_conclusion", lambda *_args: (None, ""))
         for g, ref in cases:
             seen.clear()
-            assert certify_module._certify_by_cutsets(g, lib, {}, want_maxnik=False) is None
+            assert certify_module._certify_by_cutsets(g, {}, want_maxnik=False) is None
             small = [c for c in ref if len(c) <= 3]
             assert seen == ref[:len(small) + 1]  # it stops at the first larger cutset
 
@@ -242,7 +242,7 @@ class TestDecompositions:
 
 
 class TestLemmaChecks:
-    def test_chain_two_cut(self, lib):
+    def test_chain_two_cut(self):
         g, cert = chain_graphs(2)
         report = check_lemma_two_cut(g, cert)
         assert not report.vacuous
@@ -256,7 +256,7 @@ class TestLemmaChecks:
         parts = _split_parts(g, (x, y))
         assert any(are_isomorphic(p, e9) for p in parts)
 
-    def test_npp5_cut_at_triangle_tip(self, lib):
+    def test_npp5_cut_at_triangle_tip(self):
         g, cert = npp5_family(1)
         report = check_lemma_two_cut(g, cert)
         assert report.ok and not report.vacuous
@@ -265,16 +265,16 @@ class TestLemmaChecks:
         tip_checks = [c for c in report.checks if "MAXNIK" in c.piece_verdicts]
         assert tip_checks
 
-    def test_k7_minus_vacuous(self, lib):
+    def test_k7_minus_vacuous(self):
         g = named_graph("K7^-").graph
-        report = check_lemma_two_cut(g, certify_maxnik(g, lib))
+        report = check_lemma_two_cut(g, certify_maxnik(g))
         assert report.vacuous and report.ok
 
-    def test_requires_maxnik_certificate(self, lib):
+    def test_requires_maxnik_certificate(self):
         from maxnik.certify import certify_nik
         g = complete_graph(6)
         with pytest.raises(ValueError):
-            check_lemma_two_cut(g, certify_nik(g, lib))
+            check_lemma_two_cut(g, certify_nik(g))
 
     def test_complement_k2_lemma(self):
         assert check_lemma_complement_k2(named_graph("K8-3K2").graph).ok

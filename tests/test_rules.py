@@ -6,7 +6,9 @@ import ast
 import copy
 import hashlib
 import inspect
+import pathlib
 import random
+import sys
 
 import pytest
 
@@ -26,10 +28,10 @@ from maxnik.survey import classified_maxnik
 VERDICTS = (VERDICT_IK, VERDICT_NIK, VERDICT_MAXNIK, VERDICT_NOT_MAXNIK, VERDICT_UNKNOWN)
 
 
-def _golden_trees(lib):
+def _golden_trees():
     """Every certificate tree of the construction and order-9 golden set."""
     trees = [size_construct(n)[2] for n in range(20, 181) if n not in (22, 178)]
-    trees += [certify_maxnik(g, lib) for g in classified_maxnik(9)]
+    trees += [certify_maxnik(g) for g in classified_maxnik(9)]
     trees += [npp5_family(k)[1] for k in range(1, 6)]
     trees += [chain_graphs(i)[1] for i in range(1, 7)]
     return trees
@@ -47,8 +49,8 @@ def _relabelled(trees):
 
 
 @pytest.fixture(scope="module")
-def golden(lib):
-    trees = _golden_trees(lib)
+def golden():
+    trees = _golden_trees()
     return trees, _relabelled(trees)
 
 
@@ -71,10 +73,10 @@ class TestGoldenTrees:
     def test_relabelled_trees_unchanged(self, golden):
         assert _digest(golden[1]) == GOLDEN_RELABELLED_DIGEST
 
-    def test_every_tree_validates(self, golden, lib):
+    def test_every_tree_validates(self, golden):
         trees, moved = golden
         for cert in trees + moved:
-            assert validate_certificate(cert, lib) == []
+            assert validate_certificate(cert) == []
 
 
 def _with(cert: Certificate, verdict: str | None = None, **evidence) -> Certificate:
@@ -90,45 +92,45 @@ def _k(n: int) -> str:
 class TestForgedCertificates:
     """Certificates whose evidence replays but whose verdict does not follow."""
 
-    def test_maxnik_from_nik_undecided(self, lib):
+    def test_maxnik_from_nik_undecided(self):
         forged = Certificate(VERDICT_MAXNIK, "nik-undecided", {"graph": _k(8)})
-        assert validate_certificate(forged, lib) != []
+        assert validate_certificate(forged) != []
 
-    def test_per_non_edge_without_an_nik_child(self, lib):
+    def test_per_non_edge_without_an_nik_child(self):
         forged = Certificate(VERDICT_MAXNIK, "per-non-edge",
                              {"graph": _k(8), "orbit_representatives": []})
-        assert validate_certificate(forged, lib) != []
+        assert validate_certificate(forged) != []
 
-    def test_complete_nik_with_the_child_of_another_graph(self, lib):
-        k3 = certify_nik(complete_graph(3), lib)
+    def test_complete_nik_with_the_child_of_another_graph(self):
+        k3 = certify_nik(complete_graph(3))
         forged = Certificate(VERDICT_MAXNIK, "complete-nik", {"graph": _k(8), "n": 8}, (k3,))
-        assert validate_certificate(forged, lib) != []
+        assert validate_certificate(forged) != []
 
-    def test_is_ik_with_the_child_of_another_graph(self, lib):
-        k7 = certify_ik(complete_graph(7), lib)
+    def test_is_ik_with_the_child_of_another_graph(self):
+        k7 = certify_ik(complete_graph(7))
         forged = Certificate(VERDICT_NOT_MAXNIK, "is-ik",
                              {"graph": graph6_encode(named_graph("E9").graph)}, (k7,))
-        assert validate_certificate(forged, lib) != []
+        assert validate_certificate(forged) != []
 
     @pytest.mark.parametrize("verdict", [VERDICT_MAXNIK, VERDICT_IK])
-    def test_apex_pair_with_another_verdict(self, lib, verdict):
-        cert = certify_nik(complete_graph(6), lib)
+    def test_apex_pair_with_another_verdict(self, verdict):
+        cert = certify_nik(complete_graph(6))
         assert cert.rule == "apex-pair"
-        assert validate_certificate(_with(cert, verdict), lib) != []
+        assert validate_certificate(_with(cert, verdict)) != []
 
     @pytest.mark.parametrize("verdict", [VERDICT_IK, VERDICT_NIK, VERDICT_NOT_MAXNIK])
-    def test_edge_sum_of_maxnik_graphs_with_another_verdict(self, lib, verdict):
+    def test_edge_sum_of_maxnik_graphs_with_another_verdict(self, verdict):
         cert = chain_graphs(2)[1]
-        assert validate_certificate(cert, lib) == []
-        assert validate_certificate(_with(cert, verdict), lib) != []
+        assert validate_certificate(cert) == []
+        assert validate_certificate(_with(cert, verdict)) != []
 
-    def test_maxnik_from_the_nik_edge_sum_lemma(self, lib):
+    def test_maxnik_from_the_nik_edge_sum_lemma(self):
         cert = chain_graphs(2)[1]
-        assert validate_certificate(_with(cert, lemma=LEMMA_EDGE_SUM), lib) != []
+        assert validate_certificate(_with(cert, lemma=LEMMA_EDGE_SUM)) != []
 
-    def test_apex_witness_of_three_vertices(self, lib):
+    def test_apex_witness_of_three_vertices(self):
         forged = Certificate(VERDICT_NIK, "apex-pair", {"graph": _k(7), "witness": [0, 1, 2]})
-        assert validate_certificate(forged, lib) != []
+        assert validate_certificate(forged) != []
 
 
 _NO_GRAPH = "evidence 'graph' is missing or not a graph6 string"
@@ -152,29 +154,29 @@ _MALFORMED = {
 
 class TestMalformedEvidence:
     @pytest.mark.parametrize("case", sorted(_MALFORMED))
-    def test_hand_made_certificate(self, lib, case):
+    def test_hand_made_certificate(self, case):
         spoil, want = _MALFORMED[case]
-        data = copy.deepcopy(certify_maxnik(complete_graph(5), lib).to_json())
+        data = copy.deepcopy(certify_maxnik(complete_graph(5)).to_json())
         spoil(data)
         if isinstance(want, Exception):
             with pytest.raises(type(want), match=str(want)):
                 Certificate.from_json(data)
         else:
-            assert validate_certificate(Certificate.from_json(data), lib) == want
+            assert validate_certificate(Certificate.from_json(data)) == want
 
     def test_node_not_an_object(self):
         with pytest.raises(ValidationError, match="certificate node 7 is not an object"):
             Certificate.from_json(7)
 
-    def test_apex_pair_without_witness(self, lib):
+    def test_apex_pair_without_witness(self):
         problems = validate_certificate(
-            Certificate(VERDICT_NIK, "apex-pair", {"graph": _k(6)}), lib)
+            Certificate(VERDICT_NIK, "apex-pair", {"graph": _k(6)}))
         assert problems == ["root: evidence 'witness' is missing or not a vertex set in range(6)"]
 
-    def test_augmentation_edge_outside_the_graph(self, lib):
-        cert = certify_maxnik(cycle_graph(7), lib)
+    def test_augmentation_edge_outside_the_graph(self):
+        cert = certify_maxnik(cycle_graph(7))
         assert cert.rule == "augmentation-nik"
-        problems = validate_certificate(_with(cert, edge=[0, 99]), lib)
+        problems = validate_certificate(_with(cert, edge=[0, 99]))
         assert problems == ["root: evidence 'edge' is missing or not a vertex set in range(7)"]
 
 
@@ -185,24 +187,24 @@ def _nodes(cert: Certificate):
 
 
 @pytest.fixture(scope="module")
-def examples(lib, golden):
+def examples(golden):
     """One certificate per rule, the first in the golden trees or one built here."""
     found = {}
     for tree in golden[0]:
         for node in _nodes(tree):
             found.setdefault(node.rule, node)
-    found["no-ik-evidence"] = certify_ik(cycle_graph(5), lib)
-    found["no-nik-evidence"] = certify_nik(complete_graph(9), lib)
-    found["is-ik"] = certify_maxnik(complete_graph(7), lib)
-    found["augmentation-nik"] = certify_maxnik(cycle_graph(7), lib)
+    found["no-ik-evidence"] = certify_ik(cycle_graph(5))
+    found["no-nik-evidence"] = certify_nik(complete_graph(9))
+    found["is-ik"] = certify_maxnik(complete_graph(7))
+    found["augmentation-nik"] = certify_maxnik(cycle_graph(7))
     # an order-9 graph that is not 2-apex and has no library minor or axiom
-    found["nik-undecided"] = certify_maxnik(graph6_decode("HLvnf~}"), lib)
+    found["nik-undecided"] = certify_maxnik(graph6_decode("HLvnf~}"))
     with pytest.MonkeyPatch.context() as mp:
         # with the IK search silenced, K7^-'s one added edge stays undecided
         mp.setattr(certify_module, "certify_ik",
-                   lambda g, lib_: Certificate(VERDICT_UNKNOWN, "no-ik-evidence",
-                                              {"graph": graph6_encode(g)}))
-        found["augmentation-undecided"] = certify_maxnik(named_graph("K7^-").graph, lib)
+                   lambda g: Certificate(VERDICT_UNKNOWN, "no-ik-evidence",
+                                         {"graph": graph6_encode(g)}))
+        found["augmentation-undecided"] = certify_maxnik(named_graph("K7^-").graph)
     return found
 
 
@@ -234,25 +236,55 @@ class TestRuleTable:
         assert {rule for rule, keys in _built_nodes() if "trust" in keys} == {"axiom"}
 
     @pytest.mark.parametrize("name", sorted(RULES))
-    def test_rule(self, lib, examples, name):
+    def test_rule(self, examples, name):
         cert = examples[name]
         rule = RULES[name]
         assert cert.rule == name and cert.verdict in rule.concludes
-        assert validate_certificate(cert, lib) == []
+        assert validate_certificate(cert) == []
         g = cert.graph
         perm = list(range(g.n))
         random.Random(name).shuffle(perm)
         moved = relabel_certificate(cert, tuple(perm))
         assert moved.graph == g.relabel(perm)
-        assert validate_certificate(moved, lib) == []
+        assert validate_certificate(moved) == []
         for verdict in VERDICTS:
             if verdict not in rule.concludes:
-                assert validate_certificate(_with(cert, verdict), lib) != [], verdict
+                assert validate_certificate(_with(cert, verdict)) != [], verdict
         for field, shape in rule.fields.items():
             value = cert.evidence[field]
             tampered = ([[g.n] + value[0][1:]] + value[1:] if shape == SETS
                         else [g.n] + value[1:])
-            assert validate_certificate(_with(cert, **{field: tampered}), lib) != [], field
+            assert validate_certificate(_with(cert, **{field: tampered})) != [], field
             missing = {k: v for k, v in cert.evidence.items() if k != field}
             assert validate_certificate(
-                Certificate(cert.verdict, name, missing, cert.children), lib) != [], field
+                Certificate(cert.verdict, name, missing, cert.children)) != [], field
+
+
+def _package_trees():
+    """(file name, parsed module) of each source file of the package."""
+    for path in sorted(pathlib.Path(certify_module.__file__).parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text())
+
+
+class TestPackageSource:
+    def test_imports_only_the_standard_library_and_the_package(self):
+        outside = []
+        for name, tree in _package_trees():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module]
+                else:
+                    continue
+                outside += [(name, m) for m in modules
+                            if m.split(".")[0] not in sys.stdlib_module_names | {"maxnik"}]
+        assert outside == []
+
+    def test_no_function_takes_a_library_argument(self):
+        # the provers and the validator read the one library from mmik_library()
+        takers = [(name, getattr(node, "name", "<lambda>"))
+                  for name, tree in _package_trees() for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                  and "lib" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}]
+        assert takers == []

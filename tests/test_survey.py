@@ -7,11 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from maxnik import smallgraphs
+from maxnik import smallgraphs, survey
 from maxnik.canon import are_isomorphic
 from maxnik.catalog import named_graph
 from maxnik.certify import check_necessary
-from maxnik.graphs import complete_graph, graph6_encode
+from maxnik.errors import ValidationError
+from maxnik.graphs import complete_graph, graph6_decode, graph6_encode
+from maxnik.planarity import KApexResult
 from maxnik.survey import (classified_maxnik, enumerate_graphs,
                            enumerate_maxnik, enumerate_triangulations,
                            maximal_2apex_graphs, table_deg, table_ve,
@@ -106,7 +108,6 @@ class TestSize20:
         rep = size20
         assert rep.count_at_most_20 == 7
         g = named_graph("K7^-").graph
-        from maxnik.graphs import graph6_decode
         assert are_isomorphic(graph6_decode(rep.unique_size20), g)
 
     def test_order_rows_shape(self, size20):
@@ -120,13 +121,19 @@ class TestSize20:
     def test_full_order9_sweep(self, size20):
         rep = size20
         # every order-9 size-20 extension is 2-apex, hence not edge-maximal
-        assert rep.order9_candidates == rep.order9_two_apex
-        assert rep.order9_ik_by_quote == 0
-        assert rep.order9_candidates > 300_000
+        assert rep.order9_candidates == 315_769
         assert rep.count_at_most_20 == 7
         blob = rep.to_json()
-        assert blob["order9"]["candidates"] == rep.order9_candidates
+        assert blob["order9"] == {"candidates": 315_769}
         assert blob["unique_size20"] == rep.unique_size20
+        assert not any("published low-size" in note for note in rep.notes)
+
+    def test_an_order9_graph_that_is_not_2apex_stops_the_sweep(self, monkeypatch):
+        monkeypatch.setattr(survey, "is_k_apex", lambda g, k: KApexResult(False, None))
+        with pytest.raises(ValidationError, match="is not 2-apex") as caught:
+            survey._order9_size20_sweep()
+        child = graph6_decode(str(caught.value).split()[3])
+        assert (child.n, child.m) == (9, 20)
 
 
 class TestTables:
