@@ -33,16 +33,22 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def enumerate_maxnik(n: int) -> tuple[Graph, ...]:
-    """All maximal knotless graphs of order n <= 8, by full canonical sweep.
+    """All maximal knotless graphs of order n <= 8, swept over one size.
 
     In this range maximal knotless coincides with maximal 2-apex, which makes
     the sweep decidable: a 2-apex graph is knotless, and every class of order
     at most 8 that is not 2-apex certifies IK through a library minor, as
     ``test_every_class_of_order_at_most_8_certifies_unchanged`` checks.
+    Only one size can hold a maximal 2-apex graph: below order 7 every graph
+    is 2-apex, so the only one is K_n with n(n-1)/2 edges; from order 7 on,
+    one has exactly 5n - 15 edges (``is_maximal_2apex``). The sweep
+    generates the classes of that size and no others.
     """
     if not 1 <= n <= 8:
         raise ValueError("decidable sweep covers orders 1..8")
-    return tuple(g for g in enumerate_graphs(n) if is_maximal_2apex(g))
+    size = n * (n - 1) // 2 if n < 7 else 5 * n - 15
+    return tuple(g for g in enumerate_graphs(n, range(size, size + 1))
+                 if is_maximal_2apex(g))
 
 
 @lru_cache(maxsize=None)
@@ -135,18 +141,17 @@ class Size20Report:
 def _order9_size20_sweep() -> int:
     """Check every order-9, size-20 graph is 2-apex; returns how many there are.
 
-    Every such graph is an order-8 graph plus a vertex of degree 20 - m',
-    and the sweep walks all of these one-vertex extensions. A 2-apex
+    Every such graph is an order-8 graph of size m' plus a vertex of degree
+    20 - m', which lies in 0..8, so m' lies in 12..20; the sweep walks all
+    one-vertex extensions of the order-8 classes of those sizes. A 2-apex
     graph of order 9 with 20 < 30 = 5n - 15 edges is not maximal 2-apex,
     so adding some edge leaves it 2-apex and hence knotless: it is not
     maximal knotless. An extension found not 2-apex raises
     ``ValidationError`` naming it, since this argument would not cover it.
     """
     candidates = 0
-    for parent in enumerate_graphs(8):
+    for parent in enumerate_graphs(8, range(12, 21)):
         d = 20 - parent.m
-        if not 0 <= d <= 8:
-            continue
         candidates += math.comb(8, d)
         if is_k_apex(parent, 1).found:  # the new vertex is a second apex
             continue
@@ -170,10 +175,7 @@ def verify_size20() -> Size20Report:
     rows = []
     hits: list[Graph] = []
     for n in range(1, 9):
-        if n * (n - 1) // 2 < 20:
-            rows.append((n, 0, 0))
-            continue
-        cands = [g for g in enumerate_graphs(n) if g.m == 20]
+        cands = enumerate_graphs(n, range(20, 21))
         found = [g for g in cands if is_maximal_2apex(g)]
         hits.extend(found)
         rows.append((n, len(cands), len(found)))

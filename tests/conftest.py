@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import heapq
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -201,6 +203,43 @@ def reference_enumerate_graphs(n: int) -> tuple[Graph, ...]:
                 rows[v] |= 1 << new
             candidates.append(Graph(n, rows))
     return tuple(dedup_by_canonical_form(candidates))
+
+
+def reference_class_counts(n: int) -> tuple[int, ...]:
+    """Oracle: graphs of order n counted by size, by Polya's theorem.
+
+    Averages, over the permutations of the n vertices, the generating
+    polynomial of the edge sets each one fixes: a product of 1 + x**len
+    over the cycles it induces on vertex pairs. A cycle of length l gives
+    (l - 1) // 2 pair cycles of length l, plus one of length l / 2 when l is
+    even; cycles of lengths a and b give gcd(a, b) pair cycles of length
+    lcm(a, b).
+    """
+    def partitions(rest: int, cap: int):
+        if rest == 0:
+            yield ()
+        for k in range(min(rest, cap), 0, -1):
+            for tail in partitions(rest - k, k):
+                yield (k, *tail)
+
+    total = [0] * (n * (n - 1) // 2 + 1)
+    for cycles in partitions(n, n):
+        perms = math.factorial(n)
+        for length, count in Counter(cycles).items():
+            perms //= length ** count * math.factorial(count)
+        poly = [1]
+        for i, a in enumerate(cycles):
+            pair_cycles = [a] * ((a - 1) // 2) + ([a // 2] if a % 2 == 0 else [])
+            for b in cycles[i + 1:]:
+                pair_cycles += [math.lcm(a, b)] * math.gcd(a, b)
+            for length in pair_cycles:
+                grown = poly + [0] * length
+                for j, c in enumerate(poly):
+                    grown[j + length] += c
+                poly = grown
+        for j, c in enumerate(poly):
+            total[j] += perms * c
+    return tuple(t // math.factorial(n) for t in total)
 
 
 def sweep_bounds_check(max_order: int = 8) -> list[str]:

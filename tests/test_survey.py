@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,13 +14,15 @@ from maxnik.catalog import named_graph
 from maxnik.certify import check_necessary
 from maxnik.errors import ValidationError
 from maxnik.graphs import complete_graph, graph6_decode, graph6_encode
-from maxnik.planarity import KApexResult
+from maxnik.planarity import KApexResult, is_maximal_2apex
+from maxnik.smallgraphs import CLASS_COUNTS
 from maxnik.survey import (classified_maxnik, enumerate_graphs,
                            enumerate_maxnik, enumerate_triangulations,
                            maximal_2apex_graphs, table_deg, table_ve,
                            verify_order9, verify_size20)
 
-from conftest import reference_enumerate_graphs, sweep_bounds_check
+from conftest import (reference_class_counts, reference_enumerate_graphs,
+                      sweep_bounds_check)
 
 # sha256 of the graph6 lines, as the extend-and-deduplicate loop gave them
 GOLDEN_CLASSES = {7: "0119e1e0676b729511fc1bd3e7f87d896ec62ad29925928baa5ad9528b69c540",
@@ -78,6 +81,65 @@ class TestEnumeration:
     def test_maximal_2apex_small(self):
         assert maximal_2apex_graphs(4) == (complete_graph(4),)
         assert len(maximal_2apex_graphs(9)) == 5
+
+
+class TestSizeWindows:
+    """``enumerate_graphs(n, sizes)`` generates only the classes of those sizes.
+
+    Each windowed call starts from an empty class cache, so it runs the
+    generation and not the cut from a cached full order."""
+
+    @staticmethod
+    def _generated(monkeypatch, n, sizes):
+        monkeypatch.setattr(smallgraphs, "_CLASS_CACHE", {})
+        return enumerate_graphs(n, sizes)
+
+    def test_every_size_through_order7_matches_the_full_enumeration(self, monkeypatch):
+        full = {n: enumerate_graphs(n) for n in range(1, 8)}
+        for n, graphs in full.items():
+            for m in range(n * (n - 1) // 2 + 1):
+                assert self._generated(monkeypatch, n, range(m, m + 1)) == \
+                    tuple(g for g in graphs if g.m == m), (n, m)
+
+    def test_order8_windows_match_the_full_enumeration(self, monkeypatch):
+        full = enumerate_graphs(8)
+        windows = [range(m, m + 1) for m in (0, 1, 12, 14, 18, 20, 25, 27, 28)]
+        for sizes in (*windows, range(12, 21), range(20, 31)):
+            assert self._generated(monkeypatch, 8, sizes) == \
+                tuple(g for g in full if g.m in sizes), sizes
+
+    def test_empty_and_stepped_windows(self):
+        assert enumerate_graphs(5, range(11, 20)) == ()
+        assert enumerate_graphs(5, range(4, 2)) == ()
+        with pytest.raises(ValueError):
+            enumerate_graphs(5, range(0, 10, 2))
+
+    def test_class_count_table(self):
+        assert [sum(CLASS_COUNTS[n]) for n in range(1, 10)] == \
+            [1, 2, 4, 11, 34, 156, 1044, 12346, 274668]
+        for n in range(1, 10):
+            assert CLASS_COUNTS[n] == reference_class_counts(n), n
+
+    def test_full_enumeration_counts_each_size_as_the_table(self):
+        for n in range(1, 9):
+            by_size = Counter(g.m for g in enumerate_graphs(n))
+            assert tuple(by_size[m] for m in range(len(CLASS_COUNTS[n]))) == CLASS_COUNTS[n]
+
+    def test_cold_order8_maxnik_sweep_searches_62_graphs(self, monkeypatch):
+        # 29 parents, and 33 children that are each kept: every class of the
+        # windows on the way down from 25 edges. The full order searches 14,876
+        want = tuple(g for g in enumerate_graphs(8) if is_maximal_2apex(g))
+        monkeypatch.setattr(smallgraphs, "_CLASS_CACHE", {})
+        searched = []
+        real = smallgraphs._canonical_search
+
+        def counted(g, root=None):
+            searched.append(g)
+            return real(g, root)
+
+        monkeypatch.setattr(smallgraphs, "_canonical_search", counted)
+        assert enumerate_maxnik.__wrapped__(8) == want
+        assert len(searched) == 62
 
 
 class TestOrder9:
