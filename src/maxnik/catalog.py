@@ -1,12 +1,12 @@
 """Named graphs and the obstruction library backing certification.
 
-E9 and F9 carry no explicit adjacency anywhere in scope, so they are
-derived: E9 as the unique order-9, size-21, minimum-degree-4 member of the
-family generated from K7 by both delta-wye moves, F9 by testing which
-non-edge orbit of E9 gains a 21-edge family member as a spanning subgraph.
-Every derived graph re-validates a list of mandatory fingerprints so a
-wrong identification fails loudly instead of poisoning downstream
-certificates.
+The library's patterns and axioms, and the named graphs E9, F9, E9+e and
+G9,29, are read from one table of graph6 rows. The tests check it row by row
+against the derivation kept here: the delta-wye families of K7 and K3,3,1,1,
+E9 as their unique order-9, size-21, minimum-degree-4 member reached from K7
+by both moves, and F9 by which non-edge orbit of E9 gains a 21-edge family
+member as a spanning subgraph. Every derived graph re-validates mandatory
+fingerprints, so a wrong identification fails loudly.
 
 The knotless axioms (E9, G9,29) and the disk-bounding triangle axioms are
 trusted from published embeddings and are never re-verified here; they are
@@ -24,9 +24,9 @@ from .canon import (canonical_form, canonical_graph, canonical_key_graph,
                     canonical_labeling, isomorphism, orbits)
 from .errors import IdentificationAmbiguous, ValidationError
 from .graphs import (MAX_ORDER, Graph, clique_number, complement,
-                     complete_graph, complete_multipartite, cycle_graph,
-                     disjoint_union, graph6_encode, identified_union,
-                     is_k_connected, join, non_triangular_edges)
+                     complete_graph, complete_multipartite, graph6_decode,
+                     graph6_encode, identified_union, is_k_connected, join,
+                     non_triangular_edges)
 from .minors import ClosureResult, closure, has_minor
 from .planarity import is_k_apex
 from .smallgraphs import maximal_2apex_graphs
@@ -177,6 +177,96 @@ def identify_F9_and_E9_plus_e(e9: Graph, k7_dy: ClosureResult) -> tuple[NamedGra
     return f9, NamedGraph("E9+e", pattern, PROV_CLOSURE)
 
 
+# -- the library table -------------------------------------------------------
+
+# (name, graph6, provenance), one row per line: the 73 IK patterns, by order,
+# size and canonical key, then the knotless axioms E9 and G9,29. Each is the
+# labelled graph the derivation above gives (the K7 family first, one member
+# per class, K7, K3,3,1,1, F9 and E9+e named), as the tests check.
+_LIBRARY_TABLE: tuple[tuple[str, str, str], ...] = (
+    ("K7", "F~~~w", PROV_CLOSURE),
+    ("K7-family-1", "Gs\\zz{", PROV_CLOSURE),
+    ("K3,3,1,1", "GFzf~{", PROV_CLOSURE),
+    ("F9", "HYQ[p{~", PROV_CLOSURE),
+    ("K7-family-3", "HIQ|to~", PROV_CLOSURE),
+    ("K3,3,1,1-family-1", "HpHYs|~", PROV_CLOSURE),
+    ("K3,3,1,1-family-2", "HImu^_~", PROV_CLOSURE),
+    ("K3,3,1,1-family-3", "HLr@y}n", PROV_CLOSURE),
+    ("K3,3,1,1-family-4", "H_\\rd}}", PROV_CLOSURE),
+    ("E9+e", "H_\\t~a|", PROV_CLOSURE),
+    ("K7-family-4", "IBj@IURFw", PROV_CLOSURE),
+    ("K7-family-5", "IFGaYYNbo", PROV_CLOSURE),
+    ("K7-family-6", "IBgaYYVdo", PROV_CLOSURE),
+    ("K3,3,1,1-family-5", "I`UbCc^Jw", PROV_CLOSURE),
+    ("K3,3,1,1-family-6", "IIe_hVBNw", PROV_CLOSURE),
+    ("K3,3,1,1-family-7", "IaWpc]eFw", PROV_CLOSURE),
+    ("K3,3,1,1-family-8", "I@ZQcuiXw", PROV_CLOSURE),
+    ("K3,3,1,1-family-9", "IHQWtVQXw", PROV_CLOSURE),
+    ("K3,3,1,1-family-10", "IY_WpLNdw", PROV_CLOSURE),
+    ("K3,3,1,1-family-11", "IDwiihb`w", PROV_CLOSURE),
+    ("K3,3,1,1-family-12", "IDoijTs`w", PROV_CLOSURE),
+    ("K3,3,1,1-family-13", "IIe_hTNkw", PROV_CLOSURE),
+    ("K3,3,1,1-family-14", "IIcPXZFlo", PROV_CLOSURE),
+    ("K3,3,1,1-family-15", "I@TbC}mt_", PROV_CLOSURE),
+    ("K7-family-7", "J?]TE?RHYL_", PROV_CLOSURE),
+    ("K7-family-8", "J?LRCecq?^_", PROV_CLOSURE),
+    ("K7-family-9", "J?LRCecQ[[_", PROV_CLOSURE),
+    ("K3,3,1,1-family-16", "J?Ujdb?DhR_", PROV_CLOSURE),
+    ("K3,3,1,1-family-17", "J?URLr?JHd_", PROV_CLOSURE),
+    ("K3,3,1,1-family-18", "J?TclR?LXt?", PROV_CLOSURE),
+    ("K3,3,1,1-family-19", "JBhCGWRoXN_", PROV_CLOSURE),
+    ("K3,3,1,1-family-20", "JKCid@H`g^_", PROV_CLOSURE),
+    ("K3,3,1,1-family-21", "JBHC[_LhIV_", PROV_CLOSURE),
+    ("K3,3,1,1-family-22", "JGCieQob_n_", PROV_CLOSURE),
+    ("K3,3,1,1-family-23", "J@HIcUSw?~_", PROV_CLOSURE),
+    ("K3,3,1,1-family-24", "JLCe?[MQ[J_", PROV_CLOSURE),
+    ("K3,3,1,1-family-25", "JGGsu_XPkX_", PROV_CLOSURE),
+    ("K3,3,1,1-family-26", "JGGsuGXSkX_", PROV_CLOSURE),
+    ("K3,3,1,1-family-27", "J@OicN_E[{_", PROV_CLOSURE),
+    ("K3,3,1,1-family-28", "J@HIcUSW[{_", PROV_CLOSURE),
+    ("K3,3,1,1-family-29", "J?CjdbKTTS_", PROV_CLOSURE),
+    ("K3,3,1,1-family-30", "J?KakjKYTc_", PROV_CLOSURE),
+    ("K3,3,1,1-family-31", "JL?YPPD`{V?", PROV_CLOSURE),
+    ("K3,3,1,1-family-32", "JBHC_[Mh]R?", PROV_CLOSURE),
+    ("K3,3,1,1-family-33", "JBHCWWRh]R?", PROV_CLOSURE),
+    ("K3,3,1,1-family-34", "JGCqTPPbkl?", PROV_CLOSURE),
+    ("K3,3,1,1-family-35", "J@OicKXimh?", PROV_CLOSURE),
+    ("K3,3,1,1-family-36", "J?DrTRPkeW?", PROV_CLOSURE),
+    ("K7-family-10", "K??}Q`_cLA@N", PROV_CLOSURE),
+    ("K7-family-11", "K??yQ`_a[dSW", PROV_CLOSURE),
+    ("K3,3,1,1-family-37", "K@SGcL`hEC?v", PROV_CLOSURE),
+    ("K3,3,1,1-family-38", "K?LPAEEaV?A^", PROV_CLOSURE),
+    ("K3,3,1,1-family-39", "K@S@GYSgUEGu", PROV_CLOSURE),
+    ("K3,3,1,1-family-40", "K@S?XISgeIG]", PROV_CLOSURE),
+    ("K3,3,1,1-family-41", "K?NAd?BBJ@qF", PROV_CLOSURE),
+    ("K3,3,1,1-family-42", "K?LTAECAZ@qJ", PROV_CLOSURE),
+    ("K3,3,1,1-family-43", "KF?@HPDai[Pg", PROV_CLOSURE),
+    ("K3,3,1,1-family-44", "K@QWPD_oOdo\\", PROV_CLOSURE),
+    ("K3,3,1,1-family-45", "K@QGhPOgIEo\\", PROV_CLOSURE),
+    ("K3,3,1,1-family-46", "K?NG`@B_qasT", PROV_CLOSURE),
+    ("K3,3,1,1-family-47", "K?LQ@EDw?TqX", PROV_CLOSURE),
+    ("K3,3,1,1-family-48", "K?LPAEEaR@qX", PROV_CLOSURE),
+    ("K3,3,1,1-family-49", "K?KQHEDQMaSq", PROV_CLOSURE),
+    ("K3,3,1,1-family-50", "K@?OqYKWlQWo", PROV_CLOSURE),
+    ("K3,3,1,1-family-51", "K@OGhPOhMEO{", PROV_CLOSURE),
+    ("K7-family-12", "L??@mHWi?WK@cB", PROV_CLOSURE),
+    ("K3,3,1,1-family-52", "L??XQa`OcGx?KF", PROV_CLOSURE),
+    ("K3,3,1,1-family-53", "L??haPO_sHR?WF", PROV_CLOSURE),
+    ("K3,3,1,1-family-54", "L?CalOCAJ?qDoK", PROV_CLOSURE),
+    ("K3,3,1,1-family-55", "L?CaKSSIA_sDoK", PROV_CLOSURE),
+    ("K3,3,1,1-family-56", "L??XQ_`OcHuAqG", PROV_CLOSURE),
+    ("K7-family-13", "M????taJAgOok?q??", PROV_CLOSURE),
+    ("K3,3,1,1-family-57", "M??@IGgSKQQOF?w?_", PROV_CLOSURE),
+    ("E9", "HxHYs}]", PROV_CLOSURE),
+    ("G9,29", "Hvzvvzm", PROV_EXPLICIT),
+)
+
+
+@lru_cache(maxsize=None)
+def _table_graph(name: str) -> Graph:
+    return next(graph6_decode(code) for row, code, _ in _LIBRARY_TABLE if row == name)
+
+
 # -- named graph registry ----------------------------------------------------
 
 
@@ -246,15 +336,6 @@ def _k8_minus_3k2() -> Graph:
     return g
 
 
-def _g929() -> Graph:
-    return complement(disjoint_union(disjoint_union(
-        complete_graph(1), complete_graph(2)), cycle_graph(6)))
-
-
-def _f9_or_e9_plus_e(i: int) -> Graph:
-    return identify_F9_and_E9_plus_e(named_graph("E9").graph, k7_dy_family())[i].graph
-
-
 def _order9_join(name: str) -> Graph:
     return _order9_registry()[name]
 
@@ -267,10 +348,10 @@ _NAMED: dict[str, tuple[int, int, str, Callable[[], Graph]]] = {
     "K8-3K2": (8, 25, PROV_EXPLICIT, _k8_minus_3k2),
     "K8-P3": (8, 25, PROV_EXPLICIT, partial(_k8_minus, _P3)),
     "octahedron": (6, 12, PROV_EXPLICIT, _octahedron),
-    "G9,29": (9, 29, PROV_EXPLICIT, _g929),
-    "E9": (9, 21, PROV_CLOSURE, lambda: identify_E9(heawood_family()).graph),
-    "F9": (9, 21, PROV_CLOSURE, partial(_f9_or_e9_plus_e, 0)),
-    "E9+e": (9, 22, PROV_CLOSURE, partial(_f9_or_e9_plus_e, 1)),
+    "G9,29": (9, 29, PROV_EXPLICIT, partial(_table_graph, "G9,29")),
+    "E9": (9, 21, PROV_CLOSURE, partial(_table_graph, "E9")),
+    "F9": (9, 21, PROV_CLOSURE, partial(_table_graph, "F9")),
+    "E9+e": (9, 22, PROV_CLOSURE, partial(_table_graph, "E9+e")),
     **{name: (9, 30, PROV_DECOMPOSITION, partial(_order9_join, name))
        for name in ("Big-Y", "Long-Y", "Hat", "House", "Pentagon-bar")},
 }
@@ -285,7 +366,8 @@ def named_graph(name: str) -> NamedGraph:
     """Look up a named graph, ignoring case, and build and check it on first use.
 
     Besides the names in ``_NAMED``, ``K<n>`` (or ``k<n>``) names the
-    complete graph of order n, 1 <= n <= MAX_ORDER.
+    complete graph of order n, 1 <= n <= MAX_ORDER, where n is written in
+    ASCII digits with no leading zero.
     """
     canonical_name = _LOOKUP.get(name.lower())
     if canonical_name is not None:
@@ -296,7 +378,8 @@ def named_graph(name: str) -> NamedGraph:
                 f"{canonical_name}: got order {g.n} size {g.m}, want {n}/{m}")
         return NamedGraph(canonical_name, g, provenance)
     digits = name[1:]
-    if name[:1] in ("K", "k") and digits.isdigit() and 1 <= int(digits) <= MAX_ORDER:
+    if (name[:1] in ("K", "k") and digits.isascii() and digits.isdigit()
+            and digits[0] != "0" and int(digits) <= MAX_ORDER):
         return NamedGraph("K" + digits, complete_graph(int(digits)), PROV_EXPLICIT)
     raise KeyError(name)
 
@@ -318,30 +401,21 @@ def _designated_e9_triangle_orbit(e9: Graph) -> tuple[tuple[int, int, int], ...]
 
 @lru_cache(maxsize=None)
 def mmik_library() -> ObstructionLibrary:
-    """Build the pattern set, the knotless axioms, and the disk axioms."""
-    e9 = named_graph("E9")
-    g929 = named_graph("G9,29")
-    e9_plus_e = named_graph("E9+e")
-    patterns: dict[bytes, NamedGraph] = {}
-    for fam, seed in ((k7_dy_family(), "K7"), (k3311_family(), "K3,3,1,1")):
-        for idx, (key, g) in enumerate(zip(fam.keys, fam.members)):
-            patterns.setdefault(key, NamedGraph(f"{seed}-family-{idx}", g, PROV_CLOSURE))
-    # give the seeds and derived members their customary names
-    for name in ("K7", "K3,3,1,1", "F9"):
-        key = canonical_form(named_graph(name).graph).key
-        patterns[key] = NamedGraph(name, patterns[key].graph, patterns[key].provenance)
-    patterns[canonical_form(e9_plus_e.graph).key] = e9_plus_e
-    for ng in patterns.values():
+    """Read the patterns and knotless axioms from ``_LIBRARY_TABLE``, check that no
+    pattern has under 21 edges or is isomorphic to an axiom of its order and size
+    (no other can be), and build the disk axioms."""
+    rows = [NamedGraph(name, _table_graph(name), prov) for name, _, prov in _LIBRARY_TABLE]
+    patterns, axioms = tuple(rows[:-2]), tuple(rows[-2:])
+    e9, g929 = axioms
+    for ng in patterns:
         if ng.graph.m < 21:
             raise ValidationError(f"pattern {ng.name} has under 21 edges")
-    axioms = (e9, g929)
     e9_form, e9_labeling = canonical_labeling(e9.graph)
     axiom_keys = (e9_form.key, canonical_form(g929.graph).key)
     for ax, key in zip(axioms, axiom_keys):
-        if key in patterns:
+        if any((p.graph.n, p.graph.m) == (ax.graph.n, ax.graph.m)
+               and canonical_form(p.graph).key == key for p in patterns):
             raise ValidationError(f"knotless axiom {ax.name} collides with a pattern")
-    ordered = tuple(p for _, p in sorted(
-        patterns.items(), key=lambda kp: (kp[1].graph.n, kp[1].graph.m, kp[0])))
     tri_axioms = (
         TriangleDiskAxiom(
             "E9", e9_form.key,
@@ -353,7 +427,7 @@ def mmik_library() -> ObstructionLibrary:
             "any triangle of K4 bounds a face of the planar embedding"),
     )
     return ObstructionLibrary(
-        mmik_patterns=ordered,
+        mmik_patterns=patterns,
         nik_axioms=axioms,
         nik_axiom_keys=axiom_keys,
         triangle_disk_axioms=tri_axioms,

@@ -309,7 +309,10 @@ def table_deg() -> DegreeTable:
     """Degree ranges per order, compared cell by cell with the published table.
 
     Mismatches are reported, never silently corrected; the order-9 minimum
-    degree row is the known open point of disagreement.
+    degree row is the known open point of disagreement. The published
+    (4, 7) cannot hold: a 9-vertex graph of minimum degree 7 has at least
+    ceil(9 * 7 / 2) = 32 edges, but a maximal knotless graph of order 9 has
+    at most 5 * 9 - 15 = 30 (``check_necessary``'s size window).
     """
     rows = []
     for n in range(1, 10):

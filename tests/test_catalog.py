@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+import json
 import os
 import random
 import subprocess
@@ -11,13 +13,18 @@ import pytest
 
 import maxnik
 import maxnik.certify as certify_module
-from maxnik import canon
-from maxnik.canon import are_isomorphic, orbits
-from maxnik.catalog import (disk_axiom_covers, heawood_family, k3311_family,
-                            k7_dy_family, named_graph)
+from maxnik import canon, catalog
+from maxnik.canon import (are_isomorphic, canonical_form, canonical_labeling,
+                          orbits)
+from maxnik.catalog import (PROV_CLOSURE, PROV_EXPLICIT, NamedGraph,
+                            ObstructionLibrary, TriangleDiskAxiom,
+                            _designated_e9_triangle_orbit, disk_axiom_covers,
+                            heawood_family, identify_E9,
+                            identify_F9_and_E9_plus_e, k3311_family,
+                            k7_dy_family, mmik_library, named_graph)
 from maxnik.graphs import (clique_number, complement, complete_graph,
                            complete_multipartite, cycle_graph, disjoint_union,
-                           join, non_triangular_edges, triangles)
+                           graph6_encode, join, non_triangular_edges, triangles)
 from maxnik.minors import has_minor
 from maxnik.planarity import is_k_apex, is_maximal_2apex
 
@@ -120,6 +127,12 @@ class TestNamedGraphs:
         for bad in ("k0", "K65", "k65", "K", "k7x"):
             with pytest.raises(KeyError):
                 named_graph(bad)
+
+    @pytest.mark.parametrize("bad", ["K\u00b2", "K\u0663", "k\u0667", "K\uff17",
+                                     "K03", "k007", "K0", "K+7", "K 7", "K7 "])
+    def test_complete_graph_order_takes_ascii_digits_without_leading_zero(self, bad):
+        with pytest.raises(KeyError):
+            named_graph(bad)
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
@@ -259,6 +272,84 @@ class TestLibrary:
         assert set(dump["unavailable"]) == {"G9,28", "G26", "G27"}
 
 
+def derived_library() -> ObstructionLibrary:
+    """The library derived from the published families, the way
+    ``mmik_library`` built it before it read ``_LIBRARY_TABLE``.
+
+    The patterns are the K7 triangle-to-wye family, then the K3,3,1,1
+    delta-wye family, one per canonical key, in (order, size, key) order.
+    K7, K3,3,1,1 and F9 take their names, and E9+e replaces its class. E9,
+    F9 and E9+e come from the fingerprinted identifications, and G9,29 is
+    the complement of K1 + K2 + C6.
+    """
+    e9 = identify_E9(heawood_family())
+    f9, e9_plus_e = identify_F9_and_E9_plus_e(e9.graph, k7_dy_family())
+    g929 = NamedGraph("G9,29", complement(disjoint_union(disjoint_union(
+        complete_graph(1), complete_graph(2)), cycle_graph(6))), PROV_EXPLICIT)
+    patterns: dict[bytes, NamedGraph] = {}
+    for fam, seed in ((k7_dy_family(), "K7"), (k3311_family(), "K3,3,1,1")):
+        for idx, (key, g) in enumerate(zip(fam.keys, fam.members)):
+            patterns.setdefault(key, NamedGraph(f"{seed}-family-{idx}", g, PROV_CLOSURE))
+    for name, g in (("K7", complete_graph(7)),
+                    ("K3,3,1,1", complete_multipartite(3, 3, 1, 1)), ("F9", f9.graph)):
+        key = canonical_form(g).key
+        patterns[key] = NamedGraph(name, patterns[key].graph, patterns[key].provenance)
+    patterns[canonical_form(e9_plus_e.graph).key] = e9_plus_e
+    ordered = tuple(p for _, p in sorted(
+        patterns.items(), key=lambda kp: (kp[1].graph.n, kp[1].graph.m, kp[0])))
+    e9_form, e9_labeling = canonical_labeling(e9.graph)
+    return ObstructionLibrary(
+        mmik_patterns=ordered,
+        nik_axioms=(e9, g929),
+        nik_axiom_keys=(e9_form.key, canonical_form(g929.graph).key),
+        triangle_disk_axioms=(
+            TriangleDiskAxiom(
+                "E9", e9_form.key, _designated_e9_triangle_orbit(e9.graph),
+                "orbit choice among common-neighbor-free triangles is a recorded assumption",
+                e9_labeling),
+            TriangleDiskAxiom(
+                "K4", canonical_form(complete_graph(4)).key, None,
+                "any triangle of K4 bounds a face of the planar embedding"),
+        ),
+        unavailable={
+            "G9,28": "order-9 pattern named in the source classification; adjacency not published there",
+            "G26": "order-9 obstruction with 26 edges; adjacency not published there",
+            "G27": "order-9 obstruction with 27 edges; adjacency not published there",
+        },
+    )
+
+
+def table_rows(lib: ObstructionLibrary) -> str:
+    """The library's patterns and axioms as ``_LIBRARY_TABLE`` source lines."""
+    prov = {PROV_CLOSURE: "PROV_CLOSURE", PROV_EXPLICIT: "PROV_EXPLICIT"}
+    return "\n".join(
+        f"    ({json.dumps(ng.name)}, {json.dumps(graph6_encode(ng.graph))}, {prov[ng.provenance]}),"
+        for ng in lib.mmik_patterns + lib.nik_axioms)
+
+
+class TestLibraryTable:
+    def test_table_equals_the_derivation(self):
+        derived, lib = derived_library(), mmik_library()
+        want = derived.mmik_patterns + derived.nik_axioms
+        got = lib.mmik_patterns + lib.nik_axioms
+        # equal graphs have equal rows: the same labelling, not only isomorphic
+        bad = [i for i, (a, b) in enumerate(zip(got, want)) if a != b]
+        if bad or len(got) != len(want):
+            pytest.fail(f"table rows {bad} of {len(got)} differ from the {len(want)} "
+                        f"derived; regenerated rows:\n{table_rows(derived)}", pytrace=False)
+        assert lib.nik_axiom_keys == derived.nik_axiom_keys
+        assert lib.triangle_disk_axioms == derived.triangle_disk_axioms
+        assert lib.unavailable == derived.unavailable
+        # E9, F9 and E9+e as identify_E9 and identify_F9_and_E9_plus_e give them
+        by_name = {ng.name: ng for ng in want}
+        for name in ("E9", "F9", "E9+e", "G9,29"):
+            assert named_graph(name) == by_name[name]
+
+    def test_rows_are_generated_source_lines(self):
+        source = inspect.getsource(catalog)
+        assert table_rows(mmik_library()) + "\n" in source
+
+
 _COLD_BUILD = """
 from maxnik import canon
 calls = 0
@@ -276,15 +367,43 @@ print(calls)
 """
 
 
+_NO_DERIVATION = """
+from maxnik import catalog
+from maxnik.catalog import mmik_library
+from maxnik.certify import validate_certificate
+from maxnik.construct import size_construct
+from maxnik.survey import classified_maxnik
+
+closures = []
+catalog.closure = lambda *args: closures.append(args)
+mmik_library()
+for n in range(20, 61):
+    if n != 22:
+        assert validate_certificate(size_construct(n)[2]) == []
+classified_maxnik(9)
+print(len(closures), *(f.cache_info().currsize for f in (
+    catalog.k7_dy_family, catalog.heawood_family, catalog.k3311_family)))
+"""
+
+
+def run_fresh(code: str) -> str:
+    """Run ``code`` in a fresh interpreter, so every cache starts empty."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(maxnik.__file__))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True, timeout=120).stdout
+
+
 class TestLibraryBuildWork:
-    def test_cold_build_runs_at_most_400_searches(self):
-        # a fresh interpreter, so every cache starts empty; 989 when every
-        # closure child was labelled and the library re-derived its keys
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(maxnik.__file__))
-        out = subprocess.run([sys.executable, "-c", _COLD_BUILD], env=env,
-                             capture_output=True, text=True, check=True, timeout=120)
-        assert int(out.stdout) <= 400
+    def test_cold_build_runs_five_searches(self):
+        # E9, G9,29, K4 and the two patterns of E9's order and size; 375 when
+        # the library was derived through three closures, 989 before that
+        assert int(run_fresh(_COLD_BUILD)) == 5
+
+    def test_library_and_planner_derive_nothing(self):
+        # E9, F9 and E9+e are read from the table: no closure runs, and no
+        # family is built
+        assert run_fresh(_NO_DERIVATION).split() == ["0", "0", "0", "0"]
 
     def test_covered_call_runs_one_search(self, monkeypatch, lib):
         e9 = named_graph("E9").graph

@@ -92,7 +92,7 @@ def test_construct_named_graph6_format(capsys):
     assert out.strip() == "F^~~w"
 
 
-@pytest.mark.parametrize("name", ["nosuch", "K65"])
+@pytest.mark.parametrize("name", ["nosuch", "K65", "K\u00b2", "K\u0663", "K03"])
 def test_construct_unknown_name_is_a_clean_error(capsys, name):
     code, out, err = run_cli(capsys, ["construct", "--named", name])
     assert (code, out) == (1, "")

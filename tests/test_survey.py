@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -222,6 +223,19 @@ class TestTables:
         assert row9.computed_min == (4, 6)
         assert row9.reference_min == (4, 7)
         assert row9.computed_max == (5, 8) == row9.reference_max
+
+    def test_order9_minimum_degree_7_is_outside_the_size_window(self):
+        # 9 vertices of degree at least 7 need ceil(63 / 2) = 32 edges, and
+        # the size window allows at most 5 * 9 - 15 = 30. Such a graph is K9
+        # less a matching, as its complement has maximum degree at most 1.
+        assert math.ceil(9 * 7 / 2) == 32 > 5 * 9 - 15
+        for k in range(5):
+            g = complete_graph(9)
+            for v in range(0, 2 * k, 2):
+                g = g.without_edge(v, v + 1)
+            assert (g.m, min(g.degrees())) == (36 - k, 7 if k else 8)
+            assert "size-window" in check_necessary(g).failures()
+        assert max(min(g.degrees()) for g in classified_maxnik(9)) == 6
 
     def test_renderers(self):
         assert "20/7" in table_ve().render()
