@@ -13,17 +13,16 @@ __version__ = "0.1.0"
 from .canon import (CanonicalForm, OrbitPartition, are_isomorphic,
                     automorphism_generators, canonical_form, canonical_graph,
                     canonical_labeling, isomorphism, orbits)
-from .catalog import (NamedGraph, ObstructionLibrary, heawood_family,
-                      k3311_family, k7_dy_family, mmik_library, named_graph)
+from .catalog import NamedGraph, ObstructionLibrary, mmik_library, named_graph
 from .certify import (Certificate, certify_ik, certify_maxnik, certify_nik,
                       check_necessary, validate_certificate)
 from .construct import (ConstructionPlan, GluingSpec, chain_graphs,
                         clique_sum, npp5_family, prime_family,
                         size_construct, subdivide_retriangulate)
-from .errors import (ConstructionInvariantError, IdentificationAmbiguous,
-                     MaxnikError, OrderOverflowError, ParseError,
-                     PreconditionError, SizeOutOfRangeError,
-                     UnrepresentableSizeError, ValidationError)
+from .errors import (ConstructionInvariantError, MaxnikError,
+                     OrderOverflowError, ParseError, PreconditionError,
+                     SizeOutOfRangeError, UnrepresentableSizeError,
+                     ValidationError)
 from .graphs import (DegreeStats, Graph, complement, complete_graph,
                      complete_multipartite, contract_edge, cycle_graph,
                      degree_stats, disjoint_union, empty_graph, from_edges,

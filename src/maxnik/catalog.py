@@ -1,12 +1,12 @@
 """Named graphs and the obstruction library backing certification.
 
 The library's patterns and axioms, and the named graphs E9, F9, E9+e and
-G9,29, are read from one table of graph6 rows. The tests check it row by row
-against the derivation kept here: the delta-wye families of K7 and K3,3,1,1,
-E9 as their unique order-9, size-21, minimum-degree-4 member reached from K7
-by both moves, and F9 by which non-edge orbit of E9 gains a 21-edge family
-member as a spanning subgraph. Every derived graph re-validates mandatory
-fingerprints, so a wrong identification fails loudly.
+G9,29, are read from one table of graph6 rows. The derivation behind the
+table lives in the tests (``tests/conftest.py``), which check it row by
+row: the delta-wye families of K7 and K3,3,1,1, E9 as their unique order-9,
+size-21, minimum-degree-4 member reached from K7 by both moves, and F9 by
+which non-edge orbit of E9 gains a 21-edge family member as a spanning
+subgraph, each identification checked against mandatory fingerprints.
 
 The knotless axioms (E9, G9,29) and the disk-bounding triangle axioms are
 trusted from published embeddings and are never re-verified here; they are
@@ -19,16 +19,12 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable
 
-from . import minors
-from .canon import (canonical_form, canonical_graph, canonical_key_graph,
-                    canonical_labeling, isomorphism, orbits)
-from .errors import IdentificationAmbiguous, ValidationError
-from .graphs import (MAX_ORDER, Graph, clique_number, complement,
-                     complete_graph, complete_multipartite, graph6_decode,
-                     graph6_encode, identified_union, is_k_connected, join,
-                     non_triangular_edges)
-from .minors import ClosureResult, closure, has_minor
-from .planarity import is_k_apex
+from .canon import (canonical_form, canonical_graph, canonical_labeling,
+                    isomorphism, orbits)
+from .errors import ValidationError
+from .graphs import (MAX_ORDER, Graph, complement, complete_graph,
+                     complete_multipartite, graph6_decode, graph6_encode,
+                     identified_union, join)
 from .smallgraphs import maximal_2apex_graphs
 
 PROV_EXPLICIT = "explicit-definition"
@@ -87,102 +83,13 @@ class ObstructionLibrary:
         return next((a for a, k in zip(self.nik_axioms, self.nik_axiom_keys) if k == key), None)
 
 
-# -- family closures ---------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def k7_dy_family() -> ClosureResult:
-    """The 14 graphs generated from K7 by repeated triangle-to-wye moves."""
-    return closure([complete_graph(7)], {minors.DELTA_Y})
-
-
-@lru_cache(maxsize=None)
-def heawood_family() -> ClosureResult:
-    """The 20 graphs generated from K7 by both delta-wye moves."""
-    return closure([complete_graph(7)], {minors.DELTA_Y, minors.Y_DELTA})
-
-
-@lru_cache(maxsize=None)
-def k3311_family() -> ClosureResult:
-    """The 58 graphs generated from K3,3,1,1 by both delta-wye moves."""
-    return closure([complete_multipartite(3, 3, 1, 1)], {minors.DELTA_Y, minors.Y_DELTA})
-
-
-# -- derived identifications -------------------------------------------------
-
-
-def identify_E9(heawood: ClosureResult) -> NamedGraph:
-    """The unique order-9, size-21, minimum-degree-4 family member.
-
-    All fingerprints are mandatory: size 21; exactly six non-triangular
-    edges, each joining a degree-4 to a degree-5 vertex; 4-connected;
-    largest clique a triangle; not 2-apex; exactly two non-edge orbits.
-    """
-    cands = [g for g in heawood.members
-             if g.n == 9 and g.m == 21 and min(g.degrees()) >= 4]
-    if len(cands) != 1:
-        raise IdentificationAmbiguous(
-            f"{len(cands)} candidates for E9 in a family of {len(heawood)}")
-    g = cands[0]
-    problems = []
-    if g.m != 21:
-        problems.append("size is not 21")
-    nte = non_triangular_edges(g)
-    deg = g.degrees()
-    if len(nte) != 6 or any(sorted((deg[u], deg[v])) != [4, 5] for u, v in nte):
-        problems.append("non-triangular edges are not six degree-4-to-degree-5 edges")
-    if not is_k_connected(g, 4):
-        problems.append("not 4-connected")
-    if clique_number(g) != 3:
-        problems.append("largest clique is not a triangle")
-    if is_k_apex(g, 2).found:
-        problems.append("unexpectedly 2-apex")
-    if len(orbits(g, "non-edge")) != 2:
-        problems.append("non-edge orbit count is not 2")
-    if problems:
-        raise ValidationError("E9 fingerprints failed: " + "; ".join(problems))
-    return NamedGraph("E9", g, PROV_CLOSURE)
-
-
-def identify_F9_and_E9_plus_e(e9: Graph, k7_dy: ClosureResult) -> tuple[NamedGraph, NamedGraph]:
-    """Split E9's two non-edge orbits into the F9 route and the new pattern.
-
-    Adding an edge from one orbit yields a graph containing an order-9
-    member of the triangle-to-wye family of K7 as a spanning subgraph (that
-    member is F9); the other orbit's addition is itself registered as an
-    IK pattern, named E9+e. Anything but a clean one-one split is an error.
-    """
-    order9 = [g for g in k7_dy.members if g.n == 9]
-    reps = [orbit[0] for orbit in orbits(e9, "non-edge").orbits]
-    if len(reps) != 2:
-        raise IdentificationAmbiguous(f"E9 has {len(reps)} non-edge orbits, expected 2")
-    matches: list[list[Graph]] = []
-    for u, v in reps:
-        added = e9.with_edge(u, v)
-        # same order, so a minor is exactly a spanning subgraph
-        matches.append([h for h in order9 if has_minor(added, h).found])
-    hit = [i for i, ms in enumerate(matches) if ms]
-    if len(hit) != 1:
-        raise IdentificationAmbiguous(
-            f"{len(hit)} of E9's non-edge orbits contain a family subgraph, expected 1")
-    i = hit[0]
-    if len(matches[i]) != 1:
-        raise IdentificationAmbiguous(
-            f"orbit contains {len(matches[i])} family subgraphs, expected exactly F9")
-    f9 = NamedGraph("F9", matches[i][0], PROV_CLOSURE)
-    u, v = reps[1 - i]
-    pattern = canonical_key_graph(e9.with_edge(u, v))[1]
-    if pattern.m != 22:
-        raise ValidationError("E9+e does not have 22 edges")
-    return f9, NamedGraph("E9+e", pattern, PROV_CLOSURE)
-
-
 # -- the library table -------------------------------------------------------
 
 # (name, graph6, provenance), one row per line: the 73 IK patterns, by order,
 # size and canonical key, then the knotless axioms E9 and G9,29. Each is the
-# labelled graph the derivation above gives (the K7 family first, one member
-# per class, K7, K3,3,1,1, F9 and E9+e named), as the tests check.
+# labelled graph the derivation in tests/conftest.py gives (the K7 family
+# first, one member per class, K7, K3,3,1,1, F9 and E9+e named), as the tests
+# check.
 _LIBRARY_TABLE: tuple[tuple[str, str, str], ...] = (
     ("K7", "F~~~w", PROV_CLOSURE),
     ("K7-family-1", "Gs\\zz{", PROV_CLOSURE),

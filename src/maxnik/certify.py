@@ -132,6 +132,15 @@ def _cert(verdict: str, rule: str, g: Graph, children: Iterable[Certificate] = (
     return Certificate(verdict, rule, ev, tuple(children))
 
 
+def construction_certificate(verdict: str, g: Graph, children: Iterable[Certificate],
+                             lemma: str, cutset: Iterable[int],
+                             parts: Iterable[Iterable[int]]) -> Certificate:
+    """The ``construction`` node: g is the clique sum of ``parts`` at ``cutset``
+    under ``lemma``, and each child certifies one part, in order."""
+    return _cert(verdict, "construction", g, children, lemma=lemma, cutset=list(cutset),
+                 parts=[list(part) for part in parts])
+
+
 # -- clique-sum lemmas -----------------------------------------------------
 
 Sides = list[tuple[Graph, tuple[int, ...]]]  # each piece, with the glued clique's positions in it
@@ -303,8 +312,8 @@ def _certify_by_cutsets(g: Graph, memo: dict, want_maxnik: bool) -> Certificate 
                 break
             sub_certs.append(sub)
         else:
-            return _cert(want, "construction", g, sub_certs, lemma=lemma, cutset=list(cut),
-                         parts=[list(verts) for verts, _ in pieces])
+            return construction_certificate(want, g, sub_certs, lemma, cut,
+                                            [verts for verts, _ in pieces])
     return None
 
 
@@ -328,8 +337,7 @@ def _certify_maxnik(g: Graph, memo: dict) -> Certificate:
     if two_apex:
         start = tuple(nik.evidence["witness"])  # every pair before it fails for each addition
         least = g.non_edges()[0]
-        gate = g.with_edge(*least)
-    if two_apex and _two_apex(gate, memo, start).found:
+    if two_apex and _two_apex(g.with_edge(*least), memo, start).found:
         reps = [least]  # the least non-edge gate of the module docstring
     else:
         built = _certify_by_cutsets(g, memo, want_maxnik=True)
@@ -341,7 +349,7 @@ def _certify_maxnik(g: Graph, memo: dict) -> Certificate:
     children = [nik]
     undecided = []
     for u, v in reps:
-        added = gate if two_apex and (u, v) == least else g.with_edge(u, v)
+        added = g.with_edge(u, v)
         # a 2-apex addition is nIK, so no IK pattern is a minor of it: no IK search
         if not (two_apex and _two_apex(added, memo, start).found):
             ik = certify_ik(added)
@@ -569,8 +577,10 @@ RULES: dict[str, Rule] = {
     "minor-of": Rule({VERDICT_IK}, {"branch_sets": SETS}, replay=_replay_minor),
     "no-ik-evidence": Rule({VERDICT_UNKNOWN}),
     # deleting at most two vertices leaves a planar graph, so it is nIK
+    # (a witness of every vertex leaves the empty graph, which is planar)
     "apex-pair": Rule({VERDICT_NIK}, {"witness": SET}, replay=lambda c, g, memo: (
-        None if len(w := c.evidence["witness"]) <= 2 and is_planar(g.delete_vertices(w))
+        None if len(w := c.evidence["witness"]) <= 2
+        and (len(set(w)) == g.n or is_planar(g.delete_vertices(w)))
         else "apex witness is not at most two vertices leaving a planar graph")),
     # E9 and G9,29 are nIK by trusted published embeddings
     "axiom": Rule({VERDICT_NIK}, replay=_replay_axiom),

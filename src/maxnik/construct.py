@@ -15,12 +15,13 @@ from itertools import combinations_with_replacement
 from .catalog import mmik_library, named_graph
 from .certify import (LEMMA_EDGE_SUM_MAXNIK, LEMMA_TRIANGLE_SUM,
                       VERDICT_MAXNIK, Certificate, certify_maxnik,
-                      lemma_conclusion, relabel_certificate)
+                      construction_certificate, lemma_conclusion,
+                      relabel_certificate)
 from .errors import (ConstructionInvariantError, PreconditionError,
                      SizeOutOfRangeError, UnrepresentableSizeError)
 from .graphs import (MAX_ORDER, Graph, _bits, complete_graph,
-                     complete_multipartite, graph6_encode, identified_union,
-                     join, clique_number, non_triangular_edges)
+                     complete_multipartite, identified_union, join,
+                     clique_number, non_triangular_edges)
 from .planarity import is_maximal_2apex, is_maximal_planar
 from .primality import is_prime
 
@@ -62,17 +63,9 @@ def clique_sum(spec: GluingSpec) -> tuple[Graph, Certificate]:
     right_perm = tuple(part_verts.index(final[v]) for v in range(spec.right.n))
     right_cert = relabel_certificate(spec.right_cert, right_perm)
 
-    cert = Certificate(
-        verdict, "construction",
-        {
-            "graph": graph6_encode(glued),
-            "lemma": spec.lemma,
-            "cutset": list(spec.left_clique),
-            "parts": [list(range(spec.left.n)), part_verts],
-        },
-        (spec.left_cert, right_cert),
-    )
-    return glued, cert
+    return glued, construction_certificate(
+        verdict, glued, (spec.left_cert, right_cert), spec.lemma, spec.left_clique,
+        [range(spec.left.n), part_verts])
 
 
 # -- certified building blocks -------------------------------------------

@@ -13,10 +13,6 @@ class OrderOverflowError(MaxnikError):
     """An operation would create a graph with more than 64 vertices."""
 
 
-class IdentificationAmbiguous(MaxnikError):
-    """A fingerprint-based identification matched zero or several candidates."""
-
-
 class ValidationError(MaxnikError):
     """A named graph or certificate failed its mandatory assertions."""
 

@@ -230,9 +230,6 @@ class ClosureResult:
     def __len__(self) -> int:
         return len(self.members)
 
-    def of_order(self, n: int) -> tuple[Graph, ...]:
-        return tuple(g for g in self.members if g.n == n)
-
 
 DELTA_Y = "dy"
 Y_DELTA = "yd"

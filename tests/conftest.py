@@ -12,16 +12,19 @@ import pytest
 
 from maxnik import canon
 from maxnik.canon import (CanonicalForm, _relabel_canonically, canonical_form,
-                          canonical_key_graph, canonical_labeling, isomorphism)
-from maxnik.catalog import ObstructionLibrary, mmik_library, named_graph
+                          canonical_key_graph, canonical_labeling, isomorphism,
+                          orbits)
+from maxnik.catalog import (PROV_CLOSURE, NamedGraph, ObstructionLibrary,
+                            mmik_library, named_graph)
 from maxnik.certify import VERDICT_MAXNIK, certify_maxnik, check_necessary
 from maxnik.errors import OrderOverflowError, ParseError
-from maxnik.graphs import (MAX_ORDER, Graph, _bits, complement, complete_graph,
-                           complete_multipartite, contract_edge, from_edges,
-                           graph6_encode, triangles)
+from maxnik.graphs import (MAX_ORDER, Graph, _bits, clique_number, complement,
+                           complete_graph, complete_multipartite, contract_edge,
+                           from_edges, graph6_encode, is_k_connected,
+                           non_triangular_edges, triangles)
 from maxnik.minors import (DELTA_Y, Y_DELTA, ClosureResult, MinorSearch,
-                           MinorWitness, delta_y, has_minor, y_delta)
-from maxnik.planarity import KApexResult
+                           MinorWitness, closure, delta_y, has_minor, y_delta)
+from maxnik.planarity import KApexResult, is_k_apex
 from maxnik.primality import _pieces, is_prime
 from maxnik.survey import classified_maxnik
 
@@ -1008,6 +1011,88 @@ def reference_disk_axiom_covers(lib: ObstructionLibrary, g: Graph,
         if image in ax.triangle_orbit:
             return True
     return False
+
+
+# -- the library's derivation --------------------------------------------------
+# The delta-wye families and fingerprinted identifications that derive the rows
+# of ``catalog._LIBRARY_TABLE``; ``TestLibraryTable`` re-runs them against it.
+
+
+@lru_cache(maxsize=None)
+def k7_dy_family() -> ClosureResult:
+    """The 14 graphs generated from K7 by repeated triangle-to-wye moves."""
+    return closure([complete_graph(7)], {DELTA_Y})
+
+
+@lru_cache(maxsize=None)
+def heawood_family() -> ClosureResult:
+    """The 20 graphs generated from K7 by both delta-wye moves."""
+    return closure([complete_graph(7)], {DELTA_Y, Y_DELTA})
+
+
+@lru_cache(maxsize=None)
+def k3311_family() -> ClosureResult:
+    """The 58 graphs generated from K3,3,1,1 by both delta-wye moves."""
+    return closure([complete_multipartite(3, 3, 1, 1)], {DELTA_Y, Y_DELTA})
+
+
+def identify_E9(heawood: ClosureResult) -> NamedGraph:
+    """The unique order-9, size-21, minimum-degree-4 family member.
+
+    All fingerprints are mandatory: size 21; exactly six non-triangular
+    edges, each joining a degree-4 to a degree-5 vertex; 4-connected;
+    largest clique a triangle; not 2-apex; exactly two non-edge orbits.
+    """
+    cands = [g for g in heawood.members
+             if g.n == 9 and g.m == 21 and min(g.degrees()) >= 4]
+    assert len(cands) == 1, f"{len(cands)} candidates for E9 in a family of {len(heawood)}"
+    g = cands[0]
+    problems = []
+    if g.m != 21:
+        problems.append("size is not 21")
+    nte = non_triangular_edges(g)
+    deg = g.degrees()
+    if len(nte) != 6 or any(sorted((deg[u], deg[v])) != [4, 5] for u, v in nte):
+        problems.append("non-triangular edges are not six degree-4-to-degree-5 edges")
+    if not is_k_connected(g, 4):
+        problems.append("not 4-connected")
+    if clique_number(g) != 3:
+        problems.append("largest clique is not a triangle")
+    if is_k_apex(g, 2).found:
+        problems.append("unexpectedly 2-apex")
+    if len(orbits(g, "non-edge")) != 2:
+        problems.append("non-edge orbit count is not 2")
+    assert not problems, "E9 fingerprints failed: " + "; ".join(problems)
+    return NamedGraph("E9", g, PROV_CLOSURE)
+
+
+def identify_F9_and_E9_plus_e(e9: Graph, k7_dy: ClosureResult) -> tuple[NamedGraph, NamedGraph]:
+    """Split E9's two non-edge orbits into the F9 route and the new pattern.
+
+    Adding an edge from one orbit yields a graph containing an order-9
+    member of the triangle-to-wye family of K7 as a spanning subgraph (that
+    member is F9); the other orbit's addition is itself registered as an
+    IK pattern, named E9+e. Anything but a clean one-one split is an error.
+    """
+    order9 = [g for g in k7_dy.members if g.n == 9]
+    reps = [orbit[0] for orbit in orbits(e9, "non-edge").orbits]
+    assert len(reps) == 2, f"E9 has {len(reps)} non-edge orbits, expected 2"
+    matches: list[list[Graph]] = []
+    for u, v in reps:
+        added = e9.with_edge(u, v)
+        # same order, so a minor is exactly a spanning subgraph
+        matches.append([h for h in order9 if has_minor(added, h).found])
+    hit = [i for i, ms in enumerate(matches) if ms]
+    assert len(hit) == 1, (
+        f"{len(hit)} of E9's non-edge orbits contain a family subgraph, expected 1")
+    i = hit[0]
+    assert len(matches[i]) == 1, (
+        f"orbit contains {len(matches[i])} family subgraphs, expected exactly F9")
+    f9 = NamedGraph("F9", matches[i][0], PROV_CLOSURE)
+    u, v = reps[1 - i]
+    pattern = canonical_key_graph(e9.with_edge(u, v))[1]
+    assert pattern.m == 22, "E9+e does not have 22 edges"
+    return f9, NamedGraph("E9+e", pattern, PROV_CLOSURE)
 
 
 # -- lemma verification reports ------------------------------------------------

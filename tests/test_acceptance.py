@@ -15,8 +15,7 @@ from fractions import Fraction
 import pytest
 
 from maxnik.canon import are_isomorphic, canonical_form
-from maxnik.catalog import (heawood_family, k3311_family, k7_dy_family,
-                            named_graph)
+from maxnik.catalog import named_graph
 from maxnik.certify import (VERDICT_IK, VERDICT_MAXNIK, certify_maxnik,
                             check_necessary, validate_certificate)
 from maxnik.construct import chain_graphs, npp5_family, size_construct
@@ -30,7 +29,8 @@ from maxnik.smallgraphs import enumerate_graphs
 from maxnik.survey import (classified_maxnik, enumerate_maxnik, table_deg,
                            table_ve, verify_order9)
 
-from conftest import brute_force_minor, is_planar_wagner, random_graph
+from conftest import (brute_force_minor, heawood_family, is_planar_wagner,
+                      k3311_family, k7_dy_family, random_graph)
 
 _touched: list[Graph] = []
 

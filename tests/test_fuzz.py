@@ -1,4 +1,4 @@
-"""Property tests over arbitrary input strings (needs hypothesis)."""
+"""Property tests over arbitrary inputs (needs hypothesis)."""
 
 from __future__ import annotations
 
@@ -8,8 +8,9 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from maxnik.certify import VERDICT_NIK, Certificate, validate_certificate  # noqa: E402
 from maxnik.errors import MaxnikError  # noqa: E402
-from maxnik.graphs import graph6_decode, graph6_encode  # noqa: E402
+from maxnik.graphs import from_edges, graph6_decode, graph6_encode  # noqa: E402
 
 from conftest import outcome, reference_graph6_decode  # noqa: E402
 
@@ -51,3 +52,21 @@ def test_graph6_decode_matches_the_bit_list_codec(text):
     assert got == want
     if got[0] == "ok":
         assert got[1].rows == want[1].rows
+
+
+@st.composite
+def _apex_pair_node(draw) -> Certificate:
+    """An ``apex-pair`` node on a graph of order 1-6 with a witness list of
+    0-2 vertices of that graph, repeats allowed."""
+    n = draw(st.integers(1, 6))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    witness = draw(st.lists(st.integers(0, n - 1), max_size=2))
+    return Certificate(VERDICT_NIK, "apex-pair",
+                       {"graph": graph6_encode(from_edges(n, edges)), "witness": witness})
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(_apex_pair_node())
+def test_validate_apex_pair_never_raises(cert):
+    assert isinstance(validate_certificate(cert), list)

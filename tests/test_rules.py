@@ -173,6 +173,12 @@ class TestMalformedEvidence:
             Certificate(VERDICT_NIK, "apex-pair", {"graph": _k(6)}))
         assert problems == ["root: evidence 'witness' is missing or not a vertex set in range(6)"]
 
+    @pytest.mark.parametrize("g6,witness", [("@", [0]), ("A_", [0, 1]), ("A_", [1, 0])])
+    def test_apex_pair_witness_of_every_vertex(self, g6, witness):
+        # deleting every vertex leaves the empty graph, which is planar: accepted
+        cert = Certificate(VERDICT_NIK, "apex-pair", {"graph": g6, "witness": witness})
+        assert validate_certificate(cert) == []
+
     def test_augmentation_edge_outside_the_graph(self):
         cert = certify_maxnik(cycle_graph(7))
         assert cert.rule == "augmentation-nik"
@@ -288,3 +294,22 @@ class TestPackageSource:
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
                   and "lib" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}]
         assert takers == []
+
+    def test_catalog_imports_neither_minors_nor_planarity(self):
+        # the library is read from its table; its derivation lives in the tests
+        imported = set()
+        for node in ast.walk(dict(_package_trees())["catalog.py"]):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert not {"minors", "planarity"} & {m.split(".")[-1] for m in imported}
+
+    def test_only_minors_and_cli_name_closure(self):
+        # minors defines it and cli runs it; __init__ only re-exports it
+        namers = {name for name, tree in _package_trees() for node in ast.walk(tree)
+                  if "closure" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                   getattr(node, "name", None), getattr(node, "asname", None))
+                  and not (name == "__init__.py" and isinstance(node, ast.alias))}
+        assert namers == {"minors.py", "cli.py"}
