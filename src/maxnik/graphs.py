@@ -19,7 +19,9 @@ Also holds the graph6 codec (byte = 63 + value, upper-triangle
 column-major bit order, zero padding), which converts six bits at a time
 through two 64-entry tables and reads or writes each column of the upper
 triangle as one binary string, the one bitmask flood fill (``_reach``) that
-every component and connectivity test runs, and the elementary operations:
+every component and connectivity test runs, the one lowpoint DFS
+(``_blocks``) that finds the biconnected blocks for planarity and the cut
+vertices for the clique-cutset search, and the elementary operations:
 complement, join, edge contraction, degree statistics, k-connectivity, and
 non-triangular edge detection.
 """
@@ -66,6 +68,48 @@ def _components(rows: Sequence[int], within: int) -> list[int]:
         comp = _reach(rows, within & -within, within)
         out.append(comp)
         within ^= comp
+    return out
+
+
+def _blocks(rows: Sequence[int], mask: int) -> list[int]:
+    """Vertex masks of the blocks induced on ``mask``: Hopcroft and Tarjan's
+    lowpoint DFS (CACM 1973). A cut vertex lies in two or more blocks, an
+    isolated vertex in none. When a child u of v has low[u] >= num[v], the
+    block is v plus the vertices stacked from u on."""
+    num = [0] * len(rows)
+    low = [0] * len(rows)
+    count = 0
+    stack: list[int] = []
+    out: list[int] = []
+
+    def dfs(v: int, parent: int) -> None:
+        nonlocal count
+        count += 1
+        num[v] = low[v] = count
+        stack.append(v)
+        nbrs = rows[v] & mask
+        while nbrs:
+            b = nbrs & -nbrs
+            nbrs ^= b
+            u = b.bit_length() - 1
+            if not num[u]:
+                dfs(u, v)
+                if low[u] < low[v]:
+                    low[v] = low[u]
+                if low[u] >= num[v]:
+                    block = 1 << v
+                    while True:
+                        w = stack.pop()
+                        block |= 1 << w
+                        if w == u:
+                            break
+                    out.append(block)
+            elif u != parent and num[u] < low[v]:
+                low[v] = num[u]
+
+    for v in _bits(mask):
+        if not num[v]:
+            dfs(v, -1)
     return out
 
 

@@ -14,7 +14,8 @@ the blocks and the DMP run all read ``rows[v] & mask``, so ``is_k_apex``
 tests each vertex subset by clearing its bits from the mask instead of
 building a graph per subset, per component and per block. Vertices are
 visited in increasing order, as they are on a densely relabelled copy, so
-each DMP run takes the same steps and the first witness is the same.
+each DMP run takes the same steps and the first witness is the same. The
+blocks come from ``graphs._blocks``, the lowpoint DFS that ``primality`` shares.
 
 ``is_k_apex`` tests one vertex subset per automorphism orbit. For an
 automorphism s, G - S and G - s(S) are isomorphic, so every subset in the
@@ -48,7 +49,7 @@ from itertools import combinations, dropwhile
 from typing import Callable, NamedTuple, Sequence
 
 from .canon import _set_orbit, automorphism_generators
-from .graphs import Graph, _bits, _components
+from .graphs import Graph, _bits, _blocks, _components
 
 
 def _dfs_cycle(rows: Sequence[int], mask: int) -> list[int]:
@@ -78,40 +79,6 @@ def _dfs_cycle(rows: Sequence[int], mask: int) -> list[int]:
     if got is None or len(got) < 3:
         raise ValueError("no simple cycle found")
     return got
-
-
-def _blocks(rows: Sequence[int], mask: int) -> list[int]:
-    """Vertex masks of biconnected components (classic lowpoint edge stack)."""
-    num = [0] * len(rows)
-    low = [0] * len(rows)
-    counter = [0]
-    estack: list[tuple[int, int]] = []
-    out: list[int] = []
-
-    def dfs(v: int, parent: int) -> None:
-        counter[0] += 1
-        num[v] = low[v] = counter[0]
-        for u in _bits(rows[v] & mask):
-            if num[u] == 0:
-                estack.append((v, u))
-                dfs(u, v)
-                low[v] = min(low[v], low[u])
-                if low[u] >= num[v]:
-                    verts = 0
-                    while True:
-                        a, b = estack.pop()
-                        verts |= (1 << a) | (1 << b)
-                        if (a, b) == (v, u):
-                            break
-                    out.append(verts)
-            elif u != parent and num[u] < num[v]:
-                estack.append((v, u))
-                low[v] = min(low[v], num[u])
-
-    for v in _bits(mask):
-        if num[v] == 0:
-            dfs(v, -1)
-    return out
 
 
 def _dmp_biconnected(rows: Sequence[int], mask: int) -> bool:

@@ -4,11 +4,19 @@ A graph is composite when it is the clique sum of two smaller graphs;
 with clique edges always retained (the convention every construction in
 scope uses), that is exactly the existence of a clique whose removal
 disconnects the graph. Cliques are generated lazily, smallest first and
-in lex order within a size, each tested with a bitmask flood fill; cutsets
-are kept inclusion-minimal. ``is_prime`` and ``decompose`` stop at the first
+in lex order within a size; cutsets are kept inclusion-minimal. The single
+vertices are tested all at once: the cut vertices are those in two blocks
+of one lowpoint DFS (``graphs._blocks``). Every larger clique is tested
+with a bitmask flood fill. ``is_prime`` and ``decompose`` stop at the first
 cutset in that (size, lex) order, which is minimal because every proper
 sub-clique was tested before it, and decomposition recurses on it so runs
 are reproducible (Tarjan, "Decomposition by clique separators", 1985).
+
+One ``decompose`` call splits each distinct labelled piece once: a piece
+that recurs in its tree is read from a memo that lives for that call only.
+Each split checks that its pieces, OR-ed back through their vertices,
+rebuild the graph it split; by induction on the tree, that proves that
+``Decomposition.re_glue`` rebuilds the input.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .graphs import Graph, _bits, _components, _reach, graph6_encode
+from .graphs import Graph, _bits, _blocks, _components, _reach, graph6_encode
 
 
 def _minimal_clique_cutsets(g: Graph) -> Iterator[tuple[int, ...]]:
@@ -26,11 +34,13 @@ def _minimal_clique_cutsets(g: Graph) -> Iterator[tuple[int, ...]]:
     Level k+1 extends each size-k clique by its common neighbours above its
     last vertex, in increasing order, so every level stays in lex order. A
     clique holding a cutset already found is skipped with its extensions.
+    Level 1 reads the cut vertices from the blocks; later levels flood-fill.
     """
     if not g.is_connected():
         raise ValueError("clique cutset search expects a connected graph")
     rows = g.rows
     full = (1 << g.n) - 1
+    cut_vertices = _cut_vertices(g)
     found: list[int] = []
     # (clique, its bitmask, common neighbours above its last vertex)
     level = [((v,), 1 << v, rows[v] & (full << (v + 1))) for v in range(g.n)]
@@ -40,7 +50,8 @@ def _minimal_clique_cutsets(g: Graph) -> Iterator[tuple[int, ...]]:
             if any(fm & cmask == fm for fm in found):
                 continue
             rest = full & ~cmask
-            if _reach(rows, rest & -rest, rest) != rest:
+            if (cmask & cut_vertices if len(clique) == 1
+                    else _reach(rows, rest & -rest, rest) != rest):
                 found.append(cmask)
                 yield clique
                 continue
@@ -50,6 +61,15 @@ def _minimal_clique_cutsets(g: Graph) -> Iterator[tuple[int, ...]]:
                 v = b.bit_length() - 1
                 grown.append((clique + (v,), cmask | b, common & rows[v]))
         level = grown
+
+
+def _cut_vertices(g: Graph) -> int:
+    """Mask of the cut vertices of g: those that lie in two of its blocks."""
+    seen = cut = 0
+    for block in _blocks(g.rows, (1 << g.n) - 1):
+        cut |= seen & block
+        seen |= block
+    return cut
 
 
 def _pieces(g: Graph, cut: Iterable[int]) -> list[int]:
@@ -127,12 +147,8 @@ class Decomposition:
         """
         if self.is_leaf:
             return self.graph
-        rows = [0] * self.graph.n
-        for part, verts in zip(self.parts, self.part_vertices):
-            for v, row in zip(verts, part.re_glue().rows):
-                for w in _bits(row):
-                    rows[v] |= 1 << verts[w]
-        return Graph(self.graph.n, rows)
+        return Graph(self.graph.n,
+                     _glued(self.graph.n, self.part_vertices, [p.re_glue() for p in self.parts]))
 
     def to_json(self) -> dict:
         if self.is_leaf:
@@ -145,13 +161,32 @@ class Decomposition:
         }
 
 
+def _glued(n: int, part_vertices: Iterable[tuple[int, ...]],
+           graphs: Iterable[Graph]) -> tuple[int, ...]:
+    """The rows on n vertices holding each of ``graphs``, renamed through its vertices."""
+    rows = [0] * n
+    for verts, part in zip(part_vertices, graphs):
+        for v, row in zip(verts, part.rows):
+            for w in _bits(row):
+                rows[v] |= 1 << verts[w]
+    return tuple(rows)
+
+
 def decompose(g: Graph) -> Decomposition:
-    """Split recursively on the first minimal clique cutset; leaves prime."""
-    cut, pieces = next(_splits(g), (None, ()))
-    if cut is None:
-        return Decomposition(g, None, (), ())
-    d = Decomposition(g, cut, tuple(decompose(piece) for _, piece in pieces),
-                      tuple(verts for verts, _ in pieces))
-    if d.re_glue() != g:
-        raise AssertionError("decomposition does not re-glue to its input")
-    return d
+    """Split recursively on the first minimal clique cutset; leaves prime.
+
+    Splits each distinct piece once per call and checks that each split
+    re-glues to the graph it split (see the module docstring)."""
+    return _decompose(g, {})
+
+
+def _decompose(g: Graph, memo: dict[Graph, Decomposition]) -> Decomposition:
+    """``decompose(g)``, reading and filling the caller's per-call ``memo``."""
+    if g not in memo:
+        cut, pieces = next(_splits(g), (None, ()))
+        verts = tuple(v for v, _ in pieces)
+        if cut is not None and _glued(g.n, verts, [piece for _, piece in pieces]) != g.rows:
+            raise AssertionError("decomposition does not re-glue to its input")
+        memo[g] = Decomposition(g, cut, tuple(_decompose(piece, memo) for _, piece in pieces),
+                                verts)
+    return memo[g]

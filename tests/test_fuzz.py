@@ -8,11 +8,15 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from maxnik import primality  # noqa: E402
 from maxnik.certify import VERDICT_NIK, Certificate, validate_certificate  # noqa: E402
 from maxnik.errors import MaxnikError  # noqa: E402
-from maxnik.graphs import from_edges, graph6_decode, graph6_encode  # noqa: E402
+from maxnik.graphs import (from_edges, graph6_decode, graph6_encode,  # noqa: E402
+                           identified_union)
+from maxnik.primality import decompose  # noqa: E402
 
-from conftest import outcome, reference_graph6_decode  # noqa: E402
+from conftest import (outcome, reference_clique_cutsets,  # noqa: E402
+                      reference_graph6_decode)
 
 GRAPH6_CHARS = st.characters(min_codepoint=63, max_codepoint=126)
 
@@ -70,3 +74,36 @@ def _apex_pair_node(draw) -> Certificate:
 @given(_apex_pair_node())
 def test_validate_apex_pair_never_raises(cert):
     assert isinstance(validate_certificate(cert), list)
+
+
+@st.composite
+def _connected_with_clique(draw, k: int):
+    """A connected graph of order max(2, k)-8 and k of its vertices made a clique."""
+    n = draw(st.integers(max(2, k), 8))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}  # a spanning tree
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), unique=True)))
+    sites = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+    edges |= {(min(u, v), max(u, v)) for u in sites for v in sites if u != v}
+    return from_edges(n, sorted(edges)), sites
+
+
+@st.composite
+def _clique_sum(draw):
+    """Two random connected graphs of order 2-8 glued along a clique of size 1-3."""
+    k = draw(st.integers(1, 3))
+    g, g_sites = draw(_connected_with_clique(k))
+    h, h_sites = draw(_connected_with_clique(k))
+    return identified_union(g, g_sites, h, h_sites)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_clique_sum())
+def test_decompose_re_glues_random_clique_sums(g):
+    d = decompose(g)
+    assert d.re_glue() == g
+    assert all(reference_clique_cutsets(leaf) == [] for leaf in d.leaves())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primality, "_minimal_clique_cutsets",
+                   lambda h: iter(reference_clique_cutsets(h)))
+        assert decompose(g) == d

@@ -7,14 +7,15 @@ from itertools import combinations
 
 import pytest
 
+from maxnik import planarity
 from maxnik.canon import are_isomorphic
-from maxnik.graphs import (Graph, _bits, complement, complete_graph,
+from maxnik.graphs import (Graph, _bits, _blocks, complement, complete_graph,
                            complete_multipartite, contract_edge, cycle_graph,
                            degree_stats, disjoint_union, empty_graph,
                            from_edges, identified_union, is_k_connected, join,
                            non_triangular_edges, path_graph, triangles)
 
-from conftest import (all_labeled_graphs, brute_connectivity,
+from conftest import (_reference_blocks, all_labeled_graphs, brute_connectivity,
                       reference_components, random_graph)
 
 
@@ -188,6 +189,18 @@ def test_components_partition_vertices():
             whole |= c
         assert whole == (1 << g.n) - 1
         assert [set(_bits(c)) for c in comps] == reference_components(g)
+
+
+def test_blocks_match_the_reference():
+    # one lowpoint DFS in the package: planarity reads its blocks from graphs
+    assert planarity._blocks is _blocks
+    rng = random.Random(23)
+    graphs = list(all_labeled_graphs(4))
+    graphs += [random_graph(rng, rng.randint(1, 16), rng.choice([0.1, 0.2, 0.4]))
+               for _ in range(300)]
+    for g in graphs:
+        blocks = _blocks(g.rows, (1 << g.n) - 1)
+        assert [list(_bits(b)) for b in blocks] == _reference_blocks(g), g
 
 
 def test_public_constructors_validate_beside_the_trusted_one():

@@ -7,16 +7,17 @@ import random
 import pytest
 
 from maxnik import certify as certify_module
-from maxnik import primality
+from maxnik import graphs, primality
 from maxnik.canon import are_isomorphic, canonical_form
 from maxnik.catalog import named_graph
 from maxnik.certify import certify_maxnik
 from maxnik.construct import chain_graphs, npp5_family, size_construct
 from maxnik.graphs import complete_graph, cycle_graph, path_graph
 from maxnik.primality import clique_cutsets, decompose, is_prime
+from maxnik.smallgraphs import enumerate_graphs
 
 from conftest import (brute_connectivity, check_lemma_complement_k2, check_lemma_two_cut,
-                      random_graph, reference_clique_cutsets)
+                      random_graph, reference_clique_cutsets, reference_components)
 
 PRIME_NAMES = ["K8-3K2", "Pentagon-bar", "E9", "G9,29"]
 COMPOSITE_NAMES = ["K7^-", "K8-P3", "Big-Y", "Long-Y", "Hat", "House"]
@@ -105,6 +106,16 @@ class TestLazySearchMatchesReference:
             assert certify_module._certify_by_cutsets(g, {}, want_maxnik=False) is None
             small = [c for c in ref if len(c) <= 3]
             assert seen == ref[:len(small) + 1]  # it stops at the first larger cutset
+
+
+class TestCutVertices:
+    def test_block_mask_matches_the_component_oracle(self):
+        connected = [g for n in range(1, 8) for g in enumerate_graphs(n) if g.is_connected()]
+        assert len(connected) == 996  # OEIS A001349, orders 1-7
+        for g in _oracle_graphs() + connected:
+            want = sum(1 << v for v in range(g.n)
+                       if len(reference_components(g, (v,))) >= 2)
+            assert primality._cut_vertices(g) == want, g
 
 
 class TestPrimeComposite:
@@ -211,6 +222,27 @@ class TestDecompositions:
         with pytest.raises(AssertionError, match="does not re-glue"):
             decompose(top)
 
+    def test_self_check_rejects_a_lost_edge_two_levels_down(self, monkeypatch):
+        g = size_construct(80)[1]
+        depth_one = [p for p in decompose(g).parts if not p.is_leaf]
+        assert depth_one  # the tree has a split below its top one
+        below = depth_one[0].graph
+        splits = primality._splits
+
+        def lossy_splits(h):
+            for cut, pieces in splits(h):
+                if h == below:  # drop an edge off the cutset from a depth-2 piece
+                    verts, piece = pieces[0]
+                    u, v = next(e for e in piece.edges()
+                                if not {verts[e[0]], verts[e[1]]} <= set(cut)
+                                and piece.without_edge(*e).is_connected())
+                    pieces[0] = (verts, piece.without_edge(u, v))
+                yield cut, pieces
+
+        monkeypatch.setattr(primality, "_splits", lossy_splits)
+        with pytest.raises(AssertionError, match="does not re-glue"):
+            decompose(g)
+
     def test_leaves_are_prime(self):
         for name in COMPOSITE_NAMES:
             d = decompose(named_graph(name).graph)
@@ -239,6 +271,59 @@ class TestDecompositions:
         flags = {n: is_prime(named_graph(n).graph).prime for n in names}
         assert sum(flags.values()) == 1
         assert flags["Pentagon-bar"]
+
+
+def _tree_graphs(d):
+    """The graph of every node of a decomposition tree, root first."""
+    out = [d.graph]
+    for part in d.parts:
+        out += _tree_graphs(part)
+    return out
+
+
+class TestDecomposeWork:
+    """Deterministic work counts of one cold ``decompose`` call."""
+
+    PLANNER = range(20, 61)
+
+    def test_planner_decompositions_run_3524_flood_fills(self, monkeypatch):
+        hosts = [size_construct(n)[1] for n in self.PLANNER if n != 22]
+        fills = []
+        real = graphs._reach
+
+        def counted(*args):
+            fills.append(args)
+            return real(*args)
+
+        # primality binds _reach by name; _components calls it in graphs
+        monkeypatch.setattr(graphs, "_reach", counted)
+        monkeypatch.setattr(primality, "_reach", counted)
+        for g in hosts:
+            decompose(g)
+        # 5811 with a flood fill per single vertex and a fresh search for
+        # every piece, repeated or not
+        assert len(fills) == 3524
+
+    def test_one_split_search_per_distinct_graph(self, monkeypatch):
+        hosts = [size_construct(n)[1] for n in self.PLANNER if n != 22]
+        hosts += [named_graph(name).graph for name in COMPOSITE_NAMES]
+        trees = [decompose(g) for g in hosts]
+        searched = []
+        real = primality._splits
+
+        def counted(g):
+            searched.append(g)
+            return real(g)
+
+        monkeypatch.setattr(primality, "_splits", counted)
+        repeats = 0
+        for g, tree in zip(hosts, trees):
+            searched.clear()
+            assert decompose(g) == tree
+            nodes = _tree_graphs(tree)
+            assert len(searched) == len(set(nodes)) and set(searched) == set(nodes)
+            repeats += len(nodes) - len(searched)
+        assert repeats > 0  # some tree holds a piece twice
 
 
 class TestLemmaChecks:
