@@ -89,7 +89,8 @@ class ObstructionLibrary:
 # size and canonical key, then the knotless axioms E9 and G9,29. Each is the
 # labelled graph the derivation in tests/conftest.py gives (the K7 family
 # first, one member per class, K7, K3,3,1,1, F9 and E9+e named), as the tests
-# check.
+# check. No axiom is 2-apex, which Tier-1 checks too: certify does not walk a
+# graph isomorphic to one for a 2-apex pair.
 _LIBRARY_TABLE: tuple[tuple[str, str, str], ...] = (
     ("K7", "F~~~w", PROV_CLOSURE),
     ("K7-family-1", "Gs\\zz{", PROV_CLOSURE),

@@ -42,8 +42,15 @@ the pieces of g's first split, and ends with no witness at one that is not
 construction finds them. Additions are not asked about pieces: on the
 random hosts that cost more planarity runs than it saved.
 
+A graph isomorphic to a knotless axiom (E9 or G9,29) is not walked at all:
+no axiom is 2-apex, so its walk would fail, and ``_prove_nik`` goes on to
+the axiom rule as before. The paper's infinite families are clique sums of
+E9 copies, so this settles many of their pieces with no planarity run. The
+check sits behind the memo, so a graph pays for it once per call.
+
 Within one top-level ``certify_nik`` or ``certify_maxnik`` call each graph
-gets one nIK certificate and at most one 2-apex walk: the call owns a memo
+gets one nIK certificate and at most one 2-apex walk (none when it is
+isomorphic to an axiom): the call owns a memo
 of both, so a clique-sum piece met again (in the nIK and then the maxnik
 split, or at a second cutset) reuses its certificate, and an addition the
 gate walked in vain is not walked again when the orbit loop asks for its
@@ -255,15 +262,17 @@ def _two_apex(g: Graph, memo: dict, start: tuple[int, ...] | None = None) -> KAp
     From order 7 on a 2-apex graph has at most 3(n - 2) - 6 + 2(n - 2) + 1
     = 5n - 15 edges, so a graph with 5n - 14 is not walked. ``start`` is the
     first witness of a host that g adds one edge to: the walk skips the
-    pairs before it. Without one, the walk asks ``_piece_not_two_apex``
-    once n pairs have failed.
+    pairs before it. Without one, a graph isomorphic to a knotless axiom is
+    not walked, since no axiom is 2-apex (``catalog._LIBRARY_TABLE``), and
+    any other walk asks ``_piece_not_two_apex`` once n pairs have failed.
     """
     if g.n >= 7 and g.m >= 5 * g.n - 14:
         return KApexResult(False, None)
     if start is not None:
         return _memo(memo, "2-apex", g, lambda: _apex_walk(g, 2, start))
-    return _memo(memo, "2-apex", g,
-                 lambda: _apex_walk(g, 2, doomed=lambda: _piece_not_two_apex(g, memo)))
+    return _memo(memo, "2-apex", g, lambda: (
+        KApexResult(False, None) if mmik_library().axiom_for(g) is not None
+        else _apex_walk(g, 2, doomed=lambda: _piece_not_two_apex(g, memo))))
 
 
 def _piece_not_two_apex(g: Graph, memo: dict) -> bool:

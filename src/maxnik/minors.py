@@ -21,6 +21,15 @@ only cuts placements that extend to no witness. So the first witness of
 the unrestricted search already has increasing twin roots and is also the
 first witness of the restricted one.
 
+Before any search, ``has_minor`` compares cycle ranks m - n + c (c the
+number of components). Deleting an edge lowers m by one and c rises by
+at most one; deleting a vertex of degree d lowers n by one and m by d,
+and c rises by at most d - 1 (it falls by one when d = 0); contracting an
+edge whose ends share t neighbours lowers n by one and m by t + 1. So no
+move raises the rank, and a pattern of larger rank than the host is no
+minor of it: the gate answers exactly what the search would. A pattern's
+rank is kept in its cached plan; the host's costs one flood fill.
+
 ``closure`` makes one delta-wye or wye-delta child per automorphism orbit
 of its parent, as ``enumerate_graphs`` builds each class once (McKay
 1998). An automorphism moving one triangle or degree-3 vertex onto another
@@ -82,9 +91,15 @@ class MinorSearch:
         return self.found
 
 
+def _cycle_rank(g: Graph) -> int:
+    """m - n + c, the number of independent cycles of ``g``."""
+    return g.m - g.n + len(g.components())
+
+
 @lru_cache(maxsize=256)
 def _plan(pattern: Graph):
-    """Placement order, earlier neighbours, pending contacts, twin links.
+    """Placement order, earlier neighbours, pending contacts, twin links,
+    and the pattern's cycle rank.
 
     ``twin[i]`` is the placement index of the nearest earlier twin of
     ``order[i]``, or -1 when it has none.
@@ -105,15 +120,23 @@ def _plan(pattern: Graph):
             if rows[a] & ~(1 << b) == rows[b] & ~(1 << a):
                 twin[i] = t
                 break
-    return tuple(order), tuple(earlier), tuple(pending0), tuple(twin)
+    return tuple(order), tuple(earlier), tuple(pending0), tuple(twin), _cycle_rank(pattern)
 
 
 def has_minor(host: Graph, pattern: Graph) -> MinorSearch:
-    """Decide whether ``pattern`` is a minor of ``host``, with witness."""
+    """Decide whether ``pattern`` is a minor of ``host``, with witness.
+
+    No search runs when the pattern has more vertices, more edges or a
+    larger cycle rank (m - n + c) than the host: deleting or contracting
+    never raises any of the three, so no minor of the host exceeds it in
+    one (module docstring).
+    """
     nh, np_ = host.n, pattern.n
     if np_ > nh or pattern.m > host.m:
         return MinorSearch(False, None)
-    order, earlier, pending0, twin = _plan(pattern)
+    order, earlier, pending0, twin, rank = _plan(pattern)
+    if rank > _cycle_rank(host):
+        return MinorSearch(False, None)
     hrows = host.rows
     full = (1 << nh) - 1
     sets = [0] * np_

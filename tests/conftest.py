@@ -87,6 +87,11 @@ def reference_components(g: Graph, gone=()) -> list[set[int]]:
     return comps
 
 
+def reference_cycle_rank(g: Graph) -> int:
+    """Oracle: m - n + c, with the components from ``reference_components``."""
+    return g.m - g.n + len(reference_components(g))
+
+
 def brute_connectivity(g: Graph, cap: int = MAX_ORDER) -> int:
     """Oracle: smallest vertex set whose removal disconnects (or n-1), capped at ``cap``."""
     for size in range(min(g.n - 1, cap)):

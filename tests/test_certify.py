@@ -27,7 +27,8 @@ from maxnik.primality import _splits
 from maxnik.smallgraphs import enumerate_graphs
 
 from conftest import (brute_connectivity, is_planar_wagner, random_graph,
-                      reference_is_k_apex, shaped_random_graph)
+                      reference_cycle_rank, reference_is_k_apex,
+                      shaped_random_graph)
 
 
 class TestCertifyIK:
@@ -441,7 +442,9 @@ class TestOneNikCertificatePerCall:
         searched = self._count_apex_searches(monkeypatch)
         first = certify_maxnik(g)
         assert first.verdict == VERDICT_MAXNIK
-        assert len(searched) == len(set(searched)) >= 5
+        # the sum, an (11, 26) piece, K6 and K4; the E9 piece, a knotless axiom,
+        # was a fifth walk before the axiom gate
+        assert len(searched) == len(set(searched)) == 4
         per_call = len(searched)
         # a second call shares nothing with the first: it searches again
         assert certify_maxnik(g) == first
@@ -610,17 +613,29 @@ class TestWalksReuseSubgraphs:
 
     @staticmethod
     def _watch(monkeypatch) -> dict:
-        """Record every walk with its start and answer, every sum whose walk
-        ended at a piece, and every planarity run, while the certifier runs."""
+        """Record every walk with its start and answer, every graph the axiom
+        gate answered with no walk, every sum whose walk ended at a piece,
+        and every planarity run, while the certifier runs."""
         mmik_library()  # built first: its own planarity runs are not the certifier's
-        seen = {"walks": [], "ended": [], "planarity": 0}
+        seen = {"walks": [], "gated": [], "ended": [], "planarity": 0}
         real_walk = certify_module._apex_walk
+        real_two_apex = certify_module._two_apex
         real_pieces = certify_module._piece_not_two_apex
         real_planar = planarity_module._planar_within
 
         def walk(g, k, start=(), doomed=None):
             got = real_walk(g, k, start, doomed)
             seen["walks"].append((g, start, got))
+            return got
+
+        def two_apex(g, memo, start=None):
+            fresh = ("2-apex", g) not in memo
+            walks = len(seen["walks"])
+            got = real_two_apex(g, memo, start)
+            # kept in the memo with no walk of g: the axiom gate answered
+            if fresh and ("2-apex", g) in memo and all(
+                    w[0] != g for w in seen["walks"][walks:]):
+                seen["gated"].append((g, got))
             return got
 
         def pieces(g, memo):
@@ -634,6 +649,7 @@ class TestWalksReuseSubgraphs:
             return real_planar(rows, keep)
 
         monkeypatch.setattr(certify_module, "_apex_walk", walk)
+        monkeypatch.setattr(certify_module, "_two_apex", two_apex)
         monkeypatch.setattr(certify_module, "_piece_not_two_apex", pieces)
         monkeypatch.setattr(planarity_module, "_planar_within", planar)
         return seen
@@ -643,10 +659,17 @@ class TestWalksReuseSubgraphs:
         seen = self._watch(monkeypatch)
         for g in graphs:
             assert certify_maxnik(g).verdict == VERDICT_MAXNIK
-        # 3,504 while every walk ran to its end or its witness
-        assert seen["planarity"] == 1634
+        # 3,504 while every walk ran to its end or its witness, and 1,634
+        # while a graph isomorphic to an axiom was walked too
+        assert seen["planarity"] == 896
+        # 144 walks before the axiom gate: 40 were of graphs isomorphic to an axiom
+        assert len(seen["walks"]) == 104
+        assert len(seen["gated"]) == 40
         for g, _, got in seen["walks"]:
             assert got == reference_is_k_apex(g, 2), graph6_encode(g)
+        for g, got in seen["gated"]:
+            assert mmik_library().axiom_for(g) is not None
+            assert got == reference_is_k_apex(g, 2) == (False, None), graph6_encode(g)
         assert len(seen["ended"]) >= 30
         for g in seen["ended"]:
             _, split = next(_splits(g))
@@ -668,6 +691,50 @@ class TestWalksReuseSubgraphs:
                 skipped += 1
                 assert not is_planar_wagner(g.delete_vertices(pair)), (graph6_encode(g), pair)
         assert skipped >= 200
+
+
+class TestAxiomsAreNotWalked:
+    """No knotless axiom is 2-apex, so ``_two_apex`` answers a graph
+    isomorphic to one with no walk, as the walk would."""
+
+    def test_no_axiom_is_two_apex(self):
+        for axiom in mmik_library().nik_axioms:
+            assert not reference_is_k_apex(axiom.graph, 2).found, axiom.name
+
+    def test_relabelled_axioms_are_not_walked(self, monkeypatch):
+        walked = TestOneNikCertificatePerCall._count_apex_searches(monkeypatch)
+        rng = random.Random(24)
+        for axiom in mmik_library().nik_axioms:
+            for _ in range(20):
+                perm = list(range(axiom.graph.n))
+                rng.shuffle(perm)
+                assert certify_module._two_apex(axiom.graph.relabel(perm), {}) == (False, None)
+        assert walked == []
+
+
+def test_composite_minor_searches_past_the_rank_gate(monkeypatch):
+    # has_minor refuses a pattern of larger cycle rank than its host with no
+    # search: here K7 and the (8, 22) pattern in E9 plus an edge, 160 of 560 calls
+    graphs = _relabelled_composites(0)
+    calls = []
+    real = certify_module.has_minor
+
+    def counted(host, pattern):
+        got = real(host, pattern)
+        calls.append((host, pattern, got.found))
+        return got
+
+    monkeypatch.setattr(certify_module, "has_minor", counted)
+    for g in graphs:
+        certify_maxnik(g)
+    gated = [(h, p, found) for h, p, found in calls
+             if reference_cycle_rank(p) > reference_cycle_rank(h)]
+    assert (len(calls), len(gated)) == (560, 160)
+    assert not any(found for _, _, found in gated)
+    e9 = canon_module.canonical_form(named_graph("E9").graph).key
+    for h in {h for h, _, _ in gated}:
+        assert any(canon_module.canonical_form(h.without_edge(*e)).key == e9 for e in h.edges())
+    assert {(p.n, p.m) for _, p, _ in gated} == {(7, 21), (8, 22)}
 
 
 def test_verdicts_and_certificates_survive_relabelling():

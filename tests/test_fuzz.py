@@ -13,9 +13,11 @@ from maxnik.certify import VERDICT_NIK, Certificate, validate_certificate  # noq
 from maxnik.errors import MaxnikError  # noqa: E402
 from maxnik.graphs import (from_edges, graph6_decode, graph6_encode,  # noqa: E402
                            identified_union)
+from maxnik.minors import has_minor  # noqa: E402
 from maxnik.primality import decompose  # noqa: E402
 
-from conftest import (outcome, reference_clique_cutsets,  # noqa: E402
+from conftest import (brute_force_minor, outcome,  # noqa: E402
+                      reference_clique_cutsets, reference_cycle_rank,
                       reference_graph6_decode)
 
 GRAPH6_CHARS = st.characters(min_codepoint=63, max_codepoint=126)
@@ -107,3 +109,22 @@ def test_decompose_re_glues_random_clique_sums(g):
         mp.setattr(primality, "_minimal_clique_cutsets",
                    lambda h: iter(reference_clique_cutsets(h)))
         assert decompose(g) == d
+
+
+@st.composite
+def _small_graph(draw, max_n: int):
+    """A graph of order 1..max_n with any edge set, so disconnected graphs
+    and isolated vertices are drawn too."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return from_edges(n, edges)
+
+
+@settings(max_examples=1000, deadline=None, database=None, derandomize=True)
+@given(_small_graph(7), _small_graph(5))
+def test_has_minor_matches_brute_force_around_the_rank_gate(host, pattern):
+    want = brute_force_minor(host, pattern)
+    assert has_minor(host, pattern).found == want
+    if reference_cycle_rank(pattern) > reference_cycle_rank(host):
+        assert not want
