@@ -77,8 +77,9 @@ class ObstructionLibrary:
         raise KeyError(name)
 
     def axiom_for(self, g: Graph) -> NamedGraph | None:
-        if all((a.graph.n, a.graph.m) != (g.n, g.m) for a in self.nik_axioms):
-            return None  # isomorphic graphs share order and size
+        degrees = sorted(g.degrees())
+        if all(sorted(a.graph.degrees()) != degrees for a in self.nik_axioms):
+            return None  # isomorphic graphs share their degree sequence
         key = canonical_form(g).key
         return next((a for a, k in zip(self.nik_axioms, self.nik_axiom_keys) if k == key), None)
 

@@ -40,7 +40,9 @@ makes g not 2-apex either. Once n pairs of g have failed, its walk asks
 the pieces of g's first split, and ends with no witness at one that is not
 2-apex. Those piece walks are kept in the call's memo, where the clique-sum
 construction finds them. Additions are not asked about pieces: on the
-random hosts that cost more planarity runs than it saved.
+random hosts that cost more planarity runs than it saved. Both facts reach
+the walk as the ``start`` and ``doomed`` hints of ``planarity.is_k_apex``,
+the one 2-apex walk; certify imports no private name from ``planarity``.
 
 A graph isomorphic to a knotless axiom (E9 or G9,29) is not walked at all:
 no axiom is 2-apex, so its walk would fail, and ``_prove_nik`` goes on to
@@ -73,9 +75,9 @@ from typing import Callable, Iterable, NamedTuple
 from .canon import orbits
 from .catalog import disk_axiom_covers, mmik_library
 from .errors import ParseError, ValidationError
-from .graphs import Graph, graph6_decode, graph6_encode, is_k_connected
+from .graphs import Graph, _blocks, graph6_decode, graph6_encode
 from .minors import MinorWitness, has_minor
-from .planarity import KApexResult, _apex_walk, is_planar
+from .planarity import KApexResult, is_k_apex, is_planar
 from .primality import _splits
 
 VERDICT_IK = "IK"
@@ -261,18 +263,20 @@ def _two_apex(g: Graph, memo: dict, start: tuple[int, ...] | None = None) -> KAp
 
     From order 7 on a 2-apex graph has at most 3(n - 2) - 6 + 2(n - 2) + 1
     = 5n - 15 edges, so a graph with 5n - 14 is not walked. ``start`` is the
-    first witness of a host that g adds one edge to: the walk skips the
-    pairs before it. Without one, a graph isomorphic to a knotless axiom is
-    not walked, since no axiom is 2-apex (``catalog._LIBRARY_TABLE``), and
-    any other walk asks ``_piece_not_two_apex`` once n pairs have failed.
+    first witness of a host that g adds one edge to, passed on as the walk's
+    ``start``: it skips the pairs before it. Without one, a graph isomorphic
+    to a knotless axiom is not walked, since no axiom is 2-apex
+    (``catalog._LIBRARY_TABLE``), and any other walk gets
+    ``_piece_not_two_apex`` as its ``doomed`` hint, asked once n pairs have
+    failed.
     """
     if g.n >= 7 and g.m >= 5 * g.n - 14:
         return KApexResult(False, None)
     if start is not None:
-        return _memo(memo, "2-apex", g, lambda: _apex_walk(g, 2, start))
+        return _memo(memo, "2-apex", g, lambda: is_k_apex(g, 2, start))
     return _memo(memo, "2-apex", g, lambda: (
         KApexResult(False, None) if mmik_library().axiom_for(g) is not None
-        else _apex_walk(g, 2, doomed=lambda: _piece_not_two_apex(g, memo))))
+        else is_k_apex(g, 2, doomed=lambda: _piece_not_two_apex(g, memo))))
 
 
 def _piece_not_two_apex(g: Graph, memo: dict) -> bool:
@@ -431,13 +435,9 @@ def check_necessary(g: Graph) -> NecessaryReport:
     degs = g.degrees()
     checks = []
 
-    conn_ok = True
-    if n == 2:
-        conn_ok = g.is_connected()
-    elif n >= 3:
-        conn_ok = is_k_connected(g, 2)
+    full = (1 << n) - 1
     checks.append(NecessaryCheck(
-        "two-connected", n >= 2, conn_ok,
+        "two-connected", n >= 2, n < 2 or _blocks(g.rows, full) == [full],
         "connected with no cut vertex"))
 
     checks.append(NecessaryCheck(

@@ -22,8 +22,8 @@ triangle as one binary string, the one bitmask flood fill (``_reach``) that
 every component and connectivity test runs, the one lowpoint DFS
 (``_blocks``) that finds the biconnected blocks for planarity and the cut
 vertices for the clique-cutset search, and the elementary operations:
-complement, join, edge contraction, degree statistics, k-connectivity, and
-non-triangular edge detection.
+complement, join, edge contraction, degree statistics, and non-triangular
+edge detection.
 """
 
 from __future__ import annotations
@@ -459,23 +459,6 @@ def triangles(g: Graph) -> tuple[tuple[int, int, int], ...]:
         for w in _bits(common >> (v + 1) << (v + 1)):
             out.append((u, v, w))
     return tuple(out)
-
-
-def is_k_connected(g: Graph, k: int) -> bool:
-    """More than k vertices, and connected after deleting any fewer than k.
-
-    Brute force: one flood fill per vertex set of size below k, which is
-    cheap at the orders it is asked about (E9 at k = 4 takes 130).
-    """
-    if g.n <= k:
-        return False
-    full = (1 << g.n) - 1
-    for size in range(k):
-        for cut in combinations(range(g.n), size):
-            rest = full & ~sum(1 << v for v in cut)
-            if _reach(g.rows, rest & -rest, rest) != rest:
-                return False
-    return True
 
 
 def clique_number(g: Graph) -> int:

@@ -1,21 +1,31 @@
 """Planarity, k-apex, maximal planar, and maximal 2-apex recognition.
 
-The primary planarity test is the face-growing path-addition algorithm of
-Demoucron, Malgrange, and Pertuiset, run per biconnected block: keep a
-planar subgraph H with its face list, and repeatedly embed a path of a
-bridge fragment into a face containing all of the fragment's attachment
-vertices. A fragment admitting no such face proves non-planarity, and
-always embedding a fragment with the fewest admissible faces first makes
-the greedy choice safe. The tests check it against an independent Wagner
-oracle (no K5 minor and no K3,3 minor).
+The planarity test is the face-growing path-addition algorithm of
+Demoucron, Malgrange, and Pertuiset (1964), run per biconnected block: keep
+a planar subgraph H with its face list, and repeatedly embed a path of a
+fragment into a face containing all of the fragment's attachment vertices.
+A fragment is a chord of H (an edge between two vertices of H that H does
+not hold) or a component of G - H with the vertices of H it touches; both
+are an (attachment mask, interior mask) pair, a chord's interior empty. A
+fragment admitting no face proves non-planarity, and always embedding a
+fragment with the fewest admissible faces first makes the greedy choice
+safe. H starts as a cycle through the block's least vertex a and its least
+neighbour b: a shortest path from b back to a that does not use the edge
+ab. One breadth-first search (``_path``) finds that path and each
+fragment's path. The tests check the kernel against a verbatim copy of an
+earlier version, a Wagner oracle (no K5 minor and no K3,3 minor) and
+networkx.
 
-The core runs on one host's bit rows plus a vertex mask: the components,
-the blocks and the DMP run all read ``rows[v] & mask``, so ``is_k_apex``
-tests each vertex subset by clearing its bits from the mask instead of
-building a graph per subset, per component and per block. Vertices are
-visited in increasing order, as they are on a densely relabelled copy, so
-each DMP run takes the same steps and the first witness is the same. The
-blocks come from ``graphs._blocks``, the lowpoint DFS that ``primality`` shares.
+The core runs on one host's bit rows plus a vertex mask: the blocks and the
+DMP runs all read ``rows[v] & mask``, so ``is_k_apex`` tests each vertex
+subset by clearing its bits from the mask instead of building a graph per
+subset and per block. ``_planar_within`` checks one edge bound on the whole
+mask, since a planar graph on n >= 3 vertices has at most 3n - 6 edges
+whatever its components, and then runs DMP on each block of at least five
+vertices from one pass of ``graphs._blocks``, the lowpoint DFS that
+``primality`` shares. Smaller blocks are planar. The answer is only ever a
+bool, and a k-apex witness is the first planar subset in lex order, so no
+change to DMP's inner steps can change a verdict or a witness.
 
 ``is_k_apex`` tests one vertex subset per automorphism orbit. For an
 automorphism s, G - S and G - s(S) are isomorphic, so every subset in the
@@ -32,7 +42,7 @@ sweep 14% slower: there every query finds a witness, most of them soon
 after that point.) ``canon`` checks the generators and fills the orbits, so a
 wrong generator fails loudly instead of skipping a subset.
 
-The private walk under ``is_k_apex`` also takes what the caller knows of a
+``is_k_apex`` also takes two hints from a caller that knows something of a
 subgraph of G, using that G - S contains H - S for a subgraph H of G. If
 H - S is not planar, neither is G - S. So it can start at a subset
 ``start`` when every subset before it is known to fail; the first witness
@@ -46,148 +56,31 @@ before n failures and never pay for what ``doomed`` computes.
 from __future__ import annotations
 
 from itertools import combinations, dropwhile
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .canon import _set_orbit, automorphism_generators
 from .graphs import Graph, _bits, _blocks, _components
 
 
-def _dfs_cycle(rows: Sequence[int], mask: int) -> list[int]:
-    """Recursive DFS cycle finder (back edges only, so cycles are simple)."""
-    parent = [-1] * len(rows)
-    seen = [False] * len(rows)
-
-    def dfs(v: int, par: int) -> list[int] | None:
-        seen[v] = True
-        for u in _bits(rows[v] & mask):
-            if u == par:
-                continue
-            if seen[u]:
-                path = [v]
-                w = v
-                while w != u:
-                    w = parent[w]
-                    path.append(w)
-                return path
-            parent[u] = v
-            got = dfs(u, v)
-            if got is not None:
-                return got
-        return None
-
-    got = dfs((mask & -mask).bit_length() - 1, -1)
-    if got is None or len(got) < 3:
-        raise ValueError("no simple cycle found")
-    return got
+def _mask(vertices: Iterable[int]) -> int:
+    """The vertex mask of ``vertices``."""
+    out = 0
+    for v in vertices:
+        out |= 1 << v
+    return out
 
 
-def _dmp_biconnected(rows: Sequence[int], mask: int) -> bool:
-    """Planarity of the 2-connected subgraph induced on ``mask`` by face growing."""
-    n = mask.bit_count()
-    if n <= 4:
-        return True
-    m = _size_within(rows, mask)
-    if m > 3 * n - 6:
-        return False
-    cyc = _dfs_cycle(rows, mask)
-    in_h = 0
-    for v in cyc:
-        in_h |= 1 << v
-    emb = [0] * len(rows)  # embedded adjacency rows
-    for i, v in enumerate(cyc):
-        u = cyc[(i + 1) % len(cyc)]
-        emb[v] |= 1 << u
-        emb[u] |= 1 << v
-    emb_count = len(cyc)
-    faces: list[list[int]] = [list(cyc), list(cyc)]
-    fmasks = [in_h, in_h]
+def _low(mask: int) -> int:
+    """The least vertex of a non-empty mask."""
+    return (mask & -mask).bit_length() - 1
 
-    while emb_count < m:
-        # fragments: chords of H, and bridges hanging off components of G - H
-        frags: list[tuple[int, tuple]] = []  # (attachment mask, descriptor)
-        for v in _bits(in_h):
-            for u in _bits(rows[v] & in_h & ~emb[v]):
-                if u > v:
-                    frags.append(((1 << v) | (1 << u), ("chord", v, u)))
-        for comp in _components(rows, mask & ~in_h):
-            attach = 0
-            for v in _bits(comp):
-                attach |= rows[v] & in_h
-            frags.append((attach, ("comp", comp)))
 
-        best = None
-        best_faces: list[int] = []
-        for attach, desc in frags:
-            adm = [i for i, fm in enumerate(fmasks) if not attach & ~fm]
-            if not adm:
-                return False
-            if best is None or len(adm) < len(best_faces):
-                best = (attach, desc)
-                best_faces = adm
-                if len(adm) == 1:
-                    break
-        assert best is not None
-        attach, desc = best
-        if desc[0] == "chord":
-            path = [desc[1], desc[2]]
-        else:
-            comp = desc[1]
-            ats = list(_bits(attach))
-            a = ats[0]
-            others = attach & ~(1 << a)
-            # BFS from a through the component to any other attachment
-            prev: dict[int, int] = {}
-            frontier = [a]
-            seenb = 1 << a
-            path = None
-            while frontier and path is None:
-                nxt = []
-                for w in frontier:
-                    reach = rows[w] & comp & ~seenb
-                    if w != a and rows[w] & others:
-                        b = (rows[w] & others)
-                        b = (b & -b).bit_length() - 1
-                        path = [b, w]
-                        x = w
-                        while x != a:
-                            x = prev[x]
-                            path.append(x)
-                        break
-                    for x in _bits(reach):
-                        prev[x] = w
-                        seenb |= 1 << x
-                        nxt.append(x)
-                frontier = nxt
-            assert path is not None, "attachment unreachable in its own fragment"
-        u, v = path[0], path[-1]
-        fi = best_faces[0]
-        face = faces[fi]
-        iu = face.index(u)
-        face = face[iu:] + face[:iu]
-        iv = face.index(v)
-        interior = path[1:-1]
-        face1 = face[:iv + 1] + interior[::-1]
-        face2 = face[iv:] + [face[0]] + interior
-        faces[fi] = face1
-        faces.append(face2)
-        im = 0
-        for w in interior:
-            im |= 1 << w
-        m1 = 0
-        for w in face1:
-            m1 |= 1 << w
-        m2 = 0
-        for w in face2:
-            m2 |= 1 << w
-        fmasks[fi] = m1
-        fmasks.append(m2)
-        in_h |= im
-        for i in range(len(path) - 1):
-            a, b = path[i], path[i + 1]
-            emb[a] |= 1 << b
-            emb[b] |= 1 << a
-            emb_count += 1
-    return True
+def _neighbors(rows: Sequence[int], mask: int) -> int:
+    """The vertices adjacent to some vertex of ``mask``."""
+    out = 0
+    for v in _bits(mask):
+        out |= rows[v]
+    return out
 
 
 def _size_within(rows: Sequence[int], mask: int) -> int:
@@ -195,20 +88,89 @@ def _size_within(rows: Sequence[int], mask: int) -> int:
     return sum((rows[v] & mask).bit_count() for v in _bits(mask)) // 2
 
 
-def _planar_within(rows: Sequence[int], keep: int) -> bool:
-    """Planarity of the subgraph induced on ``keep`` (DMP per block)."""
-    if keep.bit_count() <= 4:
-        return True
-    for comp in _components(rows, keep):
-        n = comp.bit_count()
-        if n <= 4:
-            continue
-        if _size_within(rows, comp) > 3 * n - 6:
-            return False
-        for block in _blocks(rows, comp):
-            if block.bit_count() >= 5 and not _dmp_biconnected(rows, block):
+def _path(rows: Sequence[int], start: int, through: int, ends: int) -> list[int]:
+    """A shortest path from ``start`` to a vertex of ``ends`` with at least one
+    inner vertex, all of them in ``through``; listed from that end back to
+    ``start``. Breadth-first, one vertex mask per layer."""
+    layers = [1 << start]
+    layer = seen = rows[start] & through
+    while layer:
+        for w in _bits(layer):
+            if rows[w] & ends:
+                path = [_low(rows[w] & ends), w]
+                for prev in reversed(layers):
+                    w = _low(rows[w] & prev)
+                    path.append(w)
+                return path
+        layers.append(layer)
+        layer = _neighbors(rows, layer) & through & ~seen
+        seen |= layer
+    raise ValueError("no path through the given vertices")
+
+
+def _embed(emb: list[int], path: list[int]) -> None:
+    """Add the edges of ``path`` to the embedded adjacency rows ``emb``."""
+    for a, b in zip(path, path[1:]):
+        emb[a] |= 1 << b
+        emb[b] |= 1 << a
+
+
+def _dmp(rows: Sequence[int], block: int) -> bool:
+    """Planarity of the 2-connected subgraph induced on ``block`` by face growing."""
+    a = _low(block)
+    b = _low(rows[a] & block)
+    cycle = _path(rows, b, block & ~(1 << a | 1 << b), 1 << a)
+    emb = [0] * len(rows)  # embedded adjacency rows
+    _embed(emb, cycle + cycle[:1])
+    faces = [cycle, cycle]
+    in_h = _mask(cycle)
+    fmasks = [in_h, in_h]
+    left = _size_within(rows, block) - len(cycle)  # edges not yet embedded
+    while left:
+        # the chords of H, each once, then the components of G - H
+        frags = [(1 << v | 1 << u, 0) for v in _bits(in_h)
+                 if (chords := rows[v] & in_h & ~emb[v] & -(2 << v)) for u in _bits(chords)]
+        frags += [(_neighbors(rows, comp) & in_h, comp)
+                  for comp in _components(rows, block & ~in_h)]
+        best = None
+        for attach, interior in frags:
+            adm = [i for i, fm in enumerate(fmasks) if not attach & ~fm]
+            if not adm:
                 return False
+            if best is None or len(adm) < len(best[2]):
+                best = attach, interior, adm
+                if len(adm) == 1:
+                    break
+        attach, interior, adm = best
+        if interior:
+            u = _low(attach)
+            path = _path(rows, u, interior, attach & ~(1 << u))
+        else:
+            path = list(_bits(attach))
+        _embed(emb, path)
+        left -= len(path) - 1
+        in_h |= _mask(path)
+        face = faces[adm[0]]
+        i = face.index(path[0])
+        face = face[i:] + face[:i]
+        j = face.index(path[-1])
+        inner = path[1:-1]
+        faces[adm[0]] = face[:j + 1] + inner[::-1]
+        faces.append(face[j:] + face[:1] + inner)
+        fmasks[adm[0]] = _mask(faces[adm[0]])
+        fmasks.append(_mask(faces[-1]))
     return True
+
+
+def _planar_within(rows: Sequence[int], keep: int) -> bool:
+    """Planarity of the subgraph induced on ``keep``: one edge bound, then DMP
+    on each block of at least five vertices."""
+    n = keep.bit_count()
+    if n <= 4:
+        return True
+    if _size_within(rows, keep) > 3 * n - 6:
+        return False
+    return all(_dmp(rows, block) for block in _blocks(rows, keep) if block.bit_count() >= 5)
 
 
 def is_planar(g: Graph) -> bool:
@@ -224,7 +186,8 @@ class KApexResult(NamedTuple):
         return self.found
 
 
-def is_k_apex(g: Graph, k: int) -> KApexResult:
+def is_k_apex(g: Graph, k: int, start: tuple[int, ...] = (),
+              doomed: Callable[[], bool] | None = None) -> KApexResult:
     """Can deleting k vertices leave a planar graph? First witness in lex order.
 
     Subsets are walked lazily in lex order. Once 2n of them have failed,
@@ -232,17 +195,11 @@ def is_k_apex(g: Graph, k: int) -> KApexResult:
     in the orbit of a failed one is skipped: it leaves an isomorphic, so
     non-planar, graph (see the module docstring). The witness is the one
     the plain walk finds.
-    """
-    return _apex_walk(g, k)
 
-
-def _apex_walk(g: Graph, k: int, start: tuple[int, ...] = (),
-               doomed: Callable[[], bool] | None = None) -> KApexResult:
-    """``is_k_apex(g, k)`` told what a subgraph of g already proved.
-
-    Subsets before ``start`` in lex order are skipped untested: the caller
-    knows each of them fails. Once n subsets have failed, ``doomed()`` is
-    asked once; True means g is not k-apex, and the walk ends there.
+    The hints come from what a subgraph of g already proved. Subsets before
+    ``start`` in lex order are skipped untested: the caller knows each of
+    them fails. Once n subsets have failed, ``doomed()`` is asked once; True
+    means g is not k-apex, and the walk ends there.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -253,9 +210,7 @@ def _apex_walk(g: Graph, k: int, start: tuple[int, ...] = (),
     failed: list[int] = []  # removed-vertex masks, until the generators arrive
     seen: set[int] = set()  # orbits of failed subsets
     for subset in dropwhile(lambda s: s < start, combinations(range(g.n), k_eff)):
-        gone = 0
-        for v in subset:
-            gone |= 1 << v
+        gone = _mask(subset)
         if gone in seen:
             continue
         if _planar_within(rows, full & ~gone):

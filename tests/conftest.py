@@ -18,9 +18,9 @@ from maxnik.catalog import (PROV_CLOSURE, NamedGraph, ObstructionLibrary,
                             mmik_library, named_graph)
 from maxnik.certify import VERDICT_MAXNIK, certify_maxnik, check_necessary
 from maxnik.errors import OrderOverflowError, ParseError
-from maxnik.graphs import (MAX_ORDER, Graph, _bits, clique_number, complement,
-                           complete_graph, complete_multipartite, contract_edge,
-                           from_edges, graph6_encode, is_k_connected,
+from maxnik.graphs import (MAX_ORDER, Graph, _bits, _reach, clique_number,
+                           complement, complete_graph, complete_multipartite,
+                           contract_edge, from_edges, graph6_encode,
                            non_triangular_edges, triangles)
 from maxnik.minors import (DELTA_Y, Y_DELTA, ClosureResult, MinorSearch,
                            MinorWitness, closure, delta_y, has_minor, y_delta)
@@ -99,6 +99,23 @@ def brute_connectivity(g: Graph, cap: int = MAX_ORDER) -> int:
             if len(reference_components(g, cut)) >= 2:
                 return size
     return min(g.n - 1, cap)
+
+
+def is_k_connected(g: Graph, k: int) -> bool:
+    """Oracle: more than k vertices, and connected after deleting any fewer than k.
+
+    Brute force: one flood fill per vertex set of size below k, which is
+    cheap at the orders it is asked about (E9 at k = 4 takes 130).
+    """
+    if g.n <= k:
+        return False
+    full = (1 << g.n) - 1
+    for size in range(k):
+        for cut in combinations(range(g.n), size):
+            rest = full & ~sum(1 << v for v in cut)
+            if _reach(g.rows, rest & -rest, rest) != rest:
+                return False
+    return True
 
 
 _K5 = complete_graph(5)

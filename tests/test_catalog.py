@@ -199,10 +199,17 @@ class TestLibrary:
             h = named_graph(name).graph.relabel(rng.sample(range(9), 9))
             assert lib.axiom_for(h).name == name
         assert len(searched) == 2
-        # the same order and size, not isomorphic to E9: searched, not matched
+        # the same order and size, but another degree sequence: not searched
         other = e9.without_edge(*e9.edges()[0]).with_edge(u, v)
+        assert sorted(other.degrees()) != sorted(e9.degrees())
         assert lib.axiom_for(other) is None
-        assert searched[2:] == [other]
+        assert len(searched) == 2
+        # E9's degree sequence, not isomorphic to E9 (the edges 01 and 37
+        # switched to 03 and 17): searched, not matched
+        switched = e9.without_edge(0, 1).without_edge(3, 7).with_edge(0, 3).with_edge(1, 7)
+        assert sorted(switched.degrees()) == sorted(e9.degrees())
+        assert lib.axiom_for(switched) is None
+        assert searched[2:] == [switched]
 
     def test_axioms_disjoint_from_patterns(self, lib):
         from maxnik.canon import canonical_form

@@ -26,8 +26,8 @@ from maxnik.planarity import is_k_apex
 from maxnik.primality import _splits
 from maxnik.smallgraphs import enumerate_graphs
 
-from conftest import (brute_connectivity, is_planar_wagner, random_graph,
-                      reference_cycle_rank, reference_is_k_apex,
+from conftest import (all_labeled_graphs, brute_connectivity, is_planar_wagner,
+                      random_graph, reference_cycle_rank, reference_is_k_apex,
                       shaped_random_graph)
 
 
@@ -336,10 +336,11 @@ class TestNecessary:
         assert check_necessary(named_graph("K7^-").graph).all_pass
 
     def test_two_connected_matches_vertex_connectivity(self):
+        # on every labelled graph of order 1-5, then on seeded random ones
         rng = random.Random(2108)
         verdicts = {}
-        for _ in range(1500):
-            g = shaped_random_graph(rng)
+        small = [g for n in range(1, 6) for g in all_labeled_graphs(n)]
+        for g in small + [shaped_random_graph(rng) for _ in range(1500)]:
             check = check_necessary(g).checks[0]
             assert (check.name, check.applicable, check.detail) == (
                 "two-connected", g.n >= 2, "connected with no cut vertex")
@@ -428,13 +429,13 @@ class TestOneNikCertificatePerCall:
     @staticmethod
     def _count_apex_searches(monkeypatch) -> list:
         searched = []
-        real = certify_module._apex_walk
+        real = certify_module.is_k_apex
 
         def counted(g, k, start=(), doomed=None):
             searched.append(g)
             return real(g, k, start, doomed)
 
-        monkeypatch.setattr(certify_module, "_apex_walk", counted)
+        monkeypatch.setattr(certify_module, "is_k_apex", counted)
         return searched
 
     def test_one_apex_search_per_graph(self, monkeypatch):
@@ -618,7 +619,7 @@ class TestWalksReuseSubgraphs:
         and every planarity run, while the certifier runs."""
         mmik_library()  # built first: its own planarity runs are not the certifier's
         seen = {"walks": [], "gated": [], "ended": [], "planarity": 0}
-        real_walk = certify_module._apex_walk
+        real_walk = certify_module.is_k_apex
         real_two_apex = certify_module._two_apex
         real_pieces = certify_module._piece_not_two_apex
         real_planar = planarity_module._planar_within
@@ -648,7 +649,7 @@ class TestWalksReuseSubgraphs:
             seen["planarity"] += 1
             return real_planar(rows, keep)
 
-        monkeypatch.setattr(certify_module, "_apex_walk", walk)
+        monkeypatch.setattr(certify_module, "is_k_apex", walk)
         monkeypatch.setattr(certify_module, "_two_apex", two_apex)
         monkeypatch.setattr(certify_module, "_piece_not_two_apex", pieces)
         monkeypatch.setattr(planarity_module, "_planar_within", planar)

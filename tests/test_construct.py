@@ -24,13 +24,12 @@ from maxnik.construct import (GluingSpec, _least_non_triangular_edge,
 from maxnik.errors import (PreconditionError, SizeOutOfRangeError,
                            UnrepresentableSizeError)
 from maxnik.graphs import (clique_number, complete_graph,
-                           complete_multipartite, is_k_connected,
-                           non_triangular_edges)
+                           complete_multipartite, non_triangular_edges)
 from maxnik.planarity import is_maximal_2apex, is_maximal_planar
 from maxnik.primality import is_prime
 from maxnik.smallgraphs import enumerate_triangulations
 
-from conftest import brute_connectivity, random_graph
+from conftest import brute_connectivity, is_k_connected, random_graph
 
 
 @pytest.fixture(scope="module")

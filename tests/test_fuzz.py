@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+from itertools import combinations
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -9,16 +12,21 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from maxnik import primality  # noqa: E402
-from maxnik.certify import VERDICT_NIK, Certificate, validate_certificate  # noqa: E402
+from maxnik.certify import (LEMMAS, RULES, VERDICT_IK, VERDICT_MAXNIK,  # noqa: E402
+                            VERDICT_NIK, VERDICT_NOT_MAXNIK, VERDICT_UNKNOWN,
+                            Certificate, validate_certificate)
 from maxnik.errors import MaxnikError  # noqa: E402
-from maxnik.graphs import (from_edges, graph6_decode, graph6_encode,  # noqa: E402
-                           identified_union)
+from maxnik.graphs import (Graph, from_edges, graph6_decode,  # noqa: E402
+                           graph6_encode, identified_union)
 from maxnik.minors import has_minor  # noqa: E402
+from maxnik.planarity import _planar_within  # noqa: E402
 from maxnik.primality import decompose  # noqa: E402
 
 from conftest import (brute_force_minor, outcome,  # noqa: E402
                       reference_clique_cutsets, reference_cycle_rank,
-                      reference_graph6_decode)
+                      reference_graph6_decode, reference_is_planar)
+
+VERDICTS = (VERDICT_IK, VERDICT_NIK, VERDICT_MAXNIK, VERDICT_NOT_MAXNIK, VERDICT_UNKNOWN)
 
 GRAPH6_CHARS = st.characters(min_codepoint=63, max_codepoint=126)
 
@@ -60,22 +68,89 @@ def test_graph6_decode_matches_the_bit_list_codec(text):
         assert got[1].rows == want[1].rows
 
 
+_NAMES = st.sampled_from(sorted(RULES) + sorted(LEMMAS) + sorted(VERDICTS) + [
+    "E9", "G9,29", "K7", "K3,3,1,1", "K4", ""])
+# ints in and out of range, bools, floats, strings, rule, lemma, verdict and
+# library names, and lists of them, nested: hashable and unhashable alike
+_LEAF = st.one_of(st.integers(-2, 9), st.booleans(), st.floats(), st.text(max_size=3), _NAMES,
+                  st.none())
+_VALUE = st.one_of(_LEAF, st.lists(_LEAF, max_size=4),
+                   st.lists(st.lists(_LEAF, max_size=3), max_size=3))
+
+
 @st.composite
-def _apex_pair_node(draw) -> Certificate:
-    """An ``apex-pair`` node on a graph of order 1-6 with a witness list of
-    0-2 vertices of that graph, repeats allowed."""
-    n = draw(st.integers(1, 6))
-    pairs = [(u, v) for v in range(n) for u in range(v)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    witness = draw(st.lists(st.integers(0, n - 1), max_size=2))
-    return Certificate(VERDICT_NIK, "apex-pair",
-                       {"graph": graph6_encode(from_edges(n, edges)), "witness": witness})
+def _rule_node(draw, depth: int = 2, near=None) -> Certificate:
+    """A node citing any ``RULES`` entry (or none), with random evidence
+    values and up to ``depth`` levels of random children. Its graph has
+    order 1-7; a child's graph is often its parent's, or that plus an edge.
+
+    Each vertex-valued field of the rule is a list, or a list of lists, of
+    small ints two times in three, so that replays run; anything in
+    ``_VALUE`` otherwise.
+    """
+    if near is not None and draw(st.integers(0, 3)):
+        g = near if not near.non_edges() or draw(st.booleans()) else near.with_edge(
+            *draw(st.sampled_from(near.non_edges())))
+    else:
+        n = draw(st.integers(1, 7))
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        bits = draw(st.integers(0, (1 << len(pairs)) - 1))
+        g = from_edges(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+    rule = draw(st.sampled_from(sorted(RULES) + ["no-such-rule"]))
+    concludes = sorted(RULES[rule].concludes) if rule in RULES else [VERDICT_NIK]
+    verdict = draw(st.sampled_from(concludes) if draw(st.integers(0, 3))
+                   else st.one_of(st.sampled_from(VERDICTS), _VALUE))
+    vertices = st.lists(st.integers(0, g.n), max_size=3)
+    evidence = {"graph": graph6_encode(g) if draw(st.integers(0, 9)) else draw(_VALUE)}
+    for name in RULES[rule].fields if rule in RULES else ():
+        evidence[name] = draw(st.one_of(vertices, st.lists(vertices, max_size=4), _VALUE))
+    for name in draw(st.lists(st.sampled_from(("pattern", "name", "lemma", "trust")),
+                              unique=True)):
+        evidence[name] = draw(_VALUE)
+    children = draw(st.lists(_rule_node(depth - 1, g), max_size=2)) if depth else []
+    first = RULES[rule].first_child if rule in RULES else None
+    if first and children and draw(st.booleans()):  # a first child the rule accepts
+        children[0] = replace(children[0], verdict=first,
+                              evidence={**children[0].evidence, "graph": graph6_encode(g)})
+    return Certificate(verdict, rule, evidence, tuple(children))
 
 
-@settings(max_examples=500, deadline=None, database=None, derandomize=True)
-@given(_apex_pair_node())
-def test_validate_apex_pair_never_raises(cert):
+@settings(max_examples=1000, deadline=None, database=None, derandomize=True)
+@given(_rule_node())
+def test_validate_certificate_never_raises(cert):
     assert isinstance(validate_certificate(cert), list)
+
+
+@st.composite
+def _host_and_mask(draw) -> tuple[Graph, int]:
+    """A host of order at most 12 made of pieces of mixed density, each set
+    beside the last one or sharing a vertex with it (a cut vertex), and a
+    non-empty vertex mask of it.
+
+    So the remainders include disconnected ones, cut vertices, blocks of
+    under five vertices, and a dense block such as K5 or K6 beside sparse
+    pieces, where the whole mask meets the 3n - 6 bound and that block does
+    not.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    n, edges = 0, set()
+    while n < 12 and (n == 0 or rng.random() < 0.7):
+        glue = n > 0 and rng.random() < 0.5
+        size = rng.randint(1, 12 - n)
+        p = rng.choice((0.2, 0.5, 0.8, 1.0))
+        edges.update(e for e in combinations(range(n - glue, n + size), 2) if rng.random() < p)
+        n += size
+    q = rng.choice((0.5, 0.8, 1.0))
+    keep = sum(1 << v for v in range(n) if rng.random() < q) or 1 << rng.randrange(n)
+    return from_edges(n, sorted(edges)), keep
+
+
+@settings(max_examples=600, deadline=None, database=None, derandomize=True)
+@given(_host_and_mask())
+def test_planar_within_matches_the_reference_on_any_mask(host_and_mask):
+    g, keep = host_and_mask
+    want = reference_is_planar(g.subgraph(v for v in range(g.n) if keep >> v & 1))
+    assert _planar_within(g.rows, keep) == want
 
 
 @st.composite

@@ -13,8 +13,8 @@ from maxnik.construct import size_construct
 from maxnik.graphs import (Graph, complete_graph, complete_multipartite, cycle_graph,
                            disjoint_union, from_edges, join, path_graph)
 from maxnik.minors import DELTA_Y, Y_DELTA, closure
-from maxnik.planarity import (_apex_walk, is_k_apex, is_maximal_2apex,
-                              is_maximal_planar, is_planar)
+from maxnik.planarity import (is_k_apex, is_maximal_2apex, is_maximal_planar,
+                              is_planar)
 from maxnik.smallgraphs import enumerate_graphs, enumerate_triangulations
 
 from conftest import (all_labeled_graphs, brute_connectivity, is_planar_wagner,
@@ -254,7 +254,7 @@ class TestOrbitPruning:
 
 
 class TestWalkFromWhatASubgraphProved:
-    """``_apex_walk`` skips the subsets before ``start`` untested, and asks
+    """``is_k_apex`` skips the subsets before ``start`` untested, and asks
     ``doomed`` once, when n subsets have failed."""
 
     def test_start_skips_only_subsets_before_it(self, monkeypatch):
@@ -269,7 +269,7 @@ class TestWalkFromWhatASubgraphProved:
             for e in host.non_edges():
                 added = host.with_edge(*e)
                 calls.clear()
-                assert _apex_walk(added, 2, first.witness) == reference_is_k_apex(added, 2)
+                assert is_k_apex(added, 2, first.witness) == reference_is_k_apex(added, 2)
                 full = (1 << added.n) - 1
                 tested = [tuple(v for v in range(added.n) if (full & ~keep) >> v & 1)
                           for keep in calls]
@@ -288,13 +288,13 @@ class TestWalkFromWhatASubgraphProved:
             return ask
 
         # K8 minus any pair is K6: every pair fails
-        assert _apex_walk(complete_graph(8), 2, doomed=doomed(True)) == (False, None)
+        assert is_k_apex(complete_graph(8), 2, doomed=doomed(True)) == (False, None)
         assert asked == [8] and len(calls) == 8
         calls.clear()
         asked.clear()
-        assert _apex_walk(complete_graph(8), 2, doomed=doomed(False)) == (False, None)
+        assert is_k_apex(complete_graph(8), 2, doomed=doomed(False)) == (False, None)
         assert asked == [8] and len(calls) == 16
         # K6 has its witness at the first pair, before n failures
         asked.clear()
-        assert _apex_walk(complete_graph(6), 2, doomed=doomed(True)) == (True, (0, 1))
+        assert is_k_apex(complete_graph(6), 2, doomed=doomed(True)) == (True, (0, 1))
         assert asked == []

@@ -313,3 +313,14 @@ class TestPackageSource:
                                    getattr(node, "name", None), getattr(node, "asname", None))
                   and not (name == "__init__.py" and isinstance(node, ast.alias))}
         assert namers == {"minors.py", "cli.py"}
+
+    def test_certify_walks_through_the_public_is_k_apex(self):
+        # one 2-apex walk, one DMP path search: no private walk or cycle finder
+        trees = dict(_package_trees())
+        private = [alias.name for node in ast.walk(trees["certify.py"])
+                   if isinstance(node, ast.ImportFrom) and node.module == "planarity"
+                   for alias in node.names if alias.name.startswith("_")]
+        assert private == []
+        defined = {node.name for node in ast.walk(trees["planarity.py"])
+                   if isinstance(node, ast.FunctionDef)}
+        assert not {"_apex_walk", "_dfs_cycle"} & defined
