@@ -23,11 +23,9 @@ from .errors import (ConstructionInvariantError, MaxnikError,
                      OrderOverflowError, ParseError, PreconditionError,
                      SizeOutOfRangeError, UnrepresentableSizeError,
                      ValidationError)
-from .graphs import (DegreeStats, Graph, complement, complete_graph,
-                     complete_multipartite, contract_edge, cycle_graph,
-                     degree_stats, disjoint_union, empty_graph, from_edges,
-                     graph6_decode, graph6_encode, join, non_triangular_edges,
-                     path_graph, triangles)
+from .graphs import (Graph, complement, complete_graph, complete_multipartite,
+                     from_edges, graph6_decode, graph6_encode, join,
+                     non_triangular_edges, triangles)
 from .minors import (ClosureResult, MinorWitness, closure, delta_y,
                      has_minor, y_delta)
 from .planarity import (is_k_apex, is_maximal_2apex, is_maximal_planar,

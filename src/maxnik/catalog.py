@@ -1,12 +1,16 @@
 """Named graphs and the obstruction library backing certification.
 
 The library's patterns and axioms, and the named graphs E9, F9, E9+e and
-G9,29, are read from one table of graph6 rows. The derivation behind the
-table lives in the tests (``tests/conftest.py``), which check it row by
-row: the delta-wye families of K7 and K3,3,1,1, E9 as their unique order-9,
-size-21, minimum-degree-4 member reached from K7 by both moves, and F9 by
-which non-edge orbit of E9 gains a 21-edge family member as a spanning
-subgraph, each identification checked against mandatory fingerprints.
+G9,29, are read from one table of graph6 rows, and the five order-9 maximal
+2-apex graphs (Big-Y, Long-Y, Hat, House and Pentagon-bar) from a second.
+The derivation behind the first table lives in the tests
+(``tests/conftest.py``), which check it row by row: the delta-wye families
+of K7 and K3,3,1,1, E9 as their unique order-9, size-21, minimum-degree-4
+member reached from K7 by both moves, and F9 by which non-edge orbit of E9
+gains a 21-edge family member as a spanning subgraph, each identification
+checked against mandatory fingerprints. The tests also rebuild each
+order-9 row from its clique-sum recipe, and ``survey.verify_order9``
+re-derives the five as the joins of the 7-vertex triangulations with K2.
 
 The knotless axioms (E9, G9,29) and the disk-bounding triangle axioms are
 trusted from published embeddings and are never re-verified here; they are
@@ -19,13 +23,10 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable
 
-from .canon import (canonical_form, canonical_graph, canonical_labeling,
-                    isomorphism, orbits)
+from .canon import canonical_form, canonical_labeling, orbits
 from .errors import ValidationError
-from .graphs import (MAX_ORDER, Graph, complement, complete_graph,
-                     complete_multipartite, graph6_decode, graph6_encode,
-                     identified_union, join)
-from .smallgraphs import maximal_2apex_graphs
+from .graphs import (MAX_ORDER, Graph, complete_graph, complete_multipartite,
+                     graph6_decode, graph6_encode)
 
 PROV_EXPLICIT = "explicit-definition"
 PROV_CLOSURE = "closure-derived"
@@ -171,16 +172,31 @@ _LIBRARY_TABLE: tuple[tuple[str, str, str], ...] = (
 )
 
 
-@lru_cache(maxsize=None)
-def _table_graph(name: str) -> Graph:
-    return next(graph6_decode(code) for row, code, _ in _LIBRARY_TABLE if row == name)
-
-
 # -- named graph registry ----------------------------------------------------
 
 
 _P3 = ((0, 1), (1, 2), (2, 3))  # path 0-1-2-3: terminals 0, 3; interiors 1, 2
 _3K2 = ((0, 1), (2, 3), (4, 5))  # three disjoint edges; 6 and 7 untouched
+
+# (name, graph6): the five order-9 maximal 2-apex graphs, which are the joins
+# of the 7-vertex triangulations with K2, as canonical representatives in
+# canonical-key order. Each of Big-Y, Hat and House is K8-P3 glued to K6 over
+# a 5-clique, Long-Y is K8-3K2 glued to K6 over one, and Pentagon-bar is the
+# remaining join: its complement is a pentagon, a bar and two isolated
+# vertices.
+_ORDER9_JOINS: tuple[tuple[str, str], ...] = (
+    ("Hat", "HK]~~~~"),
+    ("Big-Y", "HBn^~~~"),
+    ("House", "HBj~~~~"),
+    ("Long-Y", "HJn^^~~"),
+    ("Pentagon-bar", "HLr~v~~"),
+)
+
+
+@lru_cache(maxsize=None)
+def _table_graph(name: str) -> Graph:
+    return next(graph6_decode(row[1]) for row in _LIBRARY_TABLE + _ORDER9_JOINS
+                if row[0] == name)
 
 
 def _k8_minus(edges: tuple[tuple[int, int], ...]) -> Graph:
@@ -190,79 +206,20 @@ def _k8_minus(edges: tuple[tuple[int, int], ...]) -> Graph:
     return g
 
 
-def _octahedron() -> Graph:
-    return complete_multipartite(2, 2, 2)
-
-
-def _glue_k6_over(g: Graph, five_clique: tuple[int, ...]) -> Graph:
-    for i, u in enumerate(five_clique):
-        for v in five_clique[i + 1:]:
-            if not g.has_edge(u, v):
-                raise ValidationError(f"{five_clique} is not a clique")
-    return identified_union(g, five_clique, complete_graph(6), (0, 1, 2, 3, 4))
-
-
-@lru_cache(maxsize=None)
-def _order9_registry() -> dict[str, Graph]:
-    """Name the five order-9 maximal 2-apex graphs, in canonical-key order.
-
-    Big-Y, Long-Y, Hat, and House are picked out of the joins of a
-    7-vertex triangulation with K2 by their stated 5-clique sums;
-    Pentagon-bar is the remaining join, cross-checked by its complement
-    splitting into a pentagon, a bar, and two isolated vertices.
-    """
-    k8p3 = _k8_minus(_P3)
-    recipes = {
-        "Big-Y": _glue_k6_over(k8p3, (0, 3, 4, 5, 6)),
-        "Hat": _glue_k6_over(k8p3, (0, 2, 4, 5, 6)),
-        "House": _glue_k6_over(k8p3, (1, 4, 5, 6, 7)),
-        "Long-Y": _glue_k6_over(_k8_minus(_3K2), (0, 2, 4, 6, 7)),
-    }
-    joins = maximal_2apex_graphs(9)
-    if len(joins) != 5:
-        raise ValidationError(f"expected 5 distinct order-9 joins, found {len(joins)}")
-    taken: dict[Graph, str] = {}
-    for name, g in recipes.items():
-        rep = canonical_graph(g)
-        if rep not in joins:
-            raise ValidationError(f"{name} recipe is not a triangulation join")
-        if rep in taken:
-            raise ValidationError(f"{name} recipe collides with {taken[rep]}")
-        taken[rep] = name
-    rest = [g for g in joins if g not in taken]
-    if len(rest) != 1:
-        raise ValidationError(f"expected a unique unnamed join, found {len(rest)}")
-    comps = sorted(c.bit_count() for c in complement(rest[0]).components())
-    if comps != [1, 1, 2, 5]:
-        raise ValidationError(f"Pentagon-bar complement components are {comps}")
-    return {taken.get(g, "Pentagon-bar"): g for g in joins}
-
-
-def _k8_minus_3k2() -> Graph:
-    g = _k8_minus(_3K2)
-    if isomorphism(g, join(_octahedron(), complete_graph(2))) is None:
-        raise ValidationError("K8-3K2 is not the octahedron joined with K2")
-    return g
-
-
-def _order9_join(name: str) -> Graph:
-    return _order9_registry()[name]
-
-
 # name: (order, size, provenance, builder); the order and size are checked
 _NAMED: dict[str, tuple[int, int, str, Callable[[], Graph]]] = {
     "K3,3": (6, 9, PROV_EXPLICIT, partial(complete_multipartite, 3, 3)),
     "K3,3,1,1": (8, 22, PROV_EXPLICIT, partial(complete_multipartite, 3, 3, 1, 1)),
     "K7^-": (7, 20, PROV_EXPLICIT, lambda: complete_graph(7).without_edge(0, 1)),
-    "K8-3K2": (8, 25, PROV_EXPLICIT, _k8_minus_3k2),
+    "K8-3K2": (8, 25, PROV_EXPLICIT, partial(_k8_minus, _3K2)),
     "K8-P3": (8, 25, PROV_EXPLICIT, partial(_k8_minus, _P3)),
-    "octahedron": (6, 12, PROV_EXPLICIT, _octahedron),
+    "octahedron": (6, 12, PROV_EXPLICIT, partial(complete_multipartite, 2, 2, 2)),
     "G9,29": (9, 29, PROV_EXPLICIT, partial(_table_graph, "G9,29")),
     "E9": (9, 21, PROV_CLOSURE, partial(_table_graph, "E9")),
     "F9": (9, 21, PROV_CLOSURE, partial(_table_graph, "F9")),
     "E9+e": (9, 22, PROV_CLOSURE, partial(_table_graph, "E9+e")),
-    **{name: (9, 30, PROV_DECOMPOSITION, partial(_order9_join, name))
-       for name in ("Big-Y", "Long-Y", "Hat", "House", "Pentagon-bar")},
+    **{name: (9, 30, PROV_DECOMPOSITION, partial(_table_graph, name))
+       for name, _ in _ORDER9_JOINS},
 }
 
 # lookups ignore case; these three other spellings are the only aliases

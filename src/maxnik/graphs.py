@@ -2,8 +2,8 @@
 
 Adjacency is stored as one int bitmask per vertex, so neighborhood
 intersection (the inner loop of triangle and minor tests) is a single
-``&``. Vertices are always 0..n-1; deletion and contraction relabel
-densely. Graphs are immutable and hashable.
+``&``. Vertices are always 0..n-1; deletion relabels densely. Graphs are
+immutable and hashable.
 
 The hot paths work on whole bit rows. ``Graph(...)`` checks symmetry by
 testing each upper-half bit against its mirror plus one popcount
@@ -22,13 +22,13 @@ triangle as one binary string, the one bitmask flood fill (``_reach``) that
 every component and connectivity test runs, the one lowpoint DFS
 (``_blocks``) that finds the biconnected blocks for planarity and the cut
 vertices for the clique-cutset search, and the elementary operations:
-complement, join, edge contraction, degree statistics, and non-triangular
-edge detection.
+complement, join, triangles and non-triangular edges. The helpers only the
+tests build with (cycles, paths, disjoint unions, edge contraction, degree
+statistics) live in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -324,23 +324,9 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, rows)
 
 
-def empty_graph(n: int) -> Graph:
-    return Graph(n, [0] * n)
-
-
 def complete_graph(n: int) -> Graph:
     full = (1 << n) - 1
     return Graph(n, [full ^ (1 << v) for v in range(n)])
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle needs at least 3 vertices")
-    return from_edges(n, [(v, (v + 1) % n) for v in range(n)])
-
-
-def path_graph(n: int) -> Graph:
-    return from_edges(n, [(v, v + 1) for v in range(n - 1)])
 
 
 def complete_multipartite(*sizes: int) -> Graph:
@@ -392,14 +378,6 @@ def identified_union(g: Graph, g_sites: Sequence[int], h: Graph, h_sites: Sequen
     return Graph._trusted(n, tuple(rows))
 
 
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    n = g.n + h.n
-    if n > MAX_ORDER:
-        raise OrderOverflowError(f"union order {n} exceeds {MAX_ORDER}")
-    rows = list(g.rows) + [r << g.n for r in h.rows]
-    return Graph(n, rows)
-
-
 # -- spec operations ---------------------------------------------------------
 
 
@@ -418,33 +396,6 @@ def join(g: Graph, h: Graph) -> Graph:
     rows = [r | hmask for r in g.rows]
     rows += [(r << g.n) | gmask for r in h.rows]
     return Graph(n, rows)
-
-
-def contract_edge(g: Graph, u: int, v: int) -> Graph:
-    """Contract edge uv: neighborhoods unioned, loops/parallels dropped."""
-    if not g.has_edge(u, v):
-        raise ValueError(f"edge ({u}, {v}) not present")
-    lo, hi = min(u, v), max(u, v)
-    rows = list(g.rows)
-    merged = (rows[lo] | rows[hi]) & ~(1 << lo) & ~(1 << hi)
-    rows[lo] = merged
-    for w in _bits(merged):
-        rows[w] |= 1 << lo
-        rows[w] &= ~(1 << hi)
-    rows[hi] = 0
-    return Graph(g.n, rows).delete_vertices([hi])
-
-
-@dataclass(frozen=True)
-class DegreeStats:
-    min_degree: int
-    max_degree: int
-    degree_sequence: tuple[int, ...]
-
-
-def degree_stats(g: Graph) -> DegreeStats:
-    seq = tuple(sorted(g.degrees()))
-    return DegreeStats(seq[0], seq[-1], seq)
 
 
 def non_triangular_edges(g: Graph) -> tuple[tuple[int, int], ...]:

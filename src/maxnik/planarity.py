@@ -23,9 +23,10 @@ subset and per block. ``_planar_within`` checks one edge bound on the whole
 mask, since a planar graph on n >= 3 vertices has at most 3n - 6 edges
 whatever its components, and then runs DMP on each block of at least five
 vertices from one pass of ``graphs._blocks``, the lowpoint DFS that
-``primality`` shares. Smaller blocks are planar. The answer is only ever a
-bool, and a k-apex witness is the first planar subset in lex order, so no
-change to DMP's inner steps can change a verdict or a witness.
+``primality`` shares; a block that is the whole mask reuses the bound's edge
+count. Smaller blocks are planar. The answer is only ever a bool, and a
+k-apex witness is the first planar subset in lex order, so no change to
+DMP's inner steps can change a verdict or a witness.
 
 ``is_k_apex`` tests one vertex subset per automorphism orbit. For an
 automorphism s, G - S and G - s(S) are isomorphic, so every subset in the
@@ -115,8 +116,9 @@ def _embed(emb: list[int], path: list[int]) -> None:
         emb[b] |= 1 << a
 
 
-def _dmp(rows: Sequence[int], block: int) -> bool:
-    """Planarity of the 2-connected subgraph induced on ``block`` by face growing."""
+def _dmp(rows: Sequence[int], block: int, size: int) -> bool:
+    """Planarity of the 2-connected subgraph induced on ``block``, which has
+    ``size`` edges, by face growing."""
     a = _low(block)
     b = _low(rows[a] & block)
     cycle = _path(rows, b, block & ~(1 << a | 1 << b), 1 << a)
@@ -125,7 +127,7 @@ def _dmp(rows: Sequence[int], block: int) -> bool:
     faces = [cycle, cycle]
     in_h = _mask(cycle)
     fmasks = [in_h, in_h]
-    left = _size_within(rows, block) - len(cycle)  # edges not yet embedded
+    left = size - len(cycle)  # edges not yet embedded
     while left:
         # the chords of H, each once, then the components of G - H
         frags = [(1 << v | 1 << u, 0) for v in _bits(in_h)
@@ -164,13 +166,16 @@ def _dmp(rows: Sequence[int], block: int) -> bool:
 
 def _planar_within(rows: Sequence[int], keep: int) -> bool:
     """Planarity of the subgraph induced on ``keep``: one edge bound, then DMP
-    on each block of at least five vertices."""
+    on each block of at least five vertices. A block that is all of ``keep``
+    reuses the bound's edge count; only a smaller block is counted again."""
     n = keep.bit_count()
     if n <= 4:
         return True
-    if _size_within(rows, keep) > 3 * n - 6:
+    size = _size_within(rows, keep)
+    if size > 3 * n - 6:
         return False
-    return all(_dmp(rows, block) for block in _blocks(rows, keep) if block.bit_count() >= 5)
+    return all(_dmp(rows, block, size if block == keep else _size_within(rows, block))
+               for block in _blocks(rows, keep) if block.bit_count() >= 5)
 
 
 def is_planar(g: Graph) -> bool:

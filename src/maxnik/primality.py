@@ -15,8 +15,9 @@ are reproducible (Tarjan, "Decomposition by clique separators", 1985).
 One ``decompose`` call splits each distinct labelled piece once: a piece
 that recurs in its tree is read from a memo that lives for that call only.
 Each split checks that its pieces, OR-ed back through their vertices,
-rebuild the graph it split; by induction on the tree, that proves that
-``Decomposition.re_glue`` rebuilds the input.
+rebuild the graph it split (``_glued``); by induction on the tree, the
+leaves re-glue to the input. The re-glue oracle that rebuilds a whole tree
+from its leaves, and the leaf list, live in the tests.
 """
 
 from __future__ import annotations
@@ -119,8 +120,8 @@ class Decomposition:
 
     ``cutset`` and ``part_vertices`` name vertices of this node's graph;
     ``parts[i].graph`` is the induced subgraph on ``part_vertices[i]`` with
-    its vertices relabelled in sorted order. ``re_glue`` rebuilds ``graph``
-    exactly, on those labels.
+    its vertices relabelled in sorted order. OR-ing each part's graph back
+    through its vertices rebuilds ``graph`` exactly, on those labels.
     """
 
     graph: Graph
@@ -131,24 +132,6 @@ class Decomposition:
     @property
     def is_leaf(self) -> bool:
         return self.cutset is None
-
-    def leaves(self) -> list[Graph]:
-        if self.is_leaf:
-            return [self.graph]
-        out: list[Graph] = []
-        for p in self.parts:
-            out.extend(p.leaves())
-        return out
-
-    def re_glue(self) -> Graph:
-        """Rebuild this node's graph, on its own labels, from the leaves.
-
-        Each part's rebuilt rows are OR-ed back through ``part_vertices``.
-        """
-        if self.is_leaf:
-            return self.graph
-        return Graph(self.graph.n,
-                     _glued(self.graph.n, self.part_vertices, [p.re_glue() for p in self.parts]))
 
     def to_json(self) -> dict:
         if self.is_leaf:

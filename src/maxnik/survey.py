@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .canon import canonical_key_graph
-from .catalog import _order9_registry, named_graph
+from .catalog import _ORDER9_JOINS, named_graph
 from .certify import VERDICT_MAXNIK, certify_maxnik
 from .errors import ValidationError
 from .graphs import Graph, graph6_encode
@@ -57,11 +57,8 @@ def classified_maxnik(n: int) -> tuple[Graph, ...]:
     if 1 <= n <= 8:
         return enumerate_maxnik(n)
     if n == 9:
-        reg = _order9_registry()
-        members = [reg[name] for name in sorted(reg)]
-        members.append(named_graph("E9").graph)
-        members.append(named_graph("G9,29").graph)
-        return tuple(members)
+        names = [*sorted(name for name, _ in _ORDER9_JOINS), "E9", "G9,29"]
+        return tuple(named_graph(name).graph for name in names)
     raise ValueError("classification covers orders 1..9")
 
 
@@ -88,16 +85,18 @@ def verify_order9() -> Order9Report:
     """Certify the seven order-9 maximal knotless graphs.
 
     Also certifies that exactly five of them are maximal 2-apex (one per
-    7-vertex triangulation). Completeness beyond the seven relies on the
-    published classification of order-9 obstructions, not on a local sweep.
+    7-vertex triangulation): the five named rows of ``catalog`` must be the
+    joins of the 7-vertex triangulations with K2, in key order. Completeness
+    beyond the seven relies on the published classification of order-9
+    obstructions, not on a local sweep.
     """
-    reg = _order9_registry()
-    if len(reg) != 5:
-        raise ValidationError(f"expected 5 order-9 maximal 2-apex graphs, got {len(reg)}")
-    for g in reg.values():
+    joins = [(name, named_graph(name).graph) for name, _ in _ORDER9_JOINS]
+    if tuple(g for _, g in joins) != maximal_2apex_graphs(9):
+        raise ValidationError("the named order-9 rows are not the five triangulation joins")
+    for _, g in joins:
         if not is_maximal_2apex(g):
             raise ValidationError("join of a triangulation with K2 is not maximal 2-apex")
-    graphs = [*reg.items(), *((name, named_graph(name).graph) for name in ("E9", "G9,29"))]
+    graphs = [*joins, *((name, named_graph(name).graph) for name in ("E9", "G9,29"))]
     members = []
     for name, g in graphs:
         cert = certify_maxnik(g)
@@ -106,7 +105,7 @@ def verify_order9() -> Order9Report:
         members.append((name, graph6_encode(g), cert.rule))
     return Order9Report(
         members=tuple(members),
-        maximal_2apex_count=len(reg),
+        maximal_2apex_count=len(joins),
         sizes=tuple(sorted(g.m for _, g in graphs)),
         completeness_note=(
             "the seven members are certified maximal knotless and the"

@@ -12,20 +12,20 @@ import pytest
 
 from maxnik import canon
 from maxnik.canon import (CanonicalForm, _relabel_canonically, canonical_form,
-                          canonical_key_graph, canonical_labeling, isomorphism,
-                          orbits)
+                          canonical_graph, canonical_key_graph,
+                          canonical_labeling, isomorphism, orbits)
 from maxnik.catalog import (PROV_CLOSURE, NamedGraph, ObstructionLibrary,
                             mmik_library, named_graph)
 from maxnik.certify import VERDICT_MAXNIK, certify_maxnik, check_necessary
 from maxnik.errors import OrderOverflowError, ParseError
 from maxnik.graphs import (MAX_ORDER, Graph, _bits, _reach, clique_number,
                            complement, complete_graph, complete_multipartite,
-                           contract_edge, from_edges, graph6_encode,
+                           from_edges, graph6_encode, identified_union,
                            non_triangular_edges, triangles)
 from maxnik.minors import (DELTA_Y, Y_DELTA, ClosureResult, MinorSearch,
                            MinorWitness, closure, delta_y, has_minor, y_delta)
 from maxnik.planarity import KApexResult, is_k_apex
-from maxnik.primality import _pieces, is_prime
+from maxnik.primality import Decomposition, _glued, _pieces, is_prime
 from maxnik.survey import classified_maxnik
 
 
@@ -39,6 +39,81 @@ def _cold_search_cache():
     """Each test starts with no canonical search kept, so a count of
     searches or a patched search sees every graph it asks about."""
     canon._search.cache_clear()
+
+
+# -- graph helpers only the tests build with ------------------------------------
+
+
+def empty_graph(n: int) -> Graph:
+    return Graph(n, [0] * n)
+
+
+def cycle_graph(n: int) -> Graph:
+    if n < 3:
+        raise ValueError("cycle needs at least 3 vertices")
+    return from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+def path_graph(n: int) -> Graph:
+    return from_edges(n, [(v, v + 1) for v in range(n - 1)])
+
+
+def disjoint_union(g: Graph, h: Graph) -> Graph:
+    n = g.n + h.n
+    if n > MAX_ORDER:
+        raise OrderOverflowError(f"union order {n} exceeds {MAX_ORDER}")
+    rows = list(g.rows) + [r << g.n for r in h.rows]
+    return Graph(n, rows)
+
+
+def contract_edge(g: Graph, u: int, v: int) -> Graph:
+    """Contract edge uv: neighborhoods unioned, loops/parallels dropped."""
+    if not g.has_edge(u, v):
+        raise ValueError(f"edge ({u}, {v}) not present")
+    lo, hi = min(u, v), max(u, v)
+    rows = list(g.rows)
+    merged = (rows[lo] | rows[hi]) & ~(1 << lo) & ~(1 << hi)
+    rows[lo] = merged
+    for w in _bits(merged):
+        rows[w] |= 1 << lo
+        rows[w] &= ~(1 << hi)
+    rows[hi] = 0
+    return Graph(g.n, rows).delete_vertices([hi])
+
+
+@dataclass(frozen=True)
+class DegreeStats:
+    min_degree: int
+    max_degree: int
+    degree_sequence: tuple[int, ...]
+
+
+def degree_stats(g: Graph) -> DegreeStats:
+    seq = tuple(sorted(g.degrees()))
+    return DegreeStats(seq[0], seq[-1], seq)
+
+
+def leaves(d: Decomposition) -> list[Graph]:
+    """The prime leaves of a decomposition tree, left to right."""
+    if d.is_leaf:
+        return [d.graph]
+    out: list[Graph] = []
+    for p in d.parts:
+        out.extend(leaves(p))
+    return out
+
+
+def re_glue(d: Decomposition) -> Graph:
+    """Rebuild the graph of ``d``, on its own labels, from the leaves.
+
+    Each part's rebuilt rows are OR-ed back through ``part_vertices``.
+    """
+    if d.is_leaf:
+        return d.graph
+    return Graph(d.graph.n, _glued(d.graph.n, d.part_vertices, [re_glue(p) for p in d.parts]))
+
+
+# -- oracles ---------------------------------------------------------------------
 
 
 _minor_memo: dict[tuple[bytes, bytes], bool] = {}
@@ -1115,6 +1190,30 @@ def identify_F9_and_E9_plus_e(e9: Graph, k7_dy: ClosureResult) -> tuple[NamedGra
     pattern = canonical_key_graph(e9.with_edge(u, v))[1]
     assert pattern.m == 22, "E9+e does not have 22 edges"
     return f9, NamedGraph("E9+e", pattern, PROV_CLOSURE)
+
+
+# -- the order-9 names ----------------------------------------------------------
+# The recipes behind four of the five rows of ``catalog._ORDER9_JOINS``: each
+# named join is its base glued to K6 over the stated 5-clique of the base (K6's
+# vertices 0..4 identified onto it), as a canonical representative. K8-P3 lacks
+# the path 0-1-2-3 and K8-3K2 the edges 01, 23 and 45. Pentagon-bar is the
+# remaining join.
+
+ORDER9_RECIPES: dict[str, tuple[str, tuple[int, ...]]] = {
+    "Big-Y": ("K8-P3", (0, 3, 4, 5, 6)),
+    "Hat": ("K8-P3", (0, 2, 4, 5, 6)),
+    "House": ("K8-P3", (1, 4, 5, 6, 7)),
+    "Long-Y": ("K8-3K2", (0, 2, 4, 6, 7)),
+}
+
+
+def order9_recipe(name: str) -> Graph:
+    """The canonical representative of the named join, rebuilt from its recipe."""
+    base_name, five_clique = ORDER9_RECIPES[name]
+    base = named_graph(base_name).graph
+    assert all(base.has_edge(u, v) for u, v in combinations(five_clique, 2)), (
+        f"{name}: {five_clique} is not a clique of {base_name}")
+    return canonical_graph(identified_union(base, five_clique, complete_graph(6), range(5)))
 
 
 # -- lemma verification reports ------------------------------------------------

@@ -30,7 +30,7 @@ from maxnik.survey import (classified_maxnik, enumerate_maxnik, table_deg,
                            table_ve, verify_order9)
 
 from conftest import (brute_force_minor, heawood_family, is_planar_wagner,
-                      k3311_family, k7_dy_family, random_graph)
+                      k3311_family, k7_dy_family, leaves, random_graph, re_glue)
 
 _touched: list[Graph] = []
 
@@ -197,10 +197,10 @@ def test_criterion_7_primality():
                     break
         assert found, f"{name} does not split per its recipe"
         d = decompose(g)
-        assert canonical_form(d.re_glue()) == canonical_form(g)
-        assert all(is_prime(leaf).prime for leaf in d.leaves())
+        assert canonical_form(re_glue(d)) == canonical_form(g)
+        assert all(is_prime(leaf).prime for leaf in leaves(d))
     for g in primes:
-        assert canonical_form(decompose(g).re_glue()) == canonical_form(g)
+        assert canonical_form(re_glue(decompose(g))) == canonical_form(g)
     _track(primes)
     _track(composites.values())
     _report(7, "primes and composites match the classification; every "

@@ -15,12 +15,12 @@ from maxnik.canon import (_canonical_search, _relabel_canonically,
                           automorphism_generators, canonical_form,
                           canonical_graph, isomorphism, orbits)
 from maxnik.graphs import (Graph, _bits, complement, complete_graph,
-                           complete_multipartite, cycle_graph, from_edges,
-                           graph6_encode, triangles)
+                           complete_multipartite, from_edges, graph6_encode,
+                           triangles)
 from maxnik.smallgraphs import enumerate_graphs
 
 from conftest import (all_labeled_graphs, brute_force_automorphisms,
-                      brute_force_isomorphic, dedup_by_canonical_form,
+                      brute_force_isomorphic, cycle_graph, dedup_by_canonical_form,
                       group_order, random_graph, reference_canonical_search,
                       reference_object_orbits)
 

@@ -21,14 +21,16 @@ from maxnik.catalog import (PROV_CLOSURE, PROV_EXPLICIT, NamedGraph,
                             _designated_e9_triangle_orbit, disk_axiom_covers,
                             mmik_library, named_graph)
 from maxnik.graphs import (clique_number, complement, complete_graph,
-                           complete_multipartite, cycle_graph, disjoint_union,
-                           graph6_encode, join, non_triangular_edges, triangles)
+                           complete_multipartite, graph6_encode, join,
+                           non_triangular_edges, triangles)
 from maxnik.minors import has_minor
 from maxnik.planarity import is_k_apex, is_maximal_2apex
+from maxnik.smallgraphs import maximal_2apex_graphs
 
-from conftest import (brute_connectivity, heawood_family, identify_E9,
+from conftest import (ORDER9_RECIPES, brute_connectivity, cycle_graph,
+                      disjoint_union, heawood_family, identify_E9,
                       identify_F9_and_E9_plus_e, k3311_family, k7_dy_family,
-                      reference_disk_axiom_covers)
+                      order9_recipe, reference_disk_axiom_covers)
 
 
 class TestE9:
@@ -151,14 +153,21 @@ class TestNamedGraphs:
         assert are_isomorphic(got, join(complete_multipartite(2, 2, 2),
                                         complete_graph(2)))
 
+    @pytest.mark.parametrize("name", sorted(ORDER9_RECIPES))
+    def test_each_recipe_rebuilds_its_row(self, name):
+        g = order9_recipe(name)
+        assert graph6_encode(g) == dict(catalog._ORDER9_JOINS)[name]
+        assert named_graph(name).graph == g
+
     def test_order9_registry_is_the_five_joins(self):
-        names = ("Big-Y", "Long-Y", "Hat", "House", "Pentagon-bar")
-        graphs = [named_graph(n).graph for n in names]
-        for g in graphs:
-            assert is_maximal_2apex(g)
-        for i in range(5):
-            for j in range(i + 1, 5):
-                assert not are_isomorphic(graphs[i], graphs[j])
+        # the rows are the joins of the 7-vertex triangulations with K2, in
+        # key order; the recipes name four of them, Pentagon-bar is the fifth
+        names = [name for name, _ in catalog._ORDER9_JOINS]
+        graphs = [named_graph(name).graph for name in names]
+        assert tuple(graphs) == maximal_2apex_graphs(9)
+        assert all(is_maximal_2apex(g) for g in graphs)
+        assert sorted(set(names) - set(ORDER9_RECIPES)) == ["Pentagon-bar"]
+        assert len({order9_recipe(name) for name in ORDER9_RECIPES}) == 4
 
     def test_pentagon_bar_complement(self):
         pb = named_graph("Pentagon-bar").graph

@@ -19,15 +19,15 @@ from maxnik.certify import (VERDICT_IK, VERDICT_MAXNIK, VERDICT_NIK,
                             check_necessary, relabel_certificate,
                             validate_certificate)
 from maxnik.construct import prime_family, size_construct
-from maxnik.graphs import (complete_graph, complete_multipartite, cycle_graph,
-                           from_edges, graph6_decode, graph6_encode,
-                           path_graph)
+from maxnik.graphs import (complete_graph, complete_multipartite, from_edges,
+                           graph6_decode, graph6_encode)
 from maxnik.planarity import is_k_apex
 from maxnik.primality import _splits
 from maxnik.smallgraphs import enumerate_graphs
 
-from conftest import (all_labeled_graphs, brute_connectivity, is_planar_wagner,
-                      random_graph, reference_cycle_rank, reference_is_k_apex,
+from conftest import (all_labeled_graphs, brute_connectivity, cycle_graph,
+                      is_planar_wagner, path_graph, random_graph,
+                      reference_cycle_rank, reference_is_k_apex,
                       shaped_random_graph)
 
 

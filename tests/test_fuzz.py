@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import io
+import json
+import os
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from itertools import combinations
+from unittest.mock import patch
 
 import pytest
 
@@ -15,6 +21,7 @@ from maxnik import primality  # noqa: E402
 from maxnik.certify import (LEMMAS, RULES, VERDICT_IK, VERDICT_MAXNIK,  # noqa: E402
                             VERDICT_NIK, VERDICT_NOT_MAXNIK, VERDICT_UNKNOWN,
                             Certificate, validate_certificate)
+from maxnik.cli import main  # noqa: E402
 from maxnik.errors import MaxnikError  # noqa: E402
 from maxnik.graphs import (Graph, from_edges, graph6_decode,  # noqa: E402
                            graph6_encode, identified_union)
@@ -22,8 +29,8 @@ from maxnik.minors import has_minor  # noqa: E402
 from maxnik.planarity import _planar_within  # noqa: E402
 from maxnik.primality import decompose  # noqa: E402
 
-from conftest import (brute_force_minor, outcome,  # noqa: E402
-                      reference_clique_cutsets, reference_cycle_rank,
+from conftest import (brute_force_minor, leaves, outcome,  # noqa: E402
+                      re_glue, reference_clique_cutsets, reference_cycle_rank,
                       reference_graph6_decode, reference_is_planar)
 
 VERDICTS = (VERDICT_IK, VERDICT_NIK, VERDICT_MAXNIK, VERDICT_NOT_MAXNIK, VERDICT_UNKNOWN)
@@ -178,8 +185,8 @@ def _clique_sum(draw):
 @given(_clique_sum())
 def test_decompose_re_glues_random_clique_sums(g):
     d = decompose(g)
-    assert d.re_glue() == g
-    assert all(reference_clique_cutsets(leaf) == [] for leaf in d.leaves())
+    assert re_glue(d) == g
+    assert all(reference_clique_cutsets(leaf) == [] for leaf in leaves(d))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(primality, "_minimal_clique_cutsets",
                    lambda h: iter(reference_clique_cutsets(h)))
@@ -203,3 +210,22 @@ def test_has_minor_matches_brute_force_around_the_rank_gate(host, pattern):
     assert has_minor(host, pattern).found == want
     if reference_cycle_rank(pattern) > reference_cycle_rank(host):
         assert not want
+
+
+# a batch line: the graph6 of a graph of order at most 7, or junk that short
+# (at most 8 characters decode to order 9 at most, so every line is quick)
+_BATCH_LINE = st.one_of(_small_graph(7).map(graph6_encode),
+                        st.text(st.characters(blacklist_characters="\n"), max_size=8))
+
+
+@pytest.mark.parametrize("command", ["classify", "certify", "prime"])
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(lines=st.lists(_BATCH_LINE, max_size=4))
+def test_stdin_batch_gives_one_record_per_line(command, lines):
+    with patch.dict(os.environ), patch.object(sys, "stdin", io.StringIO("\n".join(lines))), \
+            redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()):
+        os.environ.pop("MAXNIK_WORKERS", None)
+        code = main([command, "-"])
+    assert code in (0, 1, 2)
+    records = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert [r["graph6"] for r in records] == [line.strip() for line in lines if line.strip()]

@@ -5,10 +5,10 @@ from __future__ import annotations
 import pytest
 
 from maxnik.errors import ParseError
-from maxnik.graphs import (Graph, complete_graph, cycle_graph, from_edges,
-                           graph6_decode, graph6_encode, path_graph)
+from maxnik.graphs import (Graph, complete_graph, from_edges, graph6_decode,
+                           graph6_encode)
 
-from conftest import all_labeled_graphs
+from conftest import all_labeled_graphs, cycle_graph, path_graph
 
 
 def reference_encode(g: Graph) -> str:

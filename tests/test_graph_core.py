@@ -12,12 +12,12 @@ import random
 
 import pytest
 
-from maxnik.graphs import (Graph, complete_graph, cycle_graph, graph6_decode,
-                           graph6_encode, identified_union)
+from maxnik.graphs import (Graph, complete_graph, graph6_decode, graph6_encode,
+                           identified_union)
 from maxnik.minors import MinorWitness
 from maxnik.primality import _pieces
 
-from conftest import (outcome, random_graph, reference_branch_sets_valid,
+from conftest import (cycle_graph, outcome, random_graph, reference_branch_sets_valid,
                       reference_delete_vertices, reference_graph,
                       reference_graph6_decode, reference_graph6_encode,
                       reference_identified_union, reference_subgraph,

@@ -10,13 +10,13 @@ import pytest
 from maxnik import planarity
 from maxnik.canon import are_isomorphic
 from maxnik.graphs import (Graph, _bits, _blocks, complement, complete_graph,
-                           complete_multipartite, contract_edge, cycle_graph,
-                           degree_stats, disjoint_union, empty_graph,
-                           from_edges, identified_union, join,
-                           non_triangular_edges, path_graph, triangles)
+                           complete_multipartite, from_edges, identified_union,
+                           join, non_triangular_edges, triangles)
 
 from conftest import (_reference_blocks, all_labeled_graphs, brute_connectivity,
-                      is_k_connected, reference_components, random_graph)
+                      contract_edge, cycle_graph, degree_stats, disjoint_union,
+                      empty_graph, is_k_connected, path_graph,
+                      reference_components, random_graph)
 
 
 def assert_k_connected_matches_brute_force(g: Graph) -> None:

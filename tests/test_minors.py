@@ -8,14 +8,14 @@ import pytest
 
 from maxnik import canon
 from maxnik.canon import are_isomorphic, canonical_form
-from maxnik.graphs import (complete_graph, complete_multipartite,
-                           cycle_graph, from_edges, triangles)
+from maxnik.graphs import (complete_graph, complete_multipartite, from_edges,
+                           triangles)
 from maxnik.minors import (DELTA_Y, Y_DELTA, closure, delta_y, has_minor,
                            y_delta)
 from maxnik.smallgraphs import enumerate_graphs
 
-from conftest import (brute_force_minor, random_graph, reference_closure,
-                      reference_has_minor)
+from conftest import (brute_force_minor, cycle_graph, random_graph,
+                      reference_closure, reference_has_minor)
 
 
 class TestHasMinor:

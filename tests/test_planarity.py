@@ -10,15 +10,16 @@ import pytest
 import maxnik.planarity as planarity_module
 from maxnik import canon
 from maxnik.construct import size_construct
-from maxnik.graphs import (Graph, complete_graph, complete_multipartite, cycle_graph,
-                           disjoint_union, from_edges, join, path_graph)
+from maxnik.graphs import (Graph, complete_graph, complete_multipartite, from_edges,
+                           identified_union, join)
 from maxnik.minors import DELTA_Y, Y_DELTA, closure
 from maxnik.planarity import (is_k_apex, is_maximal_2apex, is_maximal_planar,
                               is_planar)
 from maxnik.smallgraphs import enumerate_graphs, enumerate_triangulations
 
-from conftest import (all_labeled_graphs, brute_connectivity, is_planar_wagner,
-                      random_graph, reference_is_k_apex, reference_is_planar,
+from conftest import (all_labeled_graphs, brute_connectivity, cycle_graph,
+                      disjoint_union, is_planar_wagner, path_graph, random_graph,
+                      reference_is_k_apex, reference_is_planar,
                       shaped_random_graph)
 
 
@@ -51,6 +52,42 @@ class TestPlanar:
         for _ in range(300):
             g = random_graph(rng, rng.choice([9, 10]), rng.choice([0.2, 0.4, 0.6]))
             assert is_planar(g) == is_planar_wagner(g)
+
+
+class TestEdgeCount:
+    """``_planar_within`` counts a mask's edges once for its bound; DMP reuses
+    that count for a block that is the whole mask and counts a smaller one."""
+
+    @staticmethod
+    def _count(monkeypatch) -> list:
+        calls = []
+        real = planarity_module._size_within
+
+        def counted(rows, mask):
+            calls.append(mask)
+            return real(rows, mask)
+
+        monkeypatch.setattr(planarity_module, "_size_within", counted)
+        return calls
+
+    def test_a_two_connected_graph_is_counted_once(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        hosts = [cycle_graph(5), cycle_graph(12), complete_multipartite(3, 3),
+                 complete_multipartite(2, 2, 2), complete_graph(5).without_edge(0, 1),
+                 join(cycle_graph(7), complete_graph(1))]
+        for g in hosts:
+            assert brute_connectivity(g) >= 2 and g.m <= 3 * g.n - 6
+            calls.clear()
+            is_planar(g)
+            assert calls == [(1 << g.n) - 1], g
+
+    def test_a_proper_block_is_counted_again(self, monkeypatch):
+        # two wheels W5 sharing their hub 0: each block is counted for DMP
+        wheel = join(complete_graph(1), cycle_graph(5))
+        g = identified_union(wheel, (0,), wheel, (0,))
+        calls = self._count(monkeypatch)
+        assert is_planar(g)
+        assert sorted(calls) == sorted([(1 << 11) - 1, 0b111111, 0b11111000001])
 
 
 class TestKApex:

@@ -12,12 +12,13 @@ from maxnik.canon import are_isomorphic, canonical_form
 from maxnik.catalog import named_graph
 from maxnik.certify import certify_maxnik
 from maxnik.construct import chain_graphs, npp5_family, size_construct
-from maxnik.graphs import complete_graph, cycle_graph, path_graph
+from maxnik.graphs import complete_graph
 from maxnik.primality import clique_cutsets, decompose, is_prime
 from maxnik.smallgraphs import enumerate_graphs
 
 from conftest import (brute_connectivity, check_lemma_complement_k2, check_lemma_two_cut,
-                      random_graph, reference_clique_cutsets, reference_components)
+                      cycle_graph, disjoint_union, leaves, path_graph, random_graph,
+                      re_glue, reference_clique_cutsets, reference_components)
 
 PRIME_NAMES = ["K8-3K2", "Pentagon-bar", "E9", "G9,29"]
 COMPOSITE_NAMES = ["K7^-", "K8-P3", "Big-Y", "Long-Y", "Hat", "House"]
@@ -51,7 +52,6 @@ class TestCutsets:
         assert cuts == [(0, 1, 2)]
 
     def test_disconnected_rejected(self):
-        from maxnik.graphs import disjoint_union
         for search in (clique_cutsets, is_prime, decompose):
             with pytest.raises(ValueError):
                 search(disjoint_union(complete_graph(2), complete_graph(2)))
@@ -167,9 +167,9 @@ class TestDecompositions:
     def test_k7_minus_is_two_k6_over_k5(self):
         d = decompose(named_graph("K7^-").graph)
         assert len(d.cutset) == 5
-        leaves = d.leaves()
-        assert len(leaves) == 2
-        assert all(are_isomorphic(leaf, complete_graph(6)) for leaf in leaves)
+        primes = leaves(d)
+        assert len(primes) == 2
+        assert all(are_isomorphic(leaf, complete_graph(6)) for leaf in primes)
 
     def test_recipe_splits(self):
         k6 = complete_graph(6)
@@ -188,7 +188,7 @@ class TestDecompositions:
         for name in PRIME_NAMES + COMPOSITE_NAMES + ["K5", "K6"]:
             g = named_graph(name).graph
             d = decompose(g)
-            assert canonical_form(d.re_glue()) == canonical_form(g)
+            assert canonical_form(re_glue(d)) == canonical_form(g)
 
     def test_re_glue_is_exact(self):
         """``re_glue`` rebuilds the input on its own labels, not up to isomorphism."""
@@ -202,7 +202,7 @@ class TestDecompositions:
         for g in graphs:
             d = decompose(g)
             composite += not d.is_leaf
-            assert d.re_glue() == g
+            assert re_glue(d) == g
         assert composite > 200
 
     def test_self_check_rejects_a_split_that_loses_an_edge(self, monkeypatch):
@@ -246,16 +246,16 @@ class TestDecompositions:
     def test_leaves_are_prime(self):
         for name in COMPOSITE_NAMES:
             d = decompose(named_graph(name).graph)
-            for leaf in d.leaves():
+            for leaf in leaves(d):
                 assert is_prime(leaf).prime
 
     def test_long_y_leaves(self):
         d = decompose(named_graph("Long-Y").graph)
-        leaves = d.leaves()
-        assert len(leaves) == 2
+        primes = leaves(d)
+        assert len(primes) == 2
         matched = {
-            "K6": sum(1 for g in leaves if are_isomorphic(g, complete_graph(6))),
-            "K8-3K2": sum(1 for g in leaves
+            "K6": sum(1 for g in primes if are_isomorphic(g, complete_graph(6))),
+            "K8-3K2": sum(1 for g in primes
                           if are_isomorphic(g, named_graph("K8-3K2").graph)),
         }
         assert matched == {"K6": 1, "K8-3K2": 1}

@@ -22,8 +22,10 @@ from maxnik.certify import (LEMMA_EDGE_SUM, RULES, SETS, VERDICT_IK, VERDICT_MAX
                             validate_certificate)
 from maxnik.construct import chain_graphs, npp5_family, size_construct
 from maxnik.errors import ValidationError
-from maxnik.graphs import complete_graph, cycle_graph, graph6_decode, graph6_encode
+from maxnik.graphs import complete_graph, graph6_decode, graph6_encode
 from maxnik.survey import classified_maxnik
+
+from conftest import cycle_graph
 
 VERDICTS = (VERDICT_IK, VERDICT_NIK, VERDICT_MAXNIK, VERDICT_NOT_MAXNIK, VERDICT_UNKNOWN)
 
@@ -266,6 +268,20 @@ class TestRuleTable:
                 Certificate(cert.verdict, name, missing, cert.children)) != [], field
 
 
+# exports the package itself never calls, each kept for the caller it serves
+PACKAGE_ENTRY_POINTS = (
+    ("are_isomorphic", "the yes/no isomorphism test offered to callers"),
+    ("isomorphism", "an explicit vertex map between two isomorphic graphs"),
+    ("canonical_graph", "the canonical representative of a graph's class"),
+    ("complement", "the graph operation the paper's complements are stated in"),
+    ("certify_nik", "the knotless half of certify_maxnik, on its own"),
+    ("clique_cutsets", "every minimal clique cutset, not just the first"),
+    ("validate_certificate", "replays a certificate a consumer was handed"),
+    ("verify_order9", "the order-9 classification report"),
+    ("verify_size20", "the size-20 classification report"),
+)
+
+
 def _package_trees():
     """(file name, parsed module) of each source file of the package."""
     for path in sorted(pathlib.Path(certify_module.__file__).parent.glob("*.py")):
@@ -295,8 +311,9 @@ class TestPackageSource:
                   and "lib" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}]
         assert takers == []
 
-    def test_catalog_imports_neither_minors_nor_planarity(self):
-        # the library is read from its table; its derivation lives in the tests
+    def test_catalog_imports_none_of_smallgraphs_minors_planarity(self):
+        # the library and the order-9 names are read from their tables; their
+        # derivations live in the tests, and verify_order9 re-derives the names
         imported = set()
         for node in ast.walk(dict(_package_trees())["catalog.py"]):
             if isinstance(node, ast.ImportFrom):
@@ -304,7 +321,24 @@ class TestPackageSource:
                 imported.update(alias.name for alias in node.names)
             elif isinstance(node, ast.Import):
                 imported.update(alias.name for alias in node.names)
-        assert not {"minors", "planarity"} & {m.split(".")[-1] for m in imported}
+        assert not ({"smallgraphs", "minors", "planarity"}
+                    & {m.split(".")[-1] for m in imported})
+
+    def test_every_export_is_used_by_the_package_or_is_an_entry_point(self):
+        # a name only the tests call belongs in tests/conftest.py, not in src/
+        trees = dict(_package_trees())
+        exported = {alias.asname or alias.name for node in trees.pop("__init__.py").body
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        used = set()
+        for tree in trees.values():
+            for top in tree.body:
+                own = getattr(top, "name", None)  # a def naming itself is no use
+                for node in ast.walk(top):
+                    name = (node.name if isinstance(node, ast.alias)
+                            else getattr(node, "id", None) or getattr(node, "attr", None))
+                    if name and name != own:
+                        used.add(name)
+        assert exported - used == {name for name, _ in PACKAGE_ENTRY_POINTS}
 
     def test_only_minors_and_cli_name_closure(self):
         # minors defines it and cli runs it; __init__ only re-exports it

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from maxnik import smallgraphs, survey
+from maxnik import catalog, smallgraphs, survey
 from maxnik.canon import are_isomorphic
 from maxnik.catalog import named_graph
 from maxnik.certify import check_necessary
@@ -158,6 +158,25 @@ class TestOrder9:
         blob = verify_order9().to_json()
         assert blob["maximal_2apex_count"] == 5
         assert len(blob["members"]) == 7
+
+    @pytest.mark.parametrize("swap", ["relabelled", "duplicate"])
+    def test_a_swapped_row_fails_the_report(self, monkeypatch, swap):
+        # Hat's row becomes another order-9, size-30 graph: Hat on other
+        # labels, or a second copy of Big-Y
+        rows = dict(catalog._ORDER9_JOINS)
+        hat = graph6_decode(rows["Hat"])
+        rows["Hat"] = (graph6_encode(hat.relabel(range(8, -1, -1))) if swap == "relabelled"
+                       else rows["Big-Y"])
+        assert rows["Hat"] != dict(catalog._ORDER9_JOINS)["Hat"]
+        monkeypatch.setattr(catalog, "_ORDER9_JOINS", tuple(rows.items()))
+        catalog._table_graph.cache_clear()
+        catalog.named_graph.cache_clear()
+        try:
+            with pytest.raises(ValidationError, match="triangulation joins"):
+                verify_order9()
+        finally:
+            catalog._table_graph.cache_clear()
+            catalog.named_graph.cache_clear()
 
 
 @pytest.fixture(scope="module")
