@@ -12,17 +12,20 @@ cutset in that (size, lex) order, which is minimal because every proper
 sub-clique was tested before it, and decomposition recurses on it so runs
 are reproducible (Tarjan, "Decomposition by clique separators", 1985).
 
-One ``decompose`` call splits each distinct labelled piece once: a piece
-that recurs in its tree is read from a memo that lives for that call only.
-Each split checks that its pieces, OR-ed back through their vertices,
-rebuild the graph it split (``_glued``); by induction on the tree, the
-leaves re-glue to the input. The re-glue oracle that rebuilds a whole tree
+``decompose`` splits each distinct labelled piece once per process, in a
+bounded cache: a piece that recurs in a tree, or in a later call, is read
+from the ``_TREES`` nodes used last, which are immutable and keyed by the
+labelled graph, as ``canon._search`` keeps its searches. Each split checks,
+on the miss that builds its node, that its pieces, OR-ed back through their
+vertices, rebuild the graph it split (``_glued``); by induction on the tree,
+the leaves re-glue to the input. The re-glue oracle that rebuilds a whole tree
 from its leaves, and the leaf list, live in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 from .graphs import Graph, _bits, _blocks, _components, _reach, graph6_encode
@@ -158,18 +161,20 @@ def _glued(n: int, part_vertices: Iterable[tuple[int, ...]],
 def decompose(g: Graph) -> Decomposition:
     """Split recursively on the first minimal clique cutset; leaves prime.
 
-    Splits each distinct piece once per call and checks that each split
-    re-glues to the graph it split (see the module docstring)."""
-    return _decompose(g, {})
+    Splits each distinct piece once per process, in a bounded cache, and
+    checks that each split re-glues to the graph it split (see the module
+    docstring)."""
+    return _decompose(g)
 
 
-def _decompose(g: Graph, memo: dict[Graph, Decomposition]) -> Decomposition:
-    """``decompose(g)``, reading and filling the caller's per-call ``memo``."""
-    if g not in memo:
-        cut, pieces = next(_splits(g), (None, ()))
-        verts = tuple(v for v, _ in pieces)
-        if cut is not None and _glued(g.n, verts, [piece for _, piece in pieces]) != g.rows:
-            raise AssertionError("decomposition does not re-glue to its input")
-        memo[g] = Decomposition(g, cut, tuple(_decompose(piece, memo) for _, piece in pieces),
-                                verts)
-    return memo[g]
+_TREES = 256  # a size-planner pass meets 177 distinct graphs
+
+
+@lru_cache(maxsize=_TREES)
+def _decompose(g: Graph) -> Decomposition:
+    """``decompose(g)``, kept for reuse; a node's split is checked on the miss that builds it."""
+    cut, pieces = next(_splits(g), (None, ()))
+    verts = tuple(v for v, _ in pieces)
+    if cut is not None and _glued(g.n, verts, [piece for _, piece in pieces]) != g.rows:
+        raise AssertionError("decomposition does not re-glue to its input")
+    return Decomposition(g, cut, tuple(_decompose(piece) for _, piece in pieces), verts)

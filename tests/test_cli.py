@@ -317,3 +317,28 @@ def test_readme_command_examples(capsys):
             assert len(out.splitlines()) == counts["library"]
         if argv[0] == "closure":
             assert json.loads(out)["count"] == counts["closure"]
+
+
+def test_prime_batch_output_does_not_depend_on_cache_state(capsys, monkeypatch):
+    """``prime -`` gives each planner graph the same record whatever the
+    decomposition cache holds: read forward from cold, reversed over the
+    trees the forward run kept, and split over two workers from cold."""
+    from maxnik import primality
+    from maxnik.construct import size_construct
+    from maxnik.graphs import graph6_encode
+    lines = [graph6_encode(size_construct(n)[1]) for n in range(20, 178) if n != 22]
+    monkeypatch.delenv("MAXNIK_WORKERS", raising=False)
+    primality._decompose.cache_clear()
+    runs = [run_cli(capsys, ["prime", "-"], stdin="\n".join(lines) + "\n"),
+            run_cli(capsys, ["prime", "-"], stdin="\n".join(reversed(lines)) + "\n")]
+    primality._decompose.cache_clear()
+    monkeypatch.setenv("MAXNIK_WORKERS", "2")
+    runs.append(run_cli(capsys, ["prime", "-"], stdin="\n".join(lines) + "\n"))
+    records = []
+    for code, out, err in runs:
+        assert (code, err) == (0, "")
+        by_graph6 = {json.loads(line)["graph6"]: line for line in out.splitlines()}
+        assert sorted(by_graph6) == sorted(lines)
+        records.append(by_graph6)
+    assert records[0] == records[1] == records[2]
+    assert list(records[0]) == lines

@@ -184,13 +184,43 @@ def _clique_sum(draw):
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(_clique_sum())
 def test_decompose_re_glues_random_clique_sums(g):
+    primality._decompose.cache_clear()
     d = decompose(g)
     assert re_glue(d) == g
     assert all(reference_clique_cutsets(leaf) == [] for leaf in leaves(d))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(primality, "_minimal_clique_cutsets",
                    lambda h: iter(reference_clique_cutsets(h)))
+        primality._decompose.cache_clear()
         assert decompose(g) == d
+    primality._decompose.cache_clear()
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_clique_sum())
+def test_decompose_reads_the_same_tree_from_a_warm_cache(g):
+    """A tree built over pieces decomposed earlier equals one built cold, and
+    a split that does not re-glue raises again once the cache is cleared."""
+    primality._decompose.cache_clear()
+    cut, pieces = next(primality._splits(g), (None, []))
+    for _, piece in reversed(pieces):
+        decompose(piece)
+    warm = decompose(g)
+    primality._decompose.cache_clear()
+    cold = decompose(g)
+    assert cold.to_json() == warm.to_json()
+
+    glued = primality._glued
+    with pytest.MonkeyPatch.context() as mp:  # the re-glue loses the last row
+        mp.setattr(primality, "_glued", lambda *args: glued(*args)[:-1] + (0,))
+        assert decompose(g) is cold  # a hit checks nothing
+        primality._decompose.cache_clear()
+        if cut is None:
+            assert decompose(g) == cold
+        else:
+            with pytest.raises(AssertionError, match="does not re-glue"):
+                decompose(g)
+    primality._decompose.cache_clear()
 
 
 @st.composite

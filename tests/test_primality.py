@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -87,6 +88,7 @@ class TestLazySearchMatchesReference:
         fast = [decompose(g).to_json() for g, _ in cases]
         monkeypatch.setattr(primality, "_minimal_clique_cutsets",
                             lambda g: iter(reference_clique_cutsets(g)))
+        primality._decompose.cache_clear()
         assert fast == [decompose(g).to_json() for g, _ in cases]
 
     def test_certify_sees_the_small_cutsets_in_order(self, cases, monkeypatch):
@@ -240,6 +242,7 @@ class TestDecompositions:
                 yield cut, pieces
 
         monkeypatch.setattr(primality, "_splits", lossy_splits)
+        primality._decompose.cache_clear()
         with pytest.raises(AssertionError, match="does not re-glue"):
             decompose(g)
 
@@ -282,11 +285,11 @@ def _tree_graphs(d):
 
 
 class TestDecomposeWork:
-    """Deterministic work counts of one cold ``decompose`` call."""
+    """Deterministic work counts of ``decompose`` from a cold cache."""
 
     PLANNER = range(20, 61)
 
-    def test_planner_decompositions_run_3524_flood_fills(self, monkeypatch):
+    def test_planner_decompositions_run_636_flood_fills(self, monkeypatch):
         hosts = [size_construct(n)[1] for n in self.PLANNER if n != 22]
         fills = []
         real = graphs._reach
@@ -300,30 +303,49 @@ class TestDecomposeWork:
         monkeypatch.setattr(primality, "_reach", counted)
         for g in hosts:
             decompose(g)
-        # 5811 with a flood fill per single vertex and a fresh search for
-        # every piece, repeated or not
-        assert len(fills) == 3524
+        # 3524 when each call kept its own memo, and 5811 with a flood fill
+        # per single vertex and a fresh search for every piece
+        assert len(fills) == 636
 
     def test_one_split_search_per_distinct_graph(self, monkeypatch):
-        hosts = [size_construct(n)[1] for n in self.PLANNER if n != 22]
+        """A cold run over every planner graph searches each distinct node
+        once; a second run searches nothing and returns the same trees."""
+        hosts = [size_construct(n)[1] for n in range(20, 178) if n != 22]
         hosts += [named_graph(name).graph for name in COMPOSITE_NAMES]
-        trees = [decompose(g) for g in hosts]
         searched = []
-        real = primality._splits
+        real = primality._minimal_clique_cutsets
 
         def counted(g):
             searched.append(g)
             return real(g)
 
-        monkeypatch.setattr(primality, "_splits", counted)
-        repeats = 0
+        monkeypatch.setattr(primality, "_minimal_clique_cutsets", counted)
+        trees = [decompose(g) for g in hosts]
+        nodes = [node for tree in trees for node in _tree_graphs(tree)]
+        assert len(searched) == len(set(searched)) and set(searched) == set(nodes)
+        assert len(nodes) > len(searched)  # pieces recur, within and across trees
+        searched.clear()
         for g, tree in zip(hosts, trees):
-            searched.clear()
-            assert decompose(g) == tree
-            nodes = _tree_graphs(tree)
-            assert len(searched) == len(set(nodes)) and set(searched) == set(nodes)
-            repeats += len(nodes) - len(searched)
-        assert repeats > 0  # some tree holds a piece twice
+            assert decompose(g) is tree
+        assert searched == []
+
+    def test_a_cached_tree_cannot_be_edited(self):
+        tree = decompose(size_construct(80)[1])
+        nodes = [tree]
+        for node in nodes:
+            nodes += node.parts
+            assert isinstance(node.parts, tuple)
+            assert isinstance(node.part_vertices, tuple)
+            assert all(isinstance(verts, tuple) for verts in node.part_vertices)
+            for field in ("graph", "cutset", "parts", "part_vertices"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(node, field, None)
+        assert len(nodes) > 3
+        assert decompose(size_construct(80)[1]) is tree
+
+    def test_the_cache_is_bounded(self):
+        maxsize = primality._decompose.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0
 
 
 class TestLemmaChecks:
