@@ -56,11 +56,14 @@ isomorphic to an axiom): the call owns a memo
 of both, so a clique-sum piece met again (in the nIK and then the maxnik
 split, or at a second cutset) reuses its certificate, and an addition the
 gate walked in vain is not walked again when the orbit loop asks for its
-nIK certificate. Likewise one ``validate_certificate`` call decodes each
-graph6 string once and looks up its non-edge orbits and its axiom at most
-once. These memos are dropped when the call ends. The canonical searches
-behind generators, orbits and axioms are shared across calls: ``canon``
-runs one per labelled graph.
+nIK certificate. These memos are dropped when the call ends. The validator
+keeps no memo of its own. Two bounded caches serve every call in the
+process instead: each graph6 string is decoded once (``Certificate.graph``
+reads the same cache), and each node's replay runs once for each exact set
+of inputs it reads (``validate_certificate`` argues that this is exact). So
+the E9, K7 and minor-of facts that recur across a size plan's certificates
+are proven once. The canonical searches behind generators, orbits and
+axioms are shared across calls too: ``canon`` runs one per labelled graph.
 """
 
 from __future__ import annotations
@@ -69,7 +72,8 @@ import copy
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations
 from typing import Callable, Iterable, NamedTuple
 
 from .canon import orbits
@@ -101,7 +105,7 @@ class Certificate:
 
     @property
     def graph(self) -> Graph:
-        return graph6_decode(self.evidence["graph"])
+        return _graph6(self.evidence["graph"])
 
     def to_json(self) -> dict:
         """The JSON form, in containers of its own: a caller that edits it
@@ -496,29 +500,44 @@ class Rule(NamedTuple):
     concludes: set[str]
     fields: dict[str, str] = {}
     first_child: str | None = None
-    replay: Callable[[Certificate, Graph, dict], str | None] | None = None
+    replay: Callable[[Certificate, Graph], str | None] | None = None
 
 
 def _memo(memo: dict, what: str, graph, compute: Callable[[], object]):
-    """``compute()`` for ``graph`` (a Graph or a graph6 string), run once per
-    ``what`` in ``memo``."""
+    """``compute()`` for ``graph``, run once per ``what`` in ``memo``."""
     key = (what, graph)
     if key not in memo:
         memo[key] = compute()
     return memo[key]
 
 
-def _graph_of(cert: Certificate, memo: dict) -> Graph | None:
-    """``cert.graph``, decoded once per graph6 string in ``memo``, or None
-    when the node's evidence holds no valid graph6 string."""
-    g6 = cert.evidence.get("graph") if isinstance(cert.evidence, dict) else None
+_GRAPHS = 512  # a size-planner pass decodes 167 distinct strings
+
+
+def _graph6(text) -> Graph:
+    """``graph6_decode(text)``, kept for reuse when ``text`` is a ``str``; a bad
+    string raises ``ParseError`` on every call, since an exception is not kept."""
+    return _decoded(text) if type(text) is str else graph6_decode(text)
+
+
+@lru_cache(maxsize=_GRAPHS)
+def _decoded(text: str) -> Graph:
+    return graph6_decode(text)
+
+
+def _graph6_of(cert: Certificate):
+    return cert.evidence.get("graph") if isinstance(cert.evidence, dict) else None
+
+
+def _graph_of(cert: Certificate) -> Graph | None:
+    """``cert.graph``, or None when the node's evidence holds no valid graph6 string."""
     try:
-        return _memo(memo, "graph", g6, lambda: graph6_decode(g6)) if isinstance(g6, str) else None
+        return _graph6(g6) if isinstance(g6 := _graph6_of(cert), str) else None
     except ParseError:
         return None
 
 
-def _replay_minor(cert, g, memo):
+def _replay_minor(cert, g):
     try:
         pattern = mmik_library().pattern_by_name(cert.evidence.get("pattern")).graph
     except KeyError:
@@ -527,38 +546,37 @@ def _replay_minor(cert, g, memo):
         return "minor witness fails re-validation"
 
 
-def _replay_axiom(cert, g, memo):
-    axiom = _memo(memo, "axiom", cert.evidence["graph"], lambda: mmik_library().axiom_for(g))
+def _replay_axiom(cert, g):
+    axiom = mmik_library().axiom_for(g)
     if axiom is None or axiom.name != cert.evidence.get("name"):
         return "axiom lookup fails"
 
 
-def _replay_per_non_edge(cert, g, memo):
+def _replay_per_non_edge(cert, g):
     reps = [tuple(r) for r in cert.evidence["orbit_representatives"]]
     try:
-        orbit_list = _memo(memo, "non-edge orbits", cert.evidence["graph"],
-                           lambda: orbits(g, "non-edge").orbits)
+        orbit_list = orbits(g, "non-edge").orbits
     except AssertionError as exc:  # a generator that is no automorphism
         return str(exc)
     if len(reps) != len(orbit_list):
         return "representative count differs from orbit count"
     if not all(any(r in orbit for r in reps) for orbit in orbit_list):
         return "orbit representatives do not cover every non-edge orbit"
-    if [_graph_of(c, memo) for c in cert.children if c.verdict == VERDICT_IK] != [
+    if [_graph_of(c) for c in cert.children if c.verdict == VERDICT_IK] != [
             g.with_edge(*r) for r in reps]:
         return "the IK children do not certify the representatives' additions"
 
 
-def _replay_augmentation(cert, g, memo):
+def _replay_augmentation(cert, g):
     edge = cert.evidence["edge"]
     if len(set(edge)) != 2 or len(edge) != 2 or g.has_edge(*edge):
         return "augmentation edge is not a non-edge"
     added = g.with_edge(*edge)
-    if not any(c.verdict == VERDICT_NIK and _graph_of(c, memo) == added for c in cert.children):
+    if not any(c.verdict == VERDICT_NIK and _graph_of(c) == added for c in cert.children):
         return "missing nIK child for the augmented graph"
 
 
-def _replay_construction(cert, g, memo):
+def _replay_construction(cert, g):
     cut = cert.evidence["cutset"]
     parts = [sorted(p) for p in cert.evidence["parts"]]
     # each part is the cutset plus a body, and the bodies partition the rest
@@ -569,7 +587,7 @@ def _replay_construction(cert, g, memo):
     # every piece holds the cutset's clique (lemma_conclusion checks it is one)
     if g.m != sum(p.m for p in pieces) - (len(parts) - 1) * len(cut) * (len(cut) - 1) // 2:
         return "edge crosses between parts"
-    if [_graph_of(kid, memo) for kid in cert.children] != pieces:
+    if [_graph_of(kid) for kid in cert.children] != pieces:
         return "children do not certify the parts, one each"
     lemma = str(cert.evidence.get("lemma"))
     sides = [(piece, tuple(part.index(v) for v in cut)) for part, piece in zip(parts, pieces)]
@@ -587,7 +605,7 @@ RULES: dict[str, Rule] = {
     "no-ik-evidence": Rule({VERDICT_UNKNOWN}),
     # deleting at most two vertices leaves a planar graph, so it is nIK
     # (a witness of every vertex leaves the empty graph, which is planar)
-    "apex-pair": Rule({VERDICT_NIK}, {"witness": SET}, replay=lambda c, g, memo: (
+    "apex-pair": Rule({VERDICT_NIK}, {"witness": SET}, replay=lambda c, g: (
         None if len(w := c.evidence["witness"]) <= 2
         and (len(set(w)) == g.n or is_planar(g.delete_vertices(w)))
         else "apex witness is not at most two vertices leaving a planar graph")),
@@ -599,7 +617,7 @@ RULES: dict[str, Rule] = {
                          replay=_replay_construction),
     "is-ik": Rule({VERDICT_NOT_MAXNIK}, first_child=VERDICT_IK),
     # a complete nIK graph has no edge left to add
-    "complete-nik": Rule({VERDICT_MAXNIK}, {}, VERDICT_NIK, lambda c, g, memo: (
+    "complete-nik": Rule({VERDICT_MAXNIK}, {}, VERDICT_NIK, lambda c, g: (
         None if g.is_complete() else "graph is not complete")),
     # nIK, and adding one non-edge from every orbit gives IK
     "per-non-edge": Rule({VERDICT_MAXNIK}, {"orbit_representatives": SETS}, VERDICT_NIK,
@@ -612,38 +630,92 @@ RULES: dict[str, Rule] = {
 
 
 def validate_certificate(cert: Certificate) -> list[str]:
-    """Re-check every node of an evidence tree; returns human-readable problems."""
-    return list(_problems(cert, "root", {}))
+    """Re-check every node of an evidence tree; returns human-readable problems.
+
+    Each call checks every node's graph, rule, verdict, vertex fields and
+    first child. A node's replay is read back from the bounded, process-wide
+    ``_replayed`` when its key was replayed before, and this is exact. A
+    replay reads the node's verdict, evidence (its graph decoded from
+    ``graph``) and each child's verdict and graph; all else it reads (the
+    library, ``canon``'s searches) is fixed in the process. The key holds
+    each of these: values of type exactly ``str``, ``int`` or ``None``, equal
+    only when they are the same, and each checked vertex field, when it is a
+    plain list or tuple (of them), as its tuple of ints, since a replay reads
+    only its items in order and their number. A node holding any other value
+    (a bool, float, subclass or other container) is replayed uncached. So the
+    node that ``_replayed`` rebuilds from the key gets this node's answer.
+    """
+    return list(_problems(cert, "root"))
 
 
-def _vertices_ok(value, shape: str, n: int) -> bool:
-    """Is ``value`` a ``shape`` of vertices of an n-vertex graph?"""
+def _vertices(value, shape: str, n: int) -> tuple | None:
+    """``value`` as a tuple of ints (of such tuples, for SETS) if it is a ``shape``
+    of vertices of an n-vertex graph, else None: one pass checks and freezes it."""
     try:
-        vs = set().union(*value) if shape == SETS else set(value)
+        frozen = tuple(map(tuple, value)) if shape == SETS else tuple(value)
     except TypeError:
-        return False
-    return set(map(type, vs)) <= {int} and (not vs or 0 <= min(vs) and max(vs) < n)
+        return None
+    flat = (v for vs in frozen for v in vs) if shape == SETS else frozen
+    return frozen if all(type(v) is int and 0 <= v < n for v in flat) else None
 
 
-def _problems(cert: Certificate, path: str, memo: dict):
-    g = _graph_of(cert, memo)
+_EXACT, _PLAIN = (str, int, type(None)), (list, tuple)
+
+
+def _exact(value, shape: str | None = None) -> bool:
+    """Can ``value`` be keyed exactly? A vertex field of ``shape`` must be a
+    plain list or tuple (of them, for SETS), and any other value of a type
+    in ``_EXACT``."""
+    if shape is None:
+        return type(value) in _EXACT
+    return type(value) in _PLAIN and (shape != SETS or all(type(vs) in _PLAIN for vs in value))
+
+
+def _replay_key(cert: Certificate, fields: dict[str, str], vertices: dict) -> tuple | None:
+    """The inputs of ``cert``'s replay, frozen, or None when one cannot be
+    keyed exactly; ``vertices`` holds its ``fields`` as ``_vertices`` froze them."""
+    ev, kids = cert.evidence, tuple((c.verdict, _graph6_of(c)) for c in cert.children)
+    if (type(ev) is dict and all(map(_exact, (cert.rule, cert.verdict, *chain(*kids))))
+            and all(type(name) is str and _exact(v, fields.get(name)) for name, v in ev.items())):
+        return cert.rule, cert.verdict, frozenset((k, vertices.get(k, v)) for k, v in ev.items()), kids
+    return None
+
+
+_REPLAYS = 512  # a size-planner pass replays 174 distinct nodes
+
+
+@lru_cache(maxsize=_REPLAYS)
+def _replayed(key: tuple) -> str | None:
+    """Replay the node ``key`` freezes, rebuilt from the key alone: each child
+    stands in with only what a replay reads of it, its verdict and graph."""
+    rule, verdict, evidence, kids = key
+    kids = tuple(Certificate(verdict=v, rule="", evidence={"graph": g6}) for v, g6 in kids)
+    node = Certificate(verdict, rule, dict(evidence), kids)
+    return RULES[rule].replay(node, _graph6(node.evidence["graph"]))
+
+
+def _problems(cert: Certificate, path: str):
+    g = _graph_of(cert)
     rule = RULES.get(cert.rule) if isinstance(cert.rule, str) else None
     if g is None:
         found = ["evidence 'graph' is missing or not a graph6 string"]
     elif rule is None:
         found = [f"unknown rule {cert.rule!r}"]
     else:
+        vertices = {name: _vertices(cert.evidence.get(name), shape, g.n)
+                    for name, shape in rule.fields.items()}
         found = [f"evidence {name!r} is missing or not a {shape} in range({g.n})"
-                 for name, shape in rule.fields.items()
-                 if not _vertices_ok(cert.evidence.get(name), shape, g.n)]
+                 for name, shape in rule.fields.items() if vertices[name] is None]
         if not isinstance(cert.verdict, str) or cert.verdict not in rule.concludes:
             found.append(f"rule {cert.rule} does not conclude {cert.verdict}")
         first = cert.children[0] if cert.children else None
         if rule.first_child and (first is None or first.verdict != rule.first_child
-                                 or _graph_of(first, memo) != g):
+                                 or _graph_of(first) != g):
             found.append(f"first child is not a {rule.first_child} certificate of this graph")
-        if rule.replay and not found and (problem := rule.replay(cert, g, memo)):
-            found.append(problem)
+        if rule.replay and not found:
+            key = _replay_key(cert, rule.fields, vertices)
+            if problem := rule.replay(cert, g) if key is None else _replayed(key):
+                found.append(problem)
     yield from (f"{path}: {p}" for p in found)
     for i, child in enumerate(cert.children):
-        yield from _problems(child, f"{path}.{i}", memo)
+        yield from _problems(child, f"{path}.{i}")

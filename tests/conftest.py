@@ -10,7 +10,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from maxnik import canon, primality
+from maxnik import canon, certify, primality
 from maxnik.canon import (CanonicalForm, _relabel_canonically, canonical_form,
                           canonical_graph, canonical_key_graph,
                           canonical_labeling, isomorphism, orbits)
@@ -36,10 +36,13 @@ def lib():
 
 @pytest.fixture(autouse=True)
 def _cold_search_cache():
-    """Each test starts with no canonical search and no decomposition kept,
-    so a count of searches or a patched search sees every graph it asks about."""
+    """Each test starts with no canonical search, decomposition, graph6
+    decode or certificate replay kept, so a count of searches or a patched
+    search sees every graph it asks about."""
     canon._search.cache_clear()
     primality._decompose.cache_clear()
+    certify._decoded.cache_clear()
+    certify._replayed.cache_clear()
 
 
 # -- graph helpers only the tests build with ------------------------------------

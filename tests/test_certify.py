@@ -8,6 +8,8 @@ import random
 from collections import Counter
 from itertools import combinations
 
+import pytest
+
 import maxnik.canon as canon_module
 import maxnik.certify as certify_module
 import maxnik.planarity as planarity_module
@@ -19,6 +21,7 @@ from maxnik.certify import (VERDICT_IK, VERDICT_MAXNIK, VERDICT_NIK,
                             check_necessary, relabel_certificate,
                             validate_certificate)
 from maxnik.construct import prime_family, size_construct
+from maxnik.errors import ParseError
 from maxnik.graphs import (complete_graph, complete_multipartite, from_edges,
                            graph6_decode, graph6_encode)
 from maxnik.planarity import is_k_apex
@@ -196,6 +199,7 @@ class TestOrbitReductionSoundness:
 
         monkeypatch.setattr(canon_module, "_canonical_search", corrupted)
         canon_module._search.cache_clear()  # the certifier searched g already
+        certify_module._replayed.cache_clear()  # and the validator replayed it
         assert validate_certificate(cert) == [
             f"root: generator {tuple(bad)} is not an automorphism"]
 
@@ -525,10 +529,104 @@ class TestValidatorDecodesOnce:
         assert validate_certificate(cert) == []
         for seen in looked_up.values():
             assert len(seen) == len(set(seen)) >= 2
-        # the memo lives for one call: a second validation looks up again
+        # the replays are kept for the process: a second validation looks up nothing
+        before = {what: len(seen) for what, seen in looked_up.items()}
         assert validate_certificate(cert) == []
-        for seen in looked_up.values():
-            assert len(seen) == 2 * len(set(seen))
+        assert {what: len(seen) for what, seen in looked_up.items()} == before
+
+
+class _Int(int):
+    """Equal to the int it holds, but not of type ``int``."""
+
+
+def _walk(cert, path="root"):
+    yield path, cert
+    for i, child in enumerate(cert.children):
+        yield from _walk(child, f"{path}.{i}")
+
+
+class TestReplayCache:
+    def test_both_caches_are_bounded(self):
+        for cache in (certify_module._decoded, certify_module._replayed):
+            maxsize = cache.cache_info().maxsize
+            assert isinstance(maxsize, int) and maxsize > 0
+
+    def test_a_bad_graph6_string_raises_on_every_call(self):
+        bad = Certificate(VERDICT_NIK, "axiom", {"graph": "A~"})
+        for _ in range(2):
+            with pytest.raises(ParseError):
+                bad.graph
+        assert certify_module._decoded.cache_info().currsize == 0
+
+    def test_certificate_graph_reads_the_decode_cache(self, monkeypatch):
+        cert = certify_maxnik(named_graph("E9").graph)
+        decoded = []
+        real = certify_module.graph6_decode
+        monkeypatch.setattr(certify_module, "graph6_decode",
+                            lambda text: decoded.append(text) or real(text))
+        assert cert.graph is cert.graph == named_graph("E9").graph
+        assert validate_certificate(cert) == []
+        assert decoded[0] == cert.evidence["graph"] and len(decoded) == len(set(decoded))
+
+    def test_edited_certificates_still_report_their_problems(self):
+        cert = size_construct(41)[2]
+        assert validate_certificate(cert) == []  # every node's replay is now kept
+        nodes = dict(_walk(cert))
+        assert (nodes["root"].rule, nodes["root.0"].rule, nodes["root.0.1"].rule) == (
+            "construction", "per-non-edge", "minor-of")
+
+        def edited(path: str, field: str, value) -> Certificate:
+            data = cert.to_json()
+            node = data
+            for i in path.split(".")[1:]:
+                node = node["children"][int(i)]
+            node["evidence"][field] = value
+            return Certificate.from_json(data)
+
+        sets = [list(b) for b in nodes["root.0.1"].evidence["branch_sets"]]
+        sets[1] = sorted(sets[1] + sets[0])  # branch set 0's one vertex moves to set 1
+        sets[0] = []
+        moved = edited("root.0.1", "branch_sets", sets)
+        parts = nodes["root"].evidence["parts"]
+        dropped = edited("root", "parts", parts[:1])
+        e9 = nodes["root.0"].graph
+        reps = [tuple(r) for r in nodes["root.0"].evidence["orbit_representatives"]]
+        orbit = next(o for o in orbits(e9, "non-edge").orbits if reps[0] in o)
+        assert reps[1] not in orbit
+        swapped = edited("root.0", "orbit_representatives",
+                         [list(reps[0]), list(next(e for e in orbit if e != reps[0]))])
+        for bad, want in (
+                (moved, "root.0.1: minor witness fails re-validation"),
+                (dropped, "root: parts are not the cutset plus disjoint bodies covering the graph"),
+                (swapped, "root.0: orbit representatives do not cover every non-edge orbit")):
+            assert validate_certificate(bad) == [want]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(certify_module, "_replayed", certify_module._replayed.__wrapped__)
+                assert validate_certificate(bad) == [want]
+
+    def test_a_vertex_field_read_once_is_replayed_uncached(self):
+        # an iterator passes the vertex check and is empty when the replay reads it
+        cert = size_construct(41)[2]
+        assert validate_certificate(cert) == []
+        parts = iter(cert.evidence["parts"])
+        once = Certificate(cert.verdict, cert.rule, {**cert.evidence, "parts": parts}, cert.children)
+        assert validate_certificate(once) == [
+            "root: parts are not the cutset plus disjoint bodies covering the graph"]
+
+    @pytest.mark.parametrize("twin", [True, 1.0, _Int(1)], ids=["True", "1.0", "int-subclass"])
+    def test_a_look_alike_vertex_is_not_answered_from_the_cache(self, monkeypatch, twin):
+        g = complete_graph(5)
+        cert = certify_nik(g)
+        assert cert.rule == "apex-pair" and cert.evidence["witness"] == [0, 1]
+        assert validate_certificate(cert) == []
+        asked = []
+        real = certify_module._replayed
+        monkeypatch.setattr(certify_module, "_replayed", lambda key: asked.append(key) or real(key))
+        assert validate_certificate(cert) == [] and len(asked) == 1
+        changed = Certificate(cert.verdict, cert.rule, {**cert.evidence, "witness": [0, twin]})
+        assert validate_certificate(changed) == [
+            "root: evidence 'witness' is missing or not a vertex set in range(5)"]
+        assert len(asked) == 1
 
 
 def _order_7_to_10_hosts(seed: int, count: int) -> list:

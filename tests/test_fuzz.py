@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import os
@@ -17,10 +18,10 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from maxnik import primality  # noqa: E402
-from maxnik.certify import (LEMMAS, RULES, VERDICT_IK, VERDICT_MAXNIK,  # noqa: E402
-                            VERDICT_NIK, VERDICT_NOT_MAXNIK, VERDICT_UNKNOWN,
-                            Certificate, validate_certificate)
+from maxnik import certify, primality  # noqa: E402
+from maxnik.certify import (LEMMAS, RULES, SETS, VERDICT_IK,  # noqa: E402
+                            VERDICT_MAXNIK, VERDICT_NIK, VERDICT_NOT_MAXNIK,
+                            VERDICT_UNKNOWN, Certificate, validate_certificate)
 from maxnik.cli import main  # noqa: E402
 from maxnik.errors import MaxnikError  # noqa: E402
 from maxnik.graphs import (Graph, from_edges, graph6_decode,  # noqa: E402
@@ -126,6 +127,74 @@ def _rule_node(draw, depth: int = 2, near=None) -> Certificate:
 @given(_rule_node())
 def test_validate_certificate_never_raises(cert):
     assert isinstance(validate_certificate(cert), list)
+
+
+def _leaves(key):
+    """Every value a replay key holds, through its tuples and frozensets."""
+    for part in key:
+        if isinstance(part, (tuple, frozenset)):
+            yield from _leaves(part)
+        else:
+            yield part
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_rule_node())
+def test_the_replay_cache_answers_as_the_replay_does(cert):
+    real, asked = certify._replayed, []
+    with patch.object(certify, "_replayed", lambda key: asked.append(key) or real(key)):
+        warm = validate_certificate(cert)  # the cache holds earlier examples' replays
+    certify._replayed.cache_clear()
+    assert validate_certificate(cert) == warm  # cold
+    assert validate_certificate(cert) == warm  # warm with its own replays
+    with patch.object(certify, "_replayed", real.__wrapped__):
+        assert validate_certificate(cert) == warm
+    # a key holds no value that ``==`` confuses with another: no bool, float or subclass
+    assert {type(x) for key in asked for x in _leaves(key)} <= {str, int, type(None)}
+
+
+class _Int(int):
+    """Equal to the int it holds, but not of type ``int``."""
+
+
+def _spots(node: Certificate) -> list[tuple[str, int, int | None]]:
+    """Each vertex in a checked node's vertex fields: (field, index, index in the set)."""
+    return [(name, i, j) for name, shape in RULES[node.rule].fields.items()
+            for i, x in enumerate(node.evidence[name])
+            for j in (range(len(x)) if shape == SETS else [None])]
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(_rule_node(), st.data())
+def test_a_look_alike_vertex_is_never_answered_from_the_cache(cert, data):
+    """Take a node whose replay the cache now holds and change one of its
+    vertices to a value equal to it (True, 1.0, an int subclass): the changed
+    node is never looked up under the first node's key."""
+    real, keyed = certify._replay_key, []
+
+    def spy(node, fields, vertices):
+        keyed.append((node, key := real(node, fields, vertices)))
+        return key
+
+    with patch.object(certify, "_replay_key", spy):
+        validate_certificate(cert)
+        replayed = [(node, key) for node, key in keyed if key is not None and _spots(node)]
+        if not replayed:
+            return
+        node, first = data.draw(st.sampled_from(replayed))
+        name, i, j = data.draw(st.sampled_from(_spots(node)))
+        v = node.evidence[name][i] if j is None else node.evidence[name][i][j]
+        for twin in [float(v), _Int(v)] + ([bool(v)] if v in (0, 1) else []):
+            value = copy.deepcopy(node.evidence[name])
+            if j is None:
+                value[i] = twin
+            else:
+                value[i][j] = twin
+            changed = replace(node, evidence={**node.evidence, name: value})
+            got = validate_certificate(changed)
+            assert not any(key == first for n, key in keyed if n is changed)
+            with patch.object(certify, "_replayed", certify._replayed.__wrapped__):
+                assert validate_certificate(changed) == got
 
 
 @st.composite
