@@ -36,13 +36,15 @@ If H - S is not planar for a subgraph H of G on the same vertices, then
 neither is G - S. So each addition's walk starts at the host's first
 2-apex pair: every pair before it failed for the host. And each piece at a
 clique cutset is an induced subgraph of g, so a piece that is not 2-apex
-makes g not 2-apex either. Once n pairs of g have failed, its walk asks
-the pieces of g's first split, and ends with no witness at one that is not
-2-apex. Those piece walks are kept in the call's memo, where the clique-sum
-construction finds them. Additions are not asked about pieces: on the
-random hosts that cost more planarity runs than it saved. Both facts reach
-the walk as the ``start`` and ``doomed`` hints of ``planarity.is_k_apex``,
-the one 2-apex walk; certify imports no private name from ``planarity``.
+makes g not 2-apex either. Once three pairs of g have failed, its walk
+asks the pieces of g's first split, and ends with no witness at one that is
+not 2-apex; so a clique sum of any depth is settled from its pieces after
+three planarity runs per level, not n. Those piece walks are kept in the
+call's memo, where the clique-sum construction finds them. Additions are
+not asked about pieces: on the random hosts that cost more planarity runs
+than it saved. Both facts reach the walk as the ``start`` and ``doomed``
+hints of ``planarity.is_k_apex``, the one 2-apex walk; certify imports no
+private name from ``planarity``.
 
 A graph isomorphic to a knotless axiom (E9 or G9,29) is not walked at all:
 no axiom is 2-apex, so its walk would fail, and ``_prove_nik`` goes on to
@@ -51,18 +53,20 @@ E9 copies, so this settles many of their pieces with no planarity run. The
 check sits behind the memo, so a graph pays for it once per call.
 
 Within one top-level ``certify_nik`` or ``certify_maxnik`` call each graph
-gets one nIK certificate and at most one 2-apex walk (none when it is
-isomorphic to an axiom): the call owns a memo
-of both, so a clique-sum piece met again (in the nIK and then the maxnik
-split, or at a second cutset) reuses its certificate, and an addition the
-gate walked in vain is not walked again when the orbit loop asks for its
-nIK certificate. These memos are dropped when the call ends. The validator
-keeps no memo of its own. Two bounded caches serve every call in the
-process instead: each graph6 string is decoded once (``Certificate.graph``
-reads the same cache), and each node's replay runs once for each exact set
-of inputs it reads (``validate_certificate`` argues that this is exact). So
-the E9, K7 and minor-of facts that recur across a size plan's certificates
-are proven once. The canonical searches behind generators, orbits and
+gets one nIK certificate, at most one 2-apex walk (none when it is
+isomorphic to an axiom) and at most one clique cutset search: the call owns
+a memo of all three, so a clique-sum piece met again (in the nIK and then
+the maxnik split, or at a second cutset) reuses its certificate, an
+addition the gate walked in vain is not walked again when the orbit loop
+asks for its nIK certificate, and the split that the ``doomed`` hint, the
+nIK construction and the maxnik construction each read is searched once.
+These memos are dropped when the call ends. The validator keeps no memo of
+its own. Two bounded caches serve every call in the process instead: each
+graph6 string is decoded once (``Certificate.graph`` reads the same cache),
+and each node's replay runs once for each exact set of inputs it reads
+(``validate_certificate`` argues that this is exact). So the E9, K7 and
+minor-of facts that recur across a size plan's certificates are proven
+once. The canonical searches behind generators, orbits and
 axioms are shared across calls too: ``canon`` runs one per labelled graph.
 """
 
@@ -73,7 +77,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, takewhile
 from typing import Callable, Iterable, NamedTuple
 
 from .canon import orbits
@@ -271,8 +275,8 @@ def _two_apex(g: Graph, memo: dict, start: tuple[int, ...] | None = None) -> KAp
     ``start``: it skips the pairs before it. Without one, a graph isomorphic
     to a knotless axiom is not walked, since no axiom is 2-apex
     (``catalog._LIBRARY_TABLE``), and any other walk gets
-    ``_piece_not_two_apex`` as its ``doomed`` hint, asked once n pairs have
-    failed.
+    ``_piece_not_two_apex`` as its ``doomed`` hint, asked once three pairs
+    have failed.
     """
     if g.n >= 7 and g.m >= 5 * g.n - 14:
         return KApexResult(False, None)
@@ -287,11 +291,23 @@ def _piece_not_two_apex(g: Graph, memo: dict) -> bool:
     """Is a piece of g's first clique-cutset split not 2-apex?
 
     Each piece is an induced subgraph of g, so then g is not 2-apex either.
-    The pieces' walks go into ``memo``, where ``_certify_by_cutsets`` finds
-    them.
+    The split is the first of ``_small_splits``, and the pieces' walks go
+    into ``memo``: ``_certify_by_cutsets`` finds both there.
     """
-    split = next(_splits(g), None) if g.is_connected() else None
-    return split is not None and any(not _two_apex(piece, memo).found for _, piece in split[1])
+    splits = _small_splits(g, memo)
+    return bool(splits) and any(not _two_apex(piece, memo).found for _, piece in splits[0][1])
+
+
+def _small_splits(g: Graph, memo: dict) -> list:
+    """g's splits at cutsets of at most 3 vertices, in ``_splits`` order,
+    searched once per graph in ``memo``; none when g is disconnected.
+
+    3 is the largest clique a ``LEMMAS`` entry glues over, and cutsets come
+    smallest first, so the search stops at the first larger one.
+    """
+    return _memo(memo, "splits", g, lambda: (
+        list(takewhile(lambda split: len(split[0]) <= 3, _splits(g)))
+        if g.is_connected() else []))
 
 
 def _prove_nik(g: Graph, memo: dict) -> Certificate:
@@ -310,12 +326,8 @@ def _prove_nik(g: Graph, memo: dict) -> Certificate:
 
 def _certify_by_cutsets(g: Graph, memo: dict, want_maxnik: bool) -> Certificate | None:
     """Certify via a clique-sum split at a small clique cutset, if any works."""
-    if not g.is_connected():
-        return None
     want = VERDICT_MAXNIK if want_maxnik else VERDICT_NIK
-    for cut, pieces in _splits(g):
-        if len(cut) > 3:
-            return None  # cutsets come smallest first
+    for cut, pieces in _small_splits(g, memo):
         lemma = next((name for name, lem in LEMMAS.items()
                       if lem.clique == len(cut) and want in lem.needs), None)
         # the side conditions first, as if every piece certified ``want``

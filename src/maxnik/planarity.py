@@ -49,9 +49,16 @@ H - S is not planar, neither is G - S. So it can start at a subset
 ``start`` when every subset before it is known to fail; the first witness
 is at or after it, and is the same. And it can ask a ``doomed`` callback
 whether an induced subgraph is not k-apex, in which case neither is G. The
-walk thus has two stopping points: it asks ``doomed`` once n subsets have
-failed, and it fetches the generators at 2n. Most positive queries end
-before n failures and never pay for what ``doomed`` computes.
+walk thus has two stopping points: it asks ``doomed`` once three subsets
+have failed, and it fetches the generators at 2n. Asking at n failures
+paid n planarity runs at every level of a clique sum before a piece could
+end the walk: certifying 30 relabelled size-plan sums (sizes 23-52) ran 896
+planarity tests that way, and runs 230 now. Asking earlier costs the
+queries that do have a witness: one found after a failed pair or two would
+pay for a split search it never uses. On the 40 G(n, p) hosts (n 9-10) of
+perfbench's ``certify-random``, the median per-host certify time was 55%
+higher when asking at the first failure, and 10% higher at two, than at
+three (medians of 15 fresh processes each).
 """
 
 from __future__ import annotations
@@ -183,6 +190,9 @@ def is_planar(g: Graph) -> bool:
     return _planar_within(g.rows, (1 << g.n) - 1)
 
 
+_DOOMED_AFTER = 3  # failed subsets before ``doomed`` is asked (module docstring)
+
+
 class KApexResult(NamedTuple):
     found: bool
     witness: tuple[int, ...] | None
@@ -203,8 +213,8 @@ def is_k_apex(g: Graph, k: int, start: tuple[int, ...] = (),
 
     The hints come from what a subgraph of g already proved. Subsets before
     ``start`` in lex order are skipped untested: the caller knows each of
-    them fails. Once n subsets have failed, ``doomed()`` is asked once; True
-    means g is not k-apex, and the walk ends there.
+    them fails. Once ``_DOOMED_AFTER`` subsets have failed, ``doomed()`` is
+    asked once; True means g is not k-apex, and the walk ends there.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -224,7 +234,7 @@ def is_k_apex(g: Graph, k: int, start: tuple[int, ...] = (),
             seen |= _set_orbit(gone, gens)
             continue
         failed.append(gone)
-        if len(failed) == g.n and doomed is not None and doomed():
+        if len(failed) == _DOOMED_AFTER and doomed is not None and doomed():
             return KApexResult(False, None)
         if len(failed) == 2 * g.n:
             gens = automorphism_generators(g)

@@ -23,7 +23,7 @@ from maxnik.certify import (VERDICT_IK, VERDICT_MAXNIK, VERDICT_NIK,
 from maxnik.construct import prime_family, size_construct
 from maxnik.errors import ParseError
 from maxnik.graphs import (complete_graph, complete_multipartite, from_edges,
-                           graph6_decode, graph6_encode)
+                           graph6_decode, graph6_encode, identified_union)
 from maxnik.planarity import is_k_apex
 from maxnik.primality import _splits
 from maxnik.smallgraphs import enumerate_graphs
@@ -713,10 +713,11 @@ class TestWalksReuseSubgraphs:
     @staticmethod
     def _watch(monkeypatch) -> dict:
         """Record every walk with its start and answer, every graph the axiom
-        gate answered with no walk, every sum whose walk ended at a piece,
-        and every planarity run, while the certifier runs."""
+        gate answered with no walk, every sum whose walk asked its pieces
+        with the answer, every sum whose walk ended at a piece, and every
+        planarity run, while the certifier runs."""
         mmik_library()  # built first: its own planarity runs are not the certifier's
-        seen = {"walks": [], "gated": [], "ended": [], "planarity": 0}
+        seen = {"walks": [], "gated": [], "asked": [], "ended": [], "planarity": 0}
         real_walk = certify_module.is_k_apex
         real_two_apex = certify_module._two_apex
         real_pieces = certify_module._piece_not_two_apex
@@ -739,6 +740,7 @@ class TestWalksReuseSubgraphs:
 
         def pieces(g, memo):
             doomed = real_pieces(g, memo)
+            seen["asked"].append((g, doomed))
             if doomed:
                 seen["ended"].append(g)
             return doomed
@@ -758,9 +760,10 @@ class TestWalksReuseSubgraphs:
         seen = self._watch(monkeypatch)
         for g in graphs:
             assert certify_maxnik(g).verdict == VERDICT_MAXNIK
-        # 3,504 while every walk ran to its end or its witness, and 1,634
-        # while a graph isomorphic to an axiom was walked too
-        assert seen["planarity"] == 896
+        # 3,504 while every walk ran to its end or its witness, 1,634 while a
+        # graph isomorphic to an axiom was walked too, and 896 while a walk
+        # asked the pieces once n pairs had failed, not three
+        assert seen["planarity"] == 230
         # 144 walks before the axiom gate: 40 were of graphs isomorphic to an axiom
         assert len(seen["walks"]) == 104
         assert len(seen["gated"]) == 40
@@ -790,6 +793,76 @@ class TestWalksReuseSubgraphs:
                 skipped += 1
                 assert not is_planar_wagner(g.delete_vertices(pair)), (graph6_encode(g), pair)
         assert skipped >= 200
+
+    def test_mixed_clique_sum_walks_match_the_reference(self, monkeypatch):
+        seen = self._watch(monkeypatch)
+        for g in _clique_sums(29, 40):
+            certify_nik(g)
+        for g, _, got in seen["walks"]:
+            assert got == reference_is_k_apex(g, 2), graph6_encode(g)
+        # the pieces end a walk exactly when the first small split has one
+        # that is not 2-apex; sums with only 2-apex pieces walk on
+        answers = Counter()
+        for g, doomed in seen["asked"]:
+            split = next(_splits(g), None) if g.is_connected() else None
+            pieces = split[1] if split is not None and len(split[0]) <= 3 else []
+            assert doomed == any(not reference_is_k_apex(piece, 2).found
+                                 for _, piece in pieces), graph6_encode(g)
+            answers[doomed, bool(pieces)] += 1
+        assert answers[True, True] >= 10 and answers[False, True] >= 20
+
+
+def _clique_sums(seed: int, count: int) -> list:
+    """Seeded clique sums of two or three G(n, p) pieces (n 6-8, some dense
+    enough not to be 2-apex) over K1, K2 or K3, each relabelled. Each glue
+    clique is completed in both operands before they are identified."""
+    rng = random.Random(seed)
+
+    def with_clique(g, sites):
+        for u, v in combinations(sites, 2):
+            g = g.with_edge(u, v)
+        return g
+
+    out = []
+    for _ in range(count):
+        k = rng.randint(1, 3)
+        g = None
+        for _ in range(rng.randint(2, 3)):
+            piece = random_graph(rng, rng.randint(6, 8), rng.choice((0.5, 0.6, 0.9)))
+            sites = rng.sample(range(piece.n), k)
+            piece = with_clique(piece, sites)
+            if g is None:
+                g = piece
+                continue
+            g_sites = rng.sample(range(g.n), k)
+            g = identified_union(with_clique(g, g_sites), g_sites, piece, sites)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        out.append(g.relabel(perm))
+    return out
+
+
+class TestOneSplitPerGraphPerCall:
+    """The doomed hint, the nIK construction and the maxnik construction
+    read one list of small splits per graph, kept in the call's memo."""
+
+    def test_each_graph_is_split_once_per_call(self, monkeypatch):
+        split = []
+        real = certify_module._splits
+
+        def counted(g):
+            split.append(g)
+            return real(g)
+
+        monkeypatch.setattr(certify_module, "_splits", counted)
+        total = 0
+        for g in _relabelled_composites(0):
+            split.clear()
+            assert certify_maxnik(g).verdict == VERDICT_MAXNIK
+            assert len(split) == len(set(split)), graph6_encode(g)
+            total += len(split)
+        # 229 while each of the three searched on its own
+        assert total == 103
 
 
 class TestAxiomsAreNotWalked:

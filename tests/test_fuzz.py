@@ -86,6 +86,13 @@ _VALUE = st.one_of(_LEAF, st.lists(_LEAF, max_size=4),
                    st.lists(st.lists(_LEAF, max_size=3), max_size=3))
 
 
+def _vertex_field(shape: str, n: int):
+    """A ``shape`` of distinct vertices of an n-vertex graph, which the
+    validator's vertex-field check accepts."""
+    vertices = st.lists(st.integers(0, n - 1), max_size=3, unique=True)
+    return st.lists(vertices, max_size=4) if shape == SETS else vertices
+
+
 @st.composite
 def _rule_node(draw, depth: int = 2, near=None) -> Certificate:
     """A node citing any ``RULES`` entry (or none), with random evidence
@@ -94,8 +101,12 @@ def _rule_node(draw, depth: int = 2, near=None) -> Certificate:
 
     Each vertex-valued field of the rule is a list, or a list of lists, of
     small ints two times in three, so that replays run; anything in
-    ``_VALUE`` otherwise.
+    ``_VALUE`` otherwise. One node in two is repaired instead: its graph
+    string, verdict, vertex fields and first child pass the validator's
+    own checks, so its replay runs (unless a random extra value or the
+    rule's first child still fails them).
     """
+    repaired = draw(st.booleans())
     if near is not None and draw(st.integers(0, 3)):
         g = near if not near.non_edges() or draw(st.booleans()) else near.with_edge(
             *draw(st.sampled_from(near.non_edges())))
@@ -106,18 +117,20 @@ def _rule_node(draw, depth: int = 2, near=None) -> Certificate:
         g = from_edges(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
     rule = draw(st.sampled_from(sorted(RULES) + ["no-such-rule"]))
     concludes = sorted(RULES[rule].concludes) if rule in RULES else [VERDICT_NIK]
-    verdict = draw(st.sampled_from(concludes) if draw(st.integers(0, 3))
+    verdict = draw(st.sampled_from(concludes) if repaired or draw(st.integers(0, 3))
                    else st.one_of(st.sampled_from(VERDICTS), _VALUE))
     vertices = st.lists(st.integers(0, g.n), max_size=3)
-    evidence = {"graph": graph6_encode(g) if draw(st.integers(0, 9)) else draw(_VALUE)}
-    for name in RULES[rule].fields if rule in RULES else ():
-        evidence[name] = draw(st.one_of(vertices, st.lists(vertices, max_size=4), _VALUE))
+    evidence = {"graph": graph6_encode(g) if repaired or draw(st.integers(0, 9))
+                else draw(_VALUE)}
+    for name, shape in RULES[rule].fields.items() if rule in RULES else ():
+        evidence[name] = draw(_vertex_field(shape, g.n) if repaired else
+                              st.one_of(vertices, st.lists(vertices, max_size=4), _VALUE))
     for name in draw(st.lists(st.sampled_from(("pattern", "name", "lemma", "trust")),
                               unique=True)):
         evidence[name] = draw(_VALUE)
     children = draw(st.lists(_rule_node(depth - 1, g), max_size=2)) if depth else []
     first = RULES[rule].first_child if rule in RULES else None
-    if first and children and draw(st.booleans()):  # a first child the rule accepts
+    if first and children and (repaired or draw(st.booleans())):  # a first child the rule accepts
         children[0] = replace(children[0], verdict=first,
                               evidence={**children[0].evidence, "graph": graph6_encode(g)})
     return Certificate(verdict, rule, evidence, tuple(children))

@@ -292,7 +292,7 @@ class TestOrbitPruning:
 
 class TestWalkFromWhatASubgraphProved:
     """``is_k_apex`` skips the subsets before ``start`` untested, and asks
-    ``doomed`` once, when n subsets have failed."""
+    ``doomed`` once, when three subsets have failed."""
 
     def test_start_skips_only_subsets_before_it(self, monkeypatch):
         calls = TestOrbitPruning._count_tests(monkeypatch)
@@ -314,7 +314,7 @@ class TestWalkFromWhatASubgraphProved:
                 started += first.witness > (0, 1)
         assert started >= 150
 
-    def test_doomed_is_asked_once_at_n_failures(self, monkeypatch):
+    def test_doomed_is_asked_once_at_three_failures(self, monkeypatch):
         calls = TestOrbitPruning._count_tests(monkeypatch)
         asked = []
 
@@ -326,12 +326,12 @@ class TestWalkFromWhatASubgraphProved:
 
         # K8 minus any pair is K6: every pair fails
         assert is_k_apex(complete_graph(8), 2, doomed=doomed(True)) == (False, None)
-        assert asked == [8] and len(calls) == 8
+        assert asked == [3] and len(calls) == 3
         calls.clear()
         asked.clear()
         assert is_k_apex(complete_graph(8), 2, doomed=doomed(False)) == (False, None)
-        assert asked == [8] and len(calls) == 16
-        # K6 has its witness at the first pair, before n failures
+        assert asked == [3] and len(calls) == 16
+        # K6 has its witness at the first pair, before three failures
         asked.clear()
         assert is_k_apex(complete_graph(6), 2, doomed=doomed(True)) == (True, (0, 1))
         assert asked == []
