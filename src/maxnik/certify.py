@@ -31,6 +31,15 @@ loop would return the same certificate. The loop asks every addition, the
 least one included, the same question, and each augmentation-nik is built
 there.
 
+A host that is not 2-apex tries the maxnik construction first, and builds
+its nIK certificate only when that fails. The answer is the same: a maxnik
+construction at a cut makes each piece certify nIK (every MAXNIK rule holds
+an nIK certificate of its graph, or is such a construction), and each lemma
+that glues MAXNIK over a clique glues NIK over it, so the nIK construction
+would succeed at that cut or an earlier one, and neither is-ik nor
+nik-undecided could come first. So a clique sum's nIK tree is not rebuilt
+at each level of its maxnik construction.
+
 Two facts about subgraphs shorten these walks without changing an answer.
 If H - S is not planar for a subgraph H of G on the same vertices, then
 neither is G - S. So each addition's walk starts at the host's first
@@ -39,35 +48,34 @@ clique cutset is an induced subgraph of g, so a piece that is not 2-apex
 makes g not 2-apex either. Once three pairs of g have failed, its walk
 asks the pieces of g's first split, and ends with no witness at one that is
 not 2-apex; so a clique sum of any depth is settled from its pieces after
-three planarity runs per level, not n. Those piece walks are kept in the
-call's memo, where the clique-sum construction finds them. Additions are
-not asked about pieces: on the random hosts that cost more planarity runs
-than it saved. Both facts reach the walk as the ``start`` and ``doomed``
-hints of ``planarity.is_k_apex``, the one 2-apex walk; certify imports no
-private name from ``planarity``.
+three planarity runs per level, not n. The clique-sum construction reads
+those piece walks back from ``_two_apex``. Additions are not asked about
+pieces: on the random hosts that cost more planarity runs than it saved.
+Both facts reach the walk as the ``start`` and ``doomed`` hints of
+``planarity.is_k_apex``, the one 2-apex walk; certify imports no private
+name from ``planarity``.
 
 A graph isomorphic to a knotless axiom (E9 or G9,29) is not walked at all:
-no axiom is 2-apex, so its walk would fail, and ``_prove_nik`` goes on to
+no axiom is 2-apex, so its walk would fail, and ``_certify_nik`` goes on to
 the axiom rule as before. The paper's infinite families are clique sums of
-E9 copies, so this settles many of their pieces with no planarity run. The
-check sits behind the memo, so a graph pays for it once per call.
+E9 copies, so this settles many of their pieces with no planarity run.
 
-Within one top-level ``certify_nik`` or ``certify_maxnik`` call each graph
-gets one nIK certificate, at most one 2-apex walk (none when it is
-isomorphic to an axiom) and at most one clique cutset search: the call owns
-a memo of all three, so a clique-sum piece met again (in the nIK and then
-the maxnik split, or at a second cutset) reuses its certificate, an
+Nothing is kept per call; four bounded caches serve every call in the
+process, each keyed by its exact inputs and holding only immutable values.
+``_two_apex`` keeps each graph's 2-apex walk (one per ``start``; the axiom
+check is made once, on the miss) and ``_small_splits`` its small clique
+cutset splits, as ``canon`` keeps one search per labelled graph. So a
+clique-sum piece met again (in the nIK and then the maxnik split, at a
+second cutset, or in a later graph) is neither walked nor split again, an
 addition the gate walked in vain is not walked again when the orbit loop
-asks for its nIK certificate, and the split that the ``doomed`` hint, the
-nIK construction and the maxnik construction each read is searched once.
-These memos are dropped when the call ends. The validator keeps no memo of
-its own. Two bounded caches serve every call in the process instead: each
-graph6 string is decoded once (``Certificate.graph`` reads the same cache),
-and each node's replay runs once for each exact set of inputs it reads
+asks for its nIK certificate, and the split that the ``doomed`` hint and
+both constructions read is searched once. Certificates are not kept, since
+each hands its ``evidence`` dict to the caller; each call rebuilds them from
+the kept walks and splits. The validator reads the other two: each graph6
+string is decoded once (``Certificate.graph`` reads the same cache), and each
+node's replay runs once for each exact set of inputs it reads
 (``validate_certificate`` argues that this is exact). So the E9, K7 and
-minor-of facts that recur across a size plan's certificates are proven
-once. The canonical searches behind generators, orbits and
-axioms are shared across calls too: ``canon`` runs one per labelled graph.
+minor-of facts that recur across a size plan's certificates are proven once.
 """
 
 from __future__ import annotations
@@ -86,7 +94,7 @@ from .errors import ParseError, ValidationError
 from .graphs import Graph, _blocks, graph6_decode, graph6_encode
 from .minors import MinorWitness, has_minor
 from .planarity import KApexResult, is_k_apex, is_planar
-from .primality import _splits
+from .primality import _minimal_clique_cutsets, _split
 
 VERDICT_IK = "IK"
 VERDICT_NIK = "NIK"
@@ -253,21 +261,32 @@ def certify_ik(g: Graph) -> Certificate:
 
 def certify_nik(g: Graph) -> Certificate:
     """nIK via 2-apex, a knotless axiom, or a clique-sum construction."""
-    return _certify_nik(g, {})
+    return _certify_nik(g)
 
 
-def _certify_nik(g: Graph, memo: dict) -> Certificate:
-    """``certify_nik`` that reuses the certificate ``memo`` holds for ``g``.
+def _certify_nik(g: Graph, start: tuple[int, ...] | None = None) -> Certificate:
+    """``certify_nik`` whose 2-apex walk is ``_two_apex(g, start)``: the orbit
+    loop passes an addition's ``start``, so it reads the walk the gate kept."""
+    apex = _two_apex(g, start)
+    if apex.found:
+        return _cert(VERDICT_NIK, "apex-pair", g, witness=list(apex.witness or ()))
+    axiom = mmik_library().axiom_for(g)
+    if axiom is not None:
+        return _cert(VERDICT_NIK, "axiom", g, name=axiom.name,
+                     trust="published knotless embedding; not re-verified here")
+    built = _certify_by_cutsets(g, want_maxnik=False)
+    if built is not None:
+        return built
+    return _cert(VERDICT_UNKNOWN, "no-nik-evidence", g)
 
-    ``memo`` belongs to one top-level call, so each graph that call
-    meets is settled once however many clique sums it appears in, and its
-    2-apex walk is the one ``_two_apex`` kept.
-    """
-    return _memo(memo, "nik", g, lambda: _prove_nik(g, memo))
+
+_WALKS = 256  # a composite batch walks 107 (graph, start) keys; one call rereads a few dozen
+_SPLITS = 128  # a composite batch splits 103 graphs; one call rereads a handful
 
 
-def _two_apex(g: Graph, memo: dict, start: tuple[int, ...] | None = None) -> KApexResult:
-    """``is_k_apex(g, 2)``, walked at most once per graph in ``memo``.
+@lru_cache(maxsize=_WALKS)
+def _two_apex(g: Graph, start: tuple[int, ...] | None) -> KApexResult:
+    """``is_k_apex(g, 2)``, walked once per process for each ``(g, start)``.
 
     From order 7 on a 2-apex graph has at most 3(n - 2) - 6 + 2(n - 2) + 1
     = 5n - 15 edges, so a graph with 5n - 14 is not walked. ``start`` is the
@@ -276,67 +295,60 @@ def _two_apex(g: Graph, memo: dict, start: tuple[int, ...] | None = None) -> KAp
     to a knotless axiom is not walked, since no axiom is 2-apex
     (``catalog._LIBRARY_TABLE``), and any other walk gets
     ``_piece_not_two_apex`` as its ``doomed`` hint, asked once three pairs
-    have failed.
+    have failed. Callers pass ``start`` positionally, even as None, so that
+    each walk has one key.
     """
     if g.n >= 7 and g.m >= 5 * g.n - 14:
         return KApexResult(False, None)
     if start is not None:
-        return _memo(memo, "2-apex", g, lambda: is_k_apex(g, 2, start))
-    return _memo(memo, "2-apex", g, lambda: (
-        KApexResult(False, None) if mmik_library().axiom_for(g) is not None
-        else is_k_apex(g, 2, doomed=lambda: _piece_not_two_apex(g, memo))))
+        return is_k_apex(g, 2, start)
+    if mmik_library().axiom_for(g) is not None:
+        return KApexResult(False, None)
+    return is_k_apex(g, 2, doomed=lambda: _piece_not_two_apex(g))
 
 
-def _piece_not_two_apex(g: Graph, memo: dict) -> bool:
+def _piece_not_two_apex(g: Graph) -> bool:
     """Is a piece of g's first clique-cutset split not 2-apex?
 
     Each piece is an induced subgraph of g, so then g is not 2-apex either.
-    The split is the first of ``_small_splits``, and the pieces' walks go
-    into ``memo``: ``_certify_by_cutsets`` finds both there.
+    The split is the first of ``_small_splits``, and the pieces' walks are
+    ``_two_apex``'s: ``_certify_by_cutsets`` reads both caches.
     """
-    splits = _small_splits(g, memo)
-    return bool(splits) and any(not _two_apex(piece, memo).found for _, piece in splits[0][1])
+    splits = _small_splits(g)
+    return bool(splits) and any(not _two_apex(piece, None).found for _, piece in splits[0][1])
 
 
-def _small_splits(g: Graph, memo: dict) -> list:
-    """g's splits at cutsets of at most 3 vertices, in ``_splits`` order,
-    searched once per graph in ``memo``; none when g is disconnected.
+@lru_cache(maxsize=_SPLITS)
+def _small_splits(g: Graph) -> tuple:
+    """g's splits at cutsets of at most 3 vertices, in (size, lex) order, searched
+    once per process: each cutset with its pieces (``primality._split``), all
+    in tuples; none when g is disconnected.
 
     3 is the largest clique a ``LEMMAS`` entry glues over, and cutsets come
-    smallest first, so the search stops at the first larger one.
+    smallest first, so the search stops at the first larger one and builds
+    no pieces for it.
     """
-    return _memo(memo, "splits", g, lambda: (
-        list(takewhile(lambda split: len(split[0]) <= 3, _splits(g)))
-        if g.is_connected() else []))
+    if not g.is_connected():
+        return ()
+    cuts = takewhile(lambda cut: len(cut) <= 3, _minimal_clique_cutsets(g))
+    return tuple((cut, tuple(_split(g, cut))) for cut in cuts)
 
 
-def _prove_nik(g: Graph, memo: dict) -> Certificate:
-    apex = _two_apex(g, memo)
-    if apex.found:
-        return _cert(VERDICT_NIK, "apex-pair", g, witness=list(apex.witness or ()))
-    axiom = mmik_library().axiom_for(g)
-    if axiom is not None:
-        return _cert(VERDICT_NIK, "axiom", g, name=axiom.name,
-                     trust="published knotless embedding; not re-verified here")
-    built = _certify_by_cutsets(g, memo, want_maxnik=False)
-    if built is not None:
-        return built
-    return _cert(VERDICT_UNKNOWN, "no-nik-evidence", g)
-
-
-def _certify_by_cutsets(g: Graph, memo: dict, want_maxnik: bool) -> Certificate | None:
+def _certify_by_cutsets(g: Graph, want_maxnik: bool) -> Certificate | None:
     """Certify via a clique-sum split at a small clique cutset, if any works."""
     want = VERDICT_MAXNIK if want_maxnik else VERDICT_NIK
-    for cut, pieces in _small_splits(g, memo):
+    for cut, pieces in _small_splits(g):
         lemma = next((name for name, lem in LEMMAS.items()
                       if lem.clique == len(cut) and want in lem.needs), None)
+        if lemma is None:  # no lemma glues ``want`` over a clique of this size
+            continue
         # the side conditions first, as if every piece certified ``want``
         sides = [(piece, tuple(verts.index(v) for v in cut)) for verts, piece in pieces]
         if lemma_conclusion(lemma, sides, [want] * len(sides))[0] != want:
             continue
         sub_certs = []
         for _, piece in pieces:
-            sub = _certify_maxnik(piece, memo) if want_maxnik else _certify_nik(piece, memo)
+            sub = certify_maxnik(piece) if want_maxnik else _certify_nik(piece)
             if sub.verdict != want:
                 break
             sub_certs.append(sub)
@@ -351,41 +363,37 @@ def _certify_by_cutsets(g: Graph, memo: dict, want_maxnik: bool) -> Certificate 
 
 def certify_maxnik(g: Graph) -> Certificate:
     """Edge-maximality: nIK now, IK after every orbit-distinct edge addition."""
-    return _certify_maxnik(g, {})
-
-
-def _certify_maxnik(g: Graph, memo: dict) -> Certificate:
-    nik = _certify_nik(g, memo)
-    if nik.verdict != VERDICT_NIK:
-        ik = certify_ik(g)
-        if ik.verdict == VERDICT_IK:
-            return _cert(VERDICT_NOT_MAXNIK, "is-ik", g, children=[ik])
-    if g.is_complete() and nik.verdict == VERDICT_NIK:
-        return _cert(VERDICT_MAXNIK, "complete-nik", g, children=[nik], n=g.n)
-    two_apex = nik.rule == "apex-pair"
+    two_apex, gated, start = _two_apex(g, None).found, False, None
     if two_apex:
+        nik = _certify_nik(g)
+        if g.is_complete():
+            return _cert(VERDICT_MAXNIK, "complete-nik", g, children=[nik], n=g.n)
         start = tuple(nik.evidence["witness"])  # every pair before it fails for each addition
         least = g.non_edges()[0]
-    if two_apex and _two_apex(g.with_edge(*least), memo, start).found:
-        reps = [least]  # the least non-edge gate of the module docstring
-    else:
-        built = _certify_by_cutsets(g, memo, want_maxnik=True)
+        gated = _two_apex(g.with_edge(*least), start).found  # the least non-edge gate
+    if not gated:
+        built = _certify_by_cutsets(g, want_maxnik=True)
         if built is not None:
             return built
+    if not two_apex:  # its nIK certificate is built only now (module docstring)
+        nik = _certify_nik(g)
         if nik.verdict != VERDICT_NIK:
+            ik = certify_ik(g)
+            if ik.verdict == VERDICT_IK:
+                return _cert(VERDICT_NOT_MAXNIK, "is-ik", g, children=[ik])
             return _cert(VERDICT_UNKNOWN, "nik-undecided", g, children=[nik])
-        reps = [tuple(o[0]) for o in orbits(g, "non-edge").orbits]
+    reps = [least] if gated else [tuple(o[0]) for o in orbits(g, "non-edge").orbits]
     children = [nik]
     undecided = []
     for u, v in reps:
         added = g.with_edge(u, v)
         # a 2-apex addition is nIK, so no IK pattern is a minor of it: no IK search
-        if not (two_apex and _two_apex(added, memo, start).found):
+        if not (two_apex and _two_apex(added, start).found):
             ik = certify_ik(added)
             if ik.verdict == VERDICT_IK:
                 children.append(ik)
                 continue
-        back = _certify_nik(added, memo)
+        back = _certify_nik(added, start)
         if back.verdict == VERDICT_NIK:
             return _cert(VERDICT_NOT_MAXNIK, "augmentation-nik", g,
                          children=[nik, back], edge=[u, v])
@@ -513,14 +521,6 @@ class Rule(NamedTuple):
     fields: dict[str, str] = {}
     first_child: str | None = None
     replay: Callable[[Certificate, Graph], str | None] | None = None
-
-
-def _memo(memo: dict, what: str, graph, compute: Callable[[], object]):
-    """``compute()`` for ``graph``, run once per ``what`` in ``memo``."""
-    key = (what, graph)
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
 
 
 _GRAPHS = 512  # a size-planner pass decodes 167 distinct strings

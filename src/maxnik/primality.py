@@ -87,15 +87,20 @@ def _pieces(g: Graph, cut: Iterable[int]) -> list[int]:
     return [comp | cmask for comp in _components(g.rows, ((1 << g.n) - 1) & ~cmask)]
 
 
-def _splits(g: Graph) -> Iterator[tuple[tuple[int, ...], list[tuple[tuple[int, ...], Graph]]]]:
-    """Each minimal clique cutset of g in (size, lex) order, with its pieces;
-    ``decompose`` and the certifier's clique-sum constructions split here.
+def _split(g: Graph, cut: Iterable[int]) -> list[tuple[tuple[int, ...], Graph]]:
+    """The pieces of g at ``cut``, ordered by least vertex; ``decompose`` and
+    the certifier's clique-sum constructions split here.
 
     A piece is its sorted vertices in g and the subgraph they induce,
-    relabelled in that order; pieces come ordered by least vertex.
+    relabelled in that order.
     """
+    return [(tuple(_bits(m)), g._induced(m)) for m in _pieces(g, cut)]
+
+
+def _splits(g: Graph) -> Iterator[tuple[tuple[int, ...], list[tuple[tuple[int, ...], Graph]]]]:
+    """Each minimal clique cutset of g in (size, lex) order, with its ``_split``."""
     for cut in _minimal_clique_cutsets(g):
-        yield cut, [(tuple(_bits(m)), g._induced(m)) for m in _pieces(g, cut)]
+        yield cut, _split(g, cut)
 
 
 def clique_cutsets(g: Graph) -> list[tuple[int, ...]]:

@@ -36,11 +36,13 @@ def lib():
 
 @pytest.fixture(autouse=True)
 def _cold_search_cache():
-    """Each test starts with no canonical search, decomposition, graph6
-    decode or certificate replay kept, so a count of searches or a patched
-    search sees every graph it asks about."""
+    """Each test starts with no canonical search, decomposition, 2-apex walk,
+    small split, graph6 decode or certificate replay kept, so a count of
+    searches or a patched search sees every graph it asks about."""
     canon._search.cache_clear()
     primality._decompose.cache_clear()
+    certify._two_apex.cache_clear()
+    certify._small_splits.cache_clear()
     certify._decoded.cache_clear()
     certify._replayed.cache_clear()
 

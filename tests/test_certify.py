@@ -22,9 +22,10 @@ from maxnik.certify import (VERDICT_IK, VERDICT_MAXNIK, VERDICT_NIK,
                             validate_certificate)
 from maxnik.construct import prime_family, size_construct
 from maxnik.errors import ParseError
-from maxnik.graphs import (complete_graph, complete_multipartite, from_edges,
-                           graph6_decode, graph6_encode, identified_union)
-from maxnik.planarity import is_k_apex
+from maxnik.graphs import (Graph, complete_graph, complete_multipartite,
+                           from_edges, graph6_decode, graph6_encode,
+                           identified_union)
+from maxnik.planarity import KApexResult, is_k_apex
 from maxnik.primality import _splits
 from maxnik.smallgraphs import enumerate_graphs
 
@@ -444,17 +445,30 @@ class TestOneNikCertificatePerCall:
 
     def test_one_apex_search_per_graph(self, monkeypatch):
         g = size_construct(40)[1]  # edge sums over five pieces
+        _clear_prover_caches()  # building g walked its pieces
         searched = self._count_apex_searches(monkeypatch)
         first = certify_maxnik(g)
         assert first.verdict == VERDICT_MAXNIK
         # the sum, an (11, 26) piece, K6 and K4; the E9 piece, a knotless axiom,
         # was a fifth walk before the axiom gate
         assert len(searched) == len(set(searched)) == 4
-        per_call = len(searched)
-        # a second call shares nothing with the first: it searches again
+        # the walks are kept for the process: a second call walks nothing
         assert certify_maxnik(g) == first
-        assert len(searched) == 2 * per_call
-        assert searched[:per_call] == searched[per_call:]
+        assert len(searched) == 4
+
+    def test_a_maxnik_sum_builds_no_nik_construction(self, monkeypatch):
+        # a host that is not 2-apex tries the maxnik construction first; each
+        # of these sums has a nIK one too, which is built only when asked for
+        graphs = _relabelled_composites(0)
+        built = []
+        real = certify_module.construction_certificate
+        monkeypatch.setattr(certify_module, "construction_certificate",
+                            lambda verdict, *args: built.append(verdict) or real(verdict, *args))
+        for g in graphs:
+            assert certify_maxnik(g).rule == "construction"
+            assert set(built) == {VERDICT_MAXNIK}
+            assert certify_nik(g).verdict == VERDICT_NIK
+            built.clear()
 
     def test_certify_nik_searches_each_piece_once(self, monkeypatch):
         g = size_construct(90)[1]
@@ -717,6 +731,7 @@ class TestWalksReuseSubgraphs:
         with the answer, every sum whose walk ended at a piece, and every
         planarity run, while the certifier runs."""
         mmik_library()  # built first: its own planarity runs are not the certifier's
+        _clear_prover_caches()  # nor are the walks that building the inputs kept
         seen = {"walks": [], "gated": [], "asked": [], "ended": [], "planarity": 0}
         real_walk = certify_module.is_k_apex
         real_two_apex = certify_module._two_apex
@@ -728,18 +743,18 @@ class TestWalksReuseSubgraphs:
             seen["walks"].append((g, start, got))
             return got
 
-        def two_apex(g, memo, start=None):
-            fresh = ("2-apex", g) not in memo
-            walks = len(seen["walks"])
-            got = real_two_apex(g, memo, start)
-            # kept in the memo with no walk of g: the axiom gate answered
-            if fresh and ("2-apex", g) in memo and all(
-                    w[0] != g for w in seen["walks"][walks:]):
+        def two_apex(g, start):
+            misses, walks = real_two_apex.cache_info().misses, len(seen["walks"])
+            got = real_two_apex(g, start)
+            # a miss below the 5n - 14 bound with no walk of g: the axiom gate answered
+            if (real_two_apex.cache_info().misses > misses
+                    and not (g.n >= 7 and g.m >= 5 * g.n - 14)
+                    and all(w[0] != g for w in seen["walks"][walks:])):
                 seen["gated"].append((g, got))
             return got
 
-        def pieces(g, memo):
-            doomed = real_pieces(g, memo)
+        def pieces(g):
+            doomed = real_pieces(g)
             seen["asked"].append((g, doomed))
             if doomed:
                 seen["ended"].append(g)
@@ -762,10 +777,12 @@ class TestWalksReuseSubgraphs:
             assert certify_maxnik(g).verdict == VERDICT_MAXNIK
         # 3,504 while every walk ran to its end or its witness, 1,634 while a
         # graph isomorphic to an axiom was walked too, and 896 while a walk
-        # asked the pieces once n pairs had failed, not three
-        assert seen["planarity"] == 230
-        # 144 walks before the axiom gate: 40 were of graphs isomorphic to an axiom
-        assert len(seen["walks"]) == 104
+        # asked the pieces once n pairs had failed, not three, and 230 while
+        # each call kept its walks to itself
+        assert seen["planarity"] == 193
+        # 144 walks before the axiom gate: 40 were of graphs isomorphic to an
+        # axiom; then 104 while each call kept its walks to itself
+        assert len(seen["walks"]) == 67
         assert len(seen["gated"]) == 40
         for g, _, got in seen["walks"]:
             assert got == reference_is_k_apex(g, 2), graph6_encode(g)
@@ -844,25 +861,25 @@ def _clique_sums(seed: int, count: int) -> list:
 
 class TestOneSplitPerGraphPerCall:
     """The doomed hint, the nIK construction and the maxnik construction
-    read one list of small splits per graph, kept in the call's memo."""
+    read one tuple of small splits per graph, kept for the process in the
+    bounded ``_small_splits`` cache."""
 
     def test_each_graph_is_split_once_per_call(self, monkeypatch):
+        graphs = _relabelled_composites(0)
+        _clear_prover_caches()  # building the graphs split some of their pieces
         split = []
-        real = certify_module._splits
+        real = certify_module._minimal_clique_cutsets
 
         def counted(g):
             split.append(g)
             return real(g)
 
-        monkeypatch.setattr(certify_module, "_splits", counted)
-        total = 0
-        for g in _relabelled_composites(0):
-            split.clear()
+        monkeypatch.setattr(certify_module, "_minimal_clique_cutsets", counted)
+        for g in graphs:
             assert certify_maxnik(g).verdict == VERDICT_MAXNIK
-            assert len(split) == len(set(split)), graph6_encode(g)
-            total += len(split)
-        # 229 while each of the three searched on its own
-        assert total == 103
+        # no graph is split twice in the batch; 229 while each of the three
+        # searched on its own
+        assert len(split) == len(set(split)) == 103
 
 
 class TestAxiomsAreNotWalked:
@@ -880,8 +897,89 @@ class TestAxiomsAreNotWalked:
             for _ in range(20):
                 perm = list(range(axiom.graph.n))
                 rng.shuffle(perm)
-                assert certify_module._two_apex(axiom.graph.relabel(perm), {}) == (False, None)
+                assert certify_module._two_apex(axiom.graph.relabel(perm), None) == (False, None)
         assert walked == []
+
+
+def _clear_prover_caches():
+    certify_module._two_apex.cache_clear()
+    certify_module._small_splits.cache_clear()
+
+
+def _frozen(value) -> bool:
+    """Is ``value`` a tuple all the way down, to ints, bools, None and graphs?"""
+    if isinstance(value, tuple):
+        return all(map(_frozen, value))
+    return value is None or type(value) in (bool, int, Graph)
+
+
+class TestProverCaches:
+    """``_two_apex`` and ``_small_splits`` keep each walk and each split for
+    the process, in bounded caches of immutable values; certificates are
+    rebuilt on every call."""
+
+    @staticmethod
+    def _graphs() -> list:
+        # few enough that every walk and split of them stays in the caches
+        return _relabelled_composites(0)[:8] + _order_7_to_10_hosts(1313, 12)
+
+    def test_warm_certificates_equal_cold_ones(self):
+        graphs = _relabelled_composites(0) + _order_7_to_10_hosts(1313, 24)
+        cold = []
+        for g in graphs:
+            _clear_prover_caches()
+            cold.append(certify_maxnik(g).dumps())
+        _clear_prover_caches()
+        assert [certify_maxnik(g).dumps() for g in reversed(graphs)] == cold[::-1]
+        assert [certify_maxnik(g).dumps() for g in graphs] == cold
+
+    def test_editing_a_certificate_leaves_the_next_one_unchanged(self):
+        for g in (size_construct(40)[1], graph6_decode("IfByZ]zMo"), prime_family(10)):
+            first = certify_maxnik(g)
+            want = first.dumps()
+            for _, node in _walk(first):
+                for value in node.evidence.values():
+                    if isinstance(value, list):
+                        value.append(99)
+                node.evidence["graph"] = "edited"
+            assert certify_maxnik(g).dumps() == want
+
+    def test_both_caches_are_bounded_and_hold_only_tuples(self, monkeypatch):
+        caches = certify_module._two_apex, certify_module._small_splits
+        kept = []
+        for cache in caches:
+            maxsize = cache.cache_info().maxsize
+            assert isinstance(maxsize, int) and maxsize > 0
+            monkeypatch.setattr(certify_module, cache.__name__,
+                                lambda *args, cache=cache: kept.append(cache(*args)) or kept[-1])
+        for g in self._graphs():
+            certify_maxnik(g)
+        assert {type(value) for value in kept} == {KApexResult, tuple}
+        assert all(map(_frozen, kept))
+        assert all(cache.cache_info().currsize > 0 for cache in caches)
+
+    def test_a_second_certification_walks_and_splits_nothing(self, monkeypatch):
+        graphs = self._graphs()
+        first = [certify_maxnik(g).dumps() for g in graphs]
+        walked = TestOneNikCertificatePerCall._count_apex_searches(monkeypatch)
+        split = []
+        real = certify_module._minimal_clique_cutsets
+        monkeypatch.setattr(certify_module, "_minimal_clique_cutsets",
+                            lambda g: split.append(g) or real(g))
+        assert [certify_maxnik(g).dumps() for g in graphs] == first
+        assert walked == split == []
+
+
+def test_a_cutset_no_lemma_glues_is_passed_over(monkeypatch):
+    # no lemma glues MAXNIK over one vertex: the maxnik pass skips E9 + K4's
+    # cut vertex without asking, and the nIK pass glues over it
+    asked = []
+    real = certify_module.lemma_conclusion
+    monkeypatch.setattr(certify_module, "lemma_conclusion",
+                        lambda name, *args: asked.append(name) or real(name, *args))
+    g = identified_union(named_graph("E9").graph, [0], complete_graph(4), [0])
+    assert certify_maxnik(g).verdict == VERDICT_NOT_MAXNIK
+    assert "NPP7-v" in asked and None not in asked
 
 
 def test_composite_minor_searches_past_the_rank_gate(monkeypatch):

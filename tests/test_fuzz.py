@@ -6,6 +6,7 @@ import copy
 import io
 import json
 import os
+import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -23,6 +24,7 @@ from maxnik.certify import (LEMMAS, RULES, SETS, VERDICT_IK,  # noqa: E402
                             VERDICT_MAXNIK, VERDICT_NIK, VERDICT_NOT_MAXNIK,
                             VERDICT_UNKNOWN, Certificate, validate_certificate)
 from maxnik.cli import main  # noqa: E402
+from maxnik.construct import size_construct  # noqa: E402
 from maxnik.errors import MaxnikError  # noqa: E402
 from maxnik.graphs import (Graph, from_edges, graph6_decode,  # noqa: E402
                            graph6_encode, identified_union)
@@ -31,8 +33,9 @@ from maxnik.planarity import _planar_within  # noqa: E402
 from maxnik.primality import decompose  # noqa: E402
 
 from conftest import (brute_force_minor, leaves, outcome,  # noqa: E402
-                      re_glue, reference_clique_cutsets, reference_cycle_rank,
-                      reference_graph6_decode, reference_is_planar)
+                      random_graph, re_glue, reference_clique_cutsets,
+                      reference_cycle_rank, reference_graph6_decode,
+                      reference_is_planar)
 
 VERDICTS = (VERDICT_IK, VERDICT_NIK, VERDICT_MAXNIK, VERDICT_NOT_MAXNIK, VERDICT_UNKNOWN)
 
@@ -243,9 +246,9 @@ def test_planar_within_matches_the_reference_on_any_mask(host_and_mask):
 
 
 @st.composite
-def _connected_with_clique(draw, k: int):
-    """A connected graph of order max(2, k)-8 and k of its vertices made a clique."""
-    n = draw(st.integers(max(2, k), 8))
+def _connected_with_clique(draw, k: int, max_n: int = 8):
+    """A connected graph of order max(2, k)-max_n and k of its vertices made a clique."""
+    n = draw(st.integers(max(2, k), max_n))
     edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}  # a spanning tree
     pairs = [(u, v) for v in range(n) for u in range(v)]
     edges |= set(draw(st.lists(st.sampled_from(pairs), unique=True)))
@@ -255,11 +258,11 @@ def _connected_with_clique(draw, k: int):
 
 
 @st.composite
-def _clique_sum(draw):
-    """Two random connected graphs of order 2-8 glued along a clique of size 1-3."""
+def _clique_sum(draw, max_n: int = 8):
+    """Two random connected graphs of order 2-max_n glued along a clique of size 1-3."""
     k = draw(st.integers(1, 3))
-    g, g_sites = draw(_connected_with_clique(k))
-    h, h_sites = draw(_connected_with_clique(k))
+    g, g_sites = draw(_connected_with_clique(k, max_n))
+    h, h_sites = draw(_connected_with_clique(k, max_n))
     return identified_union(g, g_sites, h, h_sites)
 
 
@@ -303,6 +306,41 @@ def test_decompose_reads_the_same_tree_from_a_warm_cache(g):
             with pytest.raises(AssertionError, match="does not re-glue"):
                 decompose(g)
     primality._decompose.cache_clear()
+
+
+@st.composite
+def _relabelled_composite(draw):
+    """A size-planner graph of size 23-52 under a drawn vertex permutation."""
+    g = size_construct(draw(st.integers(23, 52)))[1]
+    return g.relabel(draw(st.permutations(range(g.n))))
+
+
+@st.composite
+def _random_host(draw):
+    """A seeded G(n, p) host of order 7-10, p from 0.4 to 0.7."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return random_graph(rng, draw(st.integers(7, 10)), draw(st.sampled_from((0.4, 0.5, 0.6, 0.7))))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(st.one_of(_relabelled_composite(), _random_host(), _clique_sum(7)), st.data())
+def test_certificates_do_not_depend_on_the_prover_caches(g, data):
+    """A graph certified after other graphs, drawn among its pieces, its
+    one-edge deletions and additions (up to order 13, where they stay quick)
+    and other hosts, gets the certificates it gets cold."""
+    for cache in (certify._two_apex, certify._small_splits):
+        cache.cache_clear()
+    cold = certify.certify_nik(g).dumps(), certify.certify_maxnik(g).dumps()
+    for cache in (certify._two_apex, certify._small_splits):
+        cache.cache_clear()
+    split = next(primality._splits(g), (None, [])) if g.is_connected() else (None, [])
+    near = [piece for _, piece in split[1]]
+    if g.n <= 13:
+        near += [g.without_edge(*e) for e in g.edges()] + [g.with_edge(*e) for e in g.non_edges()]
+    others = _relabelled_composite() | _random_host()
+    for h in data.draw(st.lists(st.sampled_from(near) | others if near else others, max_size=4)):
+        certify.certify_maxnik(h)
+    assert (certify.certify_nik(g).dumps(), certify.certify_maxnik(g).dumps()) == cold
 
 
 @st.composite

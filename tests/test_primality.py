@@ -92,22 +92,31 @@ class TestLazySearchMatchesReference:
         assert fast == [decompose(g).to_json() for g, _ in cases]
 
     def test_certify_sees_the_small_cutsets_in_order(self, cases, monkeypatch):
-        seen = []
+        seen, split = [], []
 
-        def recorded_splits(g):
-            for cut, pieces in primality._splits(g):
-                assert [piece for _, piece in pieces] == [g.subgraph(v) for v, _ in pieces]
+        def recorded_cutsets(g):
+            for cut in primality._minimal_clique_cutsets(g):
                 seen.append(cut)
-                yield cut, pieces
+                yield cut
+
+        def recorded_split(g, cut):
+            split.append(cut)
+            return primality._split(g, cut)
 
         # no lemma applies, so _certify_by_cutsets reads every split it would try
-        monkeypatch.setattr(certify_module, "_splits", recorded_splits)
+        monkeypatch.setattr(certify_module, "_minimal_clique_cutsets", recorded_cutsets)
+        monkeypatch.setattr(certify_module, "_split", recorded_split)
         monkeypatch.setattr(certify_module, "lemma_conclusion", lambda *_args: (None, ""))
         for g, ref in cases:
             seen.clear()
-            assert certify_module._certify_by_cutsets(g, {}, want_maxnik=False) is None
+            split.clear()
+            certify_module._small_splits.cache_clear()  # a graph met before is read back
+            assert certify_module._certify_by_cutsets(g, want_maxnik=False) is None
             small = [c for c in ref if len(c) <= 3]
             assert seen == ref[:len(small) + 1]  # it stops at the first larger cutset
+            assert split == small  # and builds pieces for none but the small ones
+            for cut, pieces in certify_module._small_splits(g):
+                assert [piece for _, piece in pieces] == [g.subgraph(v) for v, _ in pieces]
 
 
 class TestCutVertices:
